@@ -3,8 +3,10 @@
 The package provides the monoid arithmetic, the combinatorial length
 function, two independent implementations of the order (sorted-truncation
 containment and generator-move closure), covering-relation predicates, an
-exact integer linear-algebra oracle for orbit dimensions, and a harness
-that cross-checks all of them against each other on whole monoids.
+exact integer linear-algebra oracle for orbit dimensions, Hasse-diagram
+tooling, and one verification campaign (verify) that cross-checks all of
+them against each other on whole monoids, exhaustively or on a seeded
+sample of pairs.
 """
 
 from .elements import (
@@ -13,11 +15,9 @@ from .elements import (
     enumerate_elements,
     from_matrix,
     is_permutation,
-    load_elements,
     multiply,
     parse_one_line,
     rank,
-    read_elements,
     to_matrix,
 )
 from .length import (
@@ -33,20 +33,15 @@ from .length import (
 )
 from .oracle import MatrixSpan, left_span, meet_dim, oracle_length, right_span
 from .order import (
-    GeneratorMove,
-    containment_leq,
     covers_of,
     deodhar_leq,
     deodhar_leq_gamma,
     deodhar_leq_vectors,
     gamma_count,
-    generator_moves,
     is_cover_type1,
     is_cover_type2,
-    nonincreasing,
     ppr_leq,
     ppr_raises,
-    truncate,
 )
 from .poset import (
     HasseDiagram,

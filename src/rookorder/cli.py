@@ -165,6 +165,9 @@ def _cmd_verify(args) -> int:
         print(f"order_mismatches: {len(report.mismatches)}")
         for x, y, d, p in report.mismatches:
             print(f"  pair {x} vs {y}: containment={_verdict(d)} moves={_verdict(p)}")
+        print(f"search_mismatches: {len(report.search_mismatches)}")
+        for x, y, p, s in report.search_mismatches:
+            print(f"  pair {x} vs {y}: closure={_verdict(p)} search={_verdict(s)}")
         print(f"cover_mismatches: {len(report.cover_mismatches)}")
         for x, predicate, brute in report.cover_mismatches:
             print(f"  element {x}: predicate={predicate} brute={brute}")

@@ -17,9 +17,8 @@ throughout this package; n is always the vector length.
 '4,0,0,0'
 """
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator
 
 __all__ = [
     "OneLine",
@@ -31,8 +30,6 @@ __all__ = [
     "rank",
     "is_permutation",
     "enumerate_elements",
-    "read_elements",
-    "load_elements",
 ]
 
 
@@ -179,19 +176,3 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
         entries[j] = 0
 
     return fill(0)
-
-
-def read_elements(lines: Iterable[str]) -> list[OneLine]:
-    """Parse an element listing: one element per line, blank lines skipped,
-    '#' starts a comment that runs to the end of the line."""
-    out = []
-    for line in lines:
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append(parse_one_line(body))
-    return out
-
-
-def load_elements(path: Union[str, os.PathLike]) -> list[OneLine]:
-    with open(path, encoding="utf-8") as fh:
-        return read_elements(fh)

@@ -4,8 +4,9 @@ deodhar_leq compares sorted truncations of the one-line vectors, and
 deodhar_leq_gamma restates the same comparison through threshold counts.
 ppr_leq instead takes the reflexive-transitive closure of two generator
 moves: raising one entry to a larger unused value, and exchanging a
-smaller entry with a larger one to its right.  The two routes share no
-comparison logic; the verification harness checks that they agree.
+smaller entry with a larger one to its right.  ppr_raises lists the
+results of those single moves.  The two routes share no comparison
+logic; the verification harness checks that they agree.
 
 is_cover_type1 and is_cover_type2 certify covering relations (edges of
 the Hasse diagram) directly from the entries of the two elements.
@@ -13,48 +14,23 @@ the Hasse diagram) directly from the entries of the two elements.
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .elements import OneLine
 from .length import length
 
 __all__ = [
-    "GeneratorMove",
-    "nonincreasing",
-    "truncate",
-    "containment_leq",
     "deodhar_leq_vectors",
     "deodhar_leq",
     "gamma_count",
     "deodhar_leq_gamma",
-    "generator_moves",
     "ppr_raises",
     "ppr_leq",
     "is_cover_type1",
     "is_cover_type2",
     "covers_of",
 ]
-
-
-def nonincreasing(values: Sequence[int]) -> tuple[int, ...]:
-    """Entries rearranged from largest to smallest."""
-    return tuple(sorted(values, reverse=True))
-
-
-def truncate(values: Sequence[int], k: int) -> tuple[int, ...]:
-    """First k entries; k must stay within 1..len(values)."""
-    if not 1 <= k <= len(values):
-        raise IndexError(f"truncation point {k} outside 1..{len(values)}")
-    return tuple(values[:k])
-
-
-def containment_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise comparison after sorting both vectors non-increasingly."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(u <= v for u, v in zip(nonincreasing(a), nonincreasing(b)))
 
 
 def deodhar_leq_vectors(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -109,22 +85,8 @@ def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GeneratorMove:
-    """One order-generating move, 1-based positions.
-
-    kind "raise": entry i goes up to new_value (unused, larger).
-    kind "swap": entries i < j with a_i < a_j trade places.
-    """
-
-    kind: str
-    i: int
-    j: Optional[int] = None
-    new_value: Optional[int] = None
-
-
-def generator_moves(x: OneLine) -> list[tuple[GeneratorMove, OneLine]]:
-    """Every single generator move applicable to x, with its result.
+def ppr_raises(x: OneLine) -> list[OneLine]:
+    """Results of every single generator move on x.
 
     Raises come first (position-major, values ascending), then swaps in
     lexicographic position order.  Results are pairwise distinct and all
@@ -133,24 +95,18 @@ def generator_moves(x: OneLine) -> list[tuple[GeneratorMove, OneLine]]:
     a = x.entries
     n = x.n
     taken = {v for v in a if v}
-    out: list[tuple[GeneratorMove, OneLine]] = []
+    out: list[OneLine] = []
     for i in range(n):
         for v in range(a[i] + 1, n + 1):
             if v not in taken:
-                moved = a[:i] + (v,) + a[i + 1:]
-                out.append((GeneratorMove("raise", i + 1, new_value=v), OneLine(moved)))
+                out.append(OneLine(a[:i] + (v,) + a[i + 1:]))
     for i in range(n):
         for j in range(i + 1, n):
             if a[i] < a[j]:
                 swapped = list(a)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                out.append((GeneratorMove("swap", i + 1, j=j + 1), OneLine(tuple(swapped))))
+                out.append(OneLine(tuple(swapped)))
     return out
-
-
-def ppr_raises(x: OneLine) -> list[OneLine]:
-    """Results of every generator move on x."""
-    return [y for _, y in generator_moves(x)]
 
 
 @lru_cache(maxsize=None)

@@ -2,17 +2,20 @@
 
 build_hasse assembles the graded order diagram of R_n from the covering
 predicates.  verify cross-checks everything against everything: the two
-order implementations pair by pair, the covering predicates against
-brute-force covers extracted from the order relation itself, and the
-combinatorial length against the exact linear-algebra oracle.  Every
-disagreement lands in the returned report; an internal inconsistency
-between the two ways of evaluating move reachability raises outright.
+order implementations pair by pair, the precomputed move closure against
+the per-pair move search, the covering predicates against brute-force
+covers extracted from the order relation itself, and the combinatorial
+length against the exact linear-algebra oracle.  Exhaustive
+and sampled campaigns share one body and differ only in the pairs they
+draw, how many of them get the per-pair search, and which elements the
+oracle audits.  Every disagreement lands in its own list of the returned
+report; none raises.
 """
 
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .elements import OneLine, enumerate_elements, parse_one_line
 from .length import length
@@ -133,13 +136,45 @@ def export_json(h: HasseDiagram) -> str:
 
 
 def hasse_from_json(text: str) -> HasseDiagram:
+    """Load a diagram written by export_json.
+
+    Raises ValueError unless the document has exactly the keys n, nodes
+    and edges, node ids run densely from 0 in order, every element parses
+    with size n and carries its own length, and every edge is a pair of
+    node ids.  Edges are not re-checked as covers.
+    """
     doc = json.loads(text)
-    nodes = tuple(
-        (node["id"], parse_one_line(node["oneline"]), node["length"])
-        for node in doc["nodes"]
-    )
-    edges = tuple((lo, hi) for lo, hi in doc["edges"])
-    return HasseDiagram(doc["n"], nodes, edges)
+    if not isinstance(doc, dict) or set(doc) != {"n", "nodes", "edges"}:
+        raise ValueError("diagram must be an object with exactly the keys n, nodes, edges")
+    n, raw_nodes, raw_edges = doc["n"], doc["nodes"], doc["edges"]
+    if type(n) is not int or not 1 <= n <= HASSE_MAX_N:
+        raise ValueError(f"diagram size must be an integer in 1..{HASSE_MAX_N}")
+    if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
+        raise ValueError("nodes and edges must be lists")
+    nodes = []
+    for ident, node in enumerate(raw_nodes):
+        if not isinstance(node, dict) or set(node) != {"id", "oneline", "length"}:
+            raise ValueError(f"node {ident} must have exactly the keys id, oneline, length")
+        if type(node["id"]) is not int or node["id"] != ident:
+            raise ValueError(f"node ids must run 0, 1, ... in order; got {node['id']!r}")
+        if not isinstance(node["oneline"], str):
+            raise ValueError(f"node {ident}: oneline must be a string")
+        e = parse_one_line(node["oneline"])
+        if e.n != n:
+            raise ValueError(f"node {ident}: element {e} does not have size {n}")
+        ln = node["length"]
+        if type(ln) is not int or ln != length(e):
+            raise ValueError(f"node {ident}: length {ln!r} is not the length of {e}")
+        nodes.append((ident, e, ln))
+    edges = []
+    for edge in raw_edges:
+        if not (
+            isinstance(edge, list) and len(edge) == 2
+            and all(type(v) is int and 0 <= v < len(nodes) for v in edge)
+        ):
+            raise ValueError(f"edge {edge!r} is not a pair of node ids")
+        edges.append((edge[0], edge[1]))
+    return HasseDiagram(n, tuple(nodes), tuple(edges))
 
 
 @dataclass
@@ -147,10 +182,12 @@ class VerificationReport:
     """Outcome of one cross-checking campaign over R_n.
 
     mismatches holds (x, y, containment verdict, move-closure verdict)
-    for every ordered pair where the two order implementations differ;
-    cover_mismatches holds (x, predicate covers, brute-force covers);
-    oracle_mismatches holds (x, formula length, oracle length).  All
-    elements are reported in canonical text form.
+    for every checked pair where the two order implementations differ;
+    search_mismatches holds (x, y, move-closure verdict, per-pair search
+    verdict) wherever the two ways of evaluating move reachability
+    differ; cover_mismatches holds (x, predicate covers, brute-force
+    covers); oracle_mismatches holds (x, formula length, oracle length).
+    All elements are reported in canonical text form.
     """
 
     n: int
@@ -161,10 +198,14 @@ class VerificationReport:
     oracle_mismatches: list[tuple[str, int, int]]
     elapsed: float
     seed: int | None = None
+    search_mismatches: list[tuple[str, str, bool, bool]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not (self.mismatches or self.cover_mismatches or self.oracle_mismatches)
+        return not (
+            self.mismatches or self.search_mismatches
+            or self.cover_mismatches or self.oracle_mismatches
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +214,7 @@ class VerificationReport:
             "seed": self.seed,
             "pairs_checked": self.pairs_checked,
             "mismatches": [list(entry) for entry in self.mismatches],
+            "search_mismatches": [list(entry) for entry in self.search_mismatches],
             "cover_mismatches": [
                 [x, list(predicate), list(brute)]
                 for x, predicate, brute in self.cover_mismatches
@@ -191,91 +233,73 @@ def verify(
 ) -> VerificationReport:
     """Run the cross-checking campaign over R_n.
 
-    Exhaustive mode (n <= 4) audits every ordered pair and every element.
-    Sampled mode (n <= 6) audits sample_count seeded random pairs, spot
-    checks the per-pair move search against the precomputed move closure,
-    audits covers for every element while n <= 5, and audits the oracle
-    on a seeded element sample.
+    Exhaustive mode (n <= 4) audits every ordered pair and every element,
+    running the per-pair move search on every pair.  Sampled mode
+    (n <= 6) audits sample_count seeded random pairs, runs the per-pair
+    search on the first 200 of them only, audits covers for every element
+    while n <= 5, and audits the oracle on a seeded element sample.
     """
     start = time.perf_counter()
-    if mode == "exhaustive":
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
         if not 1 <= n <= EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive mode supports n in 1..{EXHAUSTIVE_MAX_N}")
-        report = _verify_exhaustive(n)
     elif mode == "sampled":
         if not 1 <= n <= SAMPLED_MAX_N:
             raise ValueError(f"sampled mode supports n in 1..{SAMPLED_MAX_N}")
         if sample_count < 1:
             raise ValueError("sample_count must be positive")
-        report = _verify_sampled(n, sample_count, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report.elapsed = time.perf_counter() - start
-    return report
 
-
-def _verify_exhaustive(n: int) -> VerificationReport:
-    elements = list(enumerate_elements(n))
-    count = len(elements)
-    lengths = [length(e) for e in elements]
-    closure = _move_closure(elements, lengths)
-    deodhar_rows = _deodhar_rows(elements)
-
-    mismatches = []
-    for i, x in enumerate(elements):
-        row = deodhar_rows[i]
-        closed = closure[i]
-        for j, y in enumerate(elements):
-            d = bool(row >> j & 1)
-            p = ppr_leq(x, y)
-            if p != bool(closed >> j & 1):
-                raise RuntimeError(
-                    f"move closure disagrees with per-pair search at {x}, {y}"
-                )
-            if d != p:
-                mismatches.append((str(x), str(y), d, p))
-
-    cover_mismatches = _audit_covers(elements, deodhar_rows)
-    oracle_mismatches = _audit_oracle(elements, lengths, range(count))
-    return VerificationReport(
-        n, "exhaustive", count * count, mismatches, cover_mismatches,
-        oracle_mismatches, 0.0,
-    )
-
-
-def _verify_sampled(n: int, sample_count: int, seed: int) -> VerificationReport:
     elements = list(enumerate_elements(n))
     count = len(elements)
     lengths = [length(e) for e in elements]
     closure = _move_closure(elements, lengths)
     rng = random.Random(seed)
+    if exhaustive:
+        pairs = ((i, j) for i in range(count) for j in range(count))
+        pairs_checked = searched = count * count
+    else:
+        pairs = (
+            (rng.randrange(count), rng.randrange(count)) for _ in range(sample_count)
+        )
+        pairs_checked = sample_count
+        searched = min(sample_count, _SPOT_CHECK_PAIRS)
 
+    containment = [0] * count
     mismatches = []
-    spot = min(sample_count, _SPOT_CHECK_PAIRS)
-    for t in range(sample_count):
-        i = rng.randrange(count)
-        j = rng.randrange(count)
-        d = deodhar_leq(elements[i], elements[j])
+    search_mismatches = []
+    for t, (i, j) in enumerate(pairs):
+        x, y = elements[i], elements[j]
+        d = deodhar_leq(x, y)
         p = bool(closure[i] >> j & 1)
-        if t < spot and ppr_leq(elements[i], elements[j]) != p:
-            raise RuntimeError(
-                f"move closure disagrees with per-pair search at "
-                f"{elements[i]}, {elements[j]}"
-            )
+        if t < searched:
+            s = ppr_leq(x, y)
+            if s != p:
+                search_mismatches.append((str(x), str(y), p, s))
+        if d and exhaustive:
+            containment[i] |= 1 << j
         if d != p:
-            mismatches.append((str(elements[i]), str(elements[j]), d, p))
+            mismatches.append((str(x), str(y), d, p))
 
-    # Brute-force cover extraction needs the full relation; past n = 5 the
-    # transpose gets heavy, so the cover audit stops there.
+    # Brute-force cover extraction needs the full relation: the containment
+    # rows when every pair was compared, the move closure otherwise.  Past
+    # n = 5 that audit gets heavy, so it stops there.
     cover_mismatches = []
-    if n <= 5:
-        cover_mismatches = _audit_covers(elements, closure)
+    if exhaustive or n <= 5:
+        cover_mismatches = _audit_covers(elements, containment if exhaustive else closure)
 
-    picks = sorted(rng.sample(range(count), min(count, _SAMPLED_ORACLE_ELEMENTS)))
+    if exhaustive:
+        picks = range(count)
+    else:
+        picks = sorted(rng.sample(range(count), min(count, _SAMPLED_ORACLE_ELEMENTS)))
     oracle_mismatches = _audit_oracle(elements, lengths, picks)
     return VerificationReport(
-        n, "sampled", sample_count, mismatches, cover_mismatches,
-        oracle_mismatches, 0.0, seed=seed,
+        n, mode, pairs_checked, mismatches, cover_mismatches, oracle_mismatches,
+        time.perf_counter() - start,
+        seed=None if exhaustive else seed,
+        search_mismatches=search_mismatches,
     )
 
 
@@ -297,43 +321,21 @@ def _move_closure(elements: list[OneLine], lengths: list[int]) -> list[int]:
     return closure
 
 
-def _deodhar_rows(elements: list[OneLine]) -> list[int]:
-    rows = []
-    for x in elements:
-        bits = 0
-        for j, y in enumerate(elements):
-            if deodhar_leq(x, y):
-                bits |= 1 << j
-        rows.append(bits)
-    return rows
-
-
 def _audit_covers(
     elements: list[OneLine], leq_rows: list[int]
 ) -> list[tuple[str, list[str], list[str]]]:
     """Compare predicate covers with brute-force covers: y covers x when
-    y is strictly above x and the open interval between them is empty."""
-    count = len(elements)
-    strict_up = [leq_rows[i] & ~(1 << i) for i in range(count)]
-    strict_down = [0] * count
-    for i in range(count):
-        bits = strict_up[i]
-        while bits:
-            low = bits & -bits
-            strict_down[low.bit_length() - 1] |= 1 << i
-            bits ^= low
+    y is strictly above x and the open interval between them is empty,
+    i.e. y lies in no strict up-set of an element strictly above x."""
+    strict_up = [row & ~(1 << i) for i, row in enumerate(leq_rows)]
     out = []
     for i, x in enumerate(elements):
+        above = strict_up[i]
+        beyond = 0
+        for k in _bit_indices(above):
+            beyond |= strict_up[k]
         predicate = sorted(y.entries for y in covers_of(x))
-        brute = []
-        bits = strict_up[i]
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            bits ^= low
-            if strict_up[i] & strict_down[j] == 0:
-                brute.append(elements[j].entries)
-        brute.sort()
+        brute = sorted(elements[j].entries for j in _bit_indices(above & ~beyond))
         if predicate != brute:
             out.append((
                 str(x),
@@ -341,6 +343,13 @@ def _audit_covers(
                 [",".join(map(str, e)) for e in brute],
             ))
     return out
+
+
+def _bit_indices(bits: int):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _audit_oracle(elements, lengths, indices) -> list[tuple[str, int, int]]:

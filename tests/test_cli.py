@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rookorder import VerificationReport, cli
+from rookorder import VerificationReport, cli, poset
 
 
 def run(capsys, *argv):
@@ -163,6 +163,16 @@ def test_verify_exits_two_on_failure(capsys, monkeypatch):
     assert code == 2
     assert "order_mismatches: 1" in out
     assert "pair 0,0 vs 1,0: containment=true moves=false" in out
+    assert out.splitlines()[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])
+def test_verify_exits_two_when_search_disagrees_with_closure(capsys, monkeypatch, argv):
+    monkeypatch.setattr(poset, "ppr_leq", lambda x, y: False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "search_mismatches: 0" not in out
+    assert "closure=true search=false" in out
     assert out.splitlines()[-1] == "result: FAIL"
 
 

@@ -8,11 +8,9 @@ from rookorder import (
     enumerate_elements,
     from_matrix,
     is_permutation,
-    load_elements,
     multiply,
     parse_one_line,
     rank,
-    read_elements,
     to_matrix,
 )
 
@@ -177,24 +175,6 @@ def test_enumeration_small_listings():
 def test_enumeration_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(enumerate_elements(0))
-
-
-def test_read_elements_with_comments():
-    text = [
-        "# header comment",
-        "",
-        "3,0,4,0   # trailing note",
-        "(3142)",
-        "0,0,0,0",
-    ]
-    got = read_elements(text)
-    assert [x.entries for x in got] == [(3, 0, 4, 0), (3, 1, 4, 2), (0, 0, 0, 0)]
-
-
-def test_load_elements(tmp_path):
-    path = tmp_path / "elements.txt"
-    path.write_text("# two elements\n1,0\n0,2\n", encoding="utf-8")
-    assert [x.entries for x in load_elements(path)] == [(1, 0), (0, 2)]
 
 
 @given(rook_elements(max_n=5))

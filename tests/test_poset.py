@@ -4,6 +4,7 @@ import pytest
 
 from rookorder import (
     OneLine,
+    poset,
     VerificationReport,
     build_hasse,
     export_dot,
@@ -136,6 +137,50 @@ def test_json_round_trip():
     assert hasse_from_json(payload) == h
 
 
+R2_DOC = json.loads(export_json(build_hasse(2)))
+
+
+def _edited(**changes):
+    doc = json.loads(json.dumps(R2_DOC))
+    doc.update(changes)
+    return doc
+
+
+def _with_node(index, **changes):
+    nodes = json.loads(json.dumps(R2_DOC["nodes"]))
+    nodes[index].update(changes)
+    return _edited(nodes=nodes)
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"n": 2},
+    {"n": 2, "nodes": [{"id": 0}], "edges": []},
+    {"n": 2, "nodes": [], "edges": [[0, 1]]},
+    _edited(extra=1),
+    _edited(n="2"),
+    _edited(n=0),
+    _edited(n=3),
+    _edited(nodes={}),
+    _edited(edges=[[0, 1, 2]]),
+    _edited(edges=[[0, 7]]),
+    _edited(edges=[[-1, 0]]),
+    _edited(edges=[[0, True]]),
+    _edited(edges=[["0", "1"]]),
+    _with_node(0, id=1),
+    _with_node(3, id=True),
+    _with_node(1, oneline="0,1,0"),
+    _with_node(1, oneline="2,2"),
+    _with_node(1, oneline=1),
+    _with_node(1, length=2),
+    _with_node(1, length=1.0),
+    _with_node(1, extra=0),
+])
+def test_hasse_from_json_rejects_bad_documents(doc):
+    with pytest.raises(ValueError):
+        hasse_from_json(json.dumps(doc))
+
+
 def test_dot_output_shape():
     h = build_hasse(2)
     dot = export_dot(h)
@@ -168,10 +213,41 @@ def test_verify_sampled():
 
 
 def test_verify_sampled_is_seed_deterministic():
-    a = verify(3, mode="sampled", sample_count=200, seed=11)
-    b = verify(3, mode="sampled", sample_count=200, seed=11)
-    assert a.to_dict()["pairs_checked"] == b.to_dict()["pairs_checked"]
-    assert a.passed and b.passed
+    a = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
+    b = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
+    del a["elapsed"], b["elapsed"]
+    assert a == b
+    assert a["passed"]
+
+
+ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
+MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
+# One injected fault per check, each wrong in a way that no other check sees:
+# a single containment verdict on a non-cover pair whose upper end is the top,
+# every per-pair search verdict, the covers of one element, one oracle value.
+FAULTS = {
+    "mismatches": ("deodhar_leq", lambda real: lambda x, y: real(x, y) and (x, y) != (ZERO3, TOP3)),
+    "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
+    "cover_mismatches": ("covers_of", lambda real: lambda x: [] if x == ZERO3 else real(x)),
+    "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
+}
+FIRST_ENTRY = {
+    "mismatches": ["0,0,0", "3,2,1", False, True],
+    "cover_mismatches": ["0,0,0", [], ["0,0,1"]],
+    "oracle_mismatches": ["3,2,1", 9, 10],
+}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("target", MISMATCH_LISTS)
+def test_verify_routes_each_fault_to_its_own_list(monkeypatch, mode, target):
+    name, fault = FAULTS[target]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    assert [key for key in MISMATCH_LISTS if report[key]] == [target]
+    assert report["passed"] is False
+    if target in FIRST_ENTRY:
+        assert report[target][0] == FIRST_ENTRY[target]
 
 
 def test_verify_rejects_bad_arguments():
