@@ -18,6 +18,9 @@ from .poset import build_hasse, export_dot, export_json, verify
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 _DEFAULT_SAMPLE_COUNT = 100_000
+# The per-pair move search in cmp takes about 15 s and 248 MB in the
+# worst case at n = 7 and does not finish at n >= 8.
+CMP_MAX_N = 7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +107,8 @@ def _cmd_len(args) -> int:
 def _cmd_cmp(args) -> int:
     x = parse_one_line(args.x)
     y = parse_one_line(args.y)
+    if max(x.n, y.n) > CMP_MAX_N:
+        raise ValueError(f"cmp supports n <= {CMP_MAX_N}")
     d = deodhar_leq(x, y)
     g = deodhar_leq_gamma(x, y)
     p = ppr_leq(x, y)

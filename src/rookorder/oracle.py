@@ -1,15 +1,19 @@
-"""Exact orbit dimensions by integer linear algebra.
+"""Exact orbit dimensions from coordinate-subspace spans.
 
 The upper-triangular matrix space is spanned by the unit matrices E(i,j)
-with i <= j, so the one-sided orbit closures of an element x are the row
-spaces of the products E(i,j) * x, respectively x * E(i,j), flattened to
-integer vectors of length n*n.  Ranks come from fraction-free integer
-elimination: no floating point, no tolerance, and no shared code with
-the combinatorial formulas this module is used to check.
+with i <= j, so the one-sided orbit closures of an element x are the
+spans of the products E(i,j) * x, respectively x * E(i,j).  Row i of
+E(i,j) * x is row j of x and column j of x * E(i,j) is column i of x,
+every other entry being zero; since x has at most one 1 in each row and
+column, every product is zero or a single unit matrix.  Each span is
+therefore the coordinate subspace on the flat positions i*n + c of those
+unit matrices: its dimension is the size of that set, and the meet of two
+spans is the intersection of their sets.  Everything is exact, and the
+module shares no code with the combinatorial formulas it is used to
+check.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .elements import OneLine, to_matrix
 
@@ -18,89 +22,58 @@ __all__ = ["MatrixSpan", "left_span", "right_span", "meet_dim", "oracle_length"]
 
 @dataclass(frozen=True)
 class MatrixSpan:
-    """A list of flattened n-by-n integer matrices and the rank of their span."""
+    """A coordinate subspace of the flattened n-by-n matrices: the flat
+    positions of the unit matrices that span it, and its dimension."""
 
     ambient_dim: int
-    basis_rows: tuple[tuple[int, ...], ...]
+    coordinates: frozenset[int]
     rank: int
 
 
-def _matrix_product(a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _unit(n: int, i: int, j: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    rows[i][j] = 1
-    return rows
-
-
-def _row_rank(rows: Sequence[Sequence[int]], width: int) -> int:
-    """Rank over the rationals by fraction-free integer elimination."""
-    m = [list(r) for r in rows]
-    pivots = 0
-    for col in range(width):
-        hit = next((r for r in range(pivots, len(m)) if m[r][col]), None)
-        if hit is None:
-            continue
-        m[pivots], m[hit] = m[hit], m[pivots]
-        pivot_row = m[pivots]
-        pv = pivot_row[col]
-        for r in range(pivots + 1, len(m)):
-            f = m[r][col]
-            if f:
-                row = m[r]
-                for c in range(col, width):
-                    row[c] = pv * row[c] - f * pivot_row[c]
-        pivots += 1
-        if pivots == len(m):
-            break
-    return pivots
-
-
-def _span_of(mats: list[list[list[int]]], n: int) -> MatrixSpan:
-    flat = tuple(tuple(v for row in mat for v in row) for mat in mats)
-    return MatrixSpan(n * n, flat, _row_rank(flat, n * n))
+def _span(n: int, coordinates: frozenset[int]) -> MatrixSpan:
+    return MatrixSpan(n * n, coordinates, len(coordinates))
 
 
 def left_span(x: OneLine) -> MatrixSpan:
-    """Span of the products E(i,j) * x over the upper-triangular units."""
+    """Span of the products E(i,j) * x over the upper-triangular units:
+    the unit at (i, c) for each i <= j where row j of x has its 1 in
+    column c."""
     n = x.n
-    m = [list(row) for row in to_matrix(x).cells]
-    mats = [
-        _matrix_product(_unit(n, i, j), m, n)
-        for i in range(n)
-        for j in range(i, n)
-    ]
-    return _span_of(mats, n)
+    cells = to_matrix(x).cells
+    return _span(n, frozenset(
+        i * n + c
+        for j, row in enumerate(cells)
+        for c, v in enumerate(row)
+        if v
+        for i in range(j + 1)
+    ))
 
 
 def right_span(x: OneLine) -> MatrixSpan:
-    """Span of the products x * E(i,j) over the upper-triangular units."""
+    """Span of the products x * E(i,j) over the upper-triangular units:
+    the unit at (r, j) for each j >= i where column i of x has its 1 in
+    row r."""
     n = x.n
-    m = [list(row) for row in to_matrix(x).cells]
-    mats = [
-        _matrix_product(m, _unit(n, i, j), n)
-        for i in range(n)
+    cells = to_matrix(x).cells
+    return _span(n, frozenset(
+        r * n + j
+        for r, row in enumerate(cells)
+        for i, v in enumerate(row)
+        if v
         for j in range(i, n)
-    ]
-    return _span_of(mats, n)
+    ))
 
 
 def meet_dim(left: MatrixSpan, right: MatrixSpan) -> int:
-    """Dimension of the intersection of two spans in the same ambient space,
-    via rank of the stacked generating rows."""
+    """Dimension of the intersection of two spans in the same ambient
+    space: the number of unit matrices they share."""
     if left.ambient_dim != right.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    union_rank = _row_rank(left.basis_rows + right.basis_rows, left.ambient_dim)
-    return left.rank + right.rank - union_rank
+    return len(left.coordinates & right.coordinates)
 
 
 def oracle_length(x: OneLine) -> int:
-    """Orbit dimension computed purely from the integer spans."""
+    """Orbit dimension computed purely from the two spans."""
     left = left_span(x)
     right = right_span(x)
     return left.rank + right.rank - meet_dim(left, right)

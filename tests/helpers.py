@@ -10,7 +10,7 @@ from math import comb, factorial
 
 from hypothesis import strategies as st
 
-from rookorder import OneLine, deodhar_leq, enumerate_elements, length
+from rookorder import OneLine, deodhar_leq, enumerate_elements, length, to_matrix
 
 
 def closed_form_count(n: int) -> int:
@@ -43,6 +43,53 @@ def matrix_product_01(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def unit_matrix(n: int, i: int, j: int):
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n))
+
+
+def row_rank(rows, width: int) -> int:
+    """Rank over the rationals by fraction-free integer elimination."""
+    m = [list(r) for r in rows]
+    pivots = 0
+    for col in range(width):
+        hit = next((r for r in range(pivots, len(m)) if m[r][col]), None)
+        if hit is None:
+            continue
+        m[pivots], m[hit] = m[hit], m[pivots]
+        pivot_row = m[pivots]
+        pv = pivot_row[col]
+        for r in range(pivots + 1, len(m)):
+            f = m[r][col]
+            if f:
+                row = m[r]
+                for c in range(col, width):
+                    row[c] = pv * row[c] - f * pivot_row[c]
+        pivots += 1
+        if pivots == len(m):
+            break
+    return pivots
+
+
+def dense_oracle(x: OneLine) -> tuple[int, int, int, int]:
+    """Naive reference for the orbit oracle by dense elimination of the
+    products E(i,j) * x and x * E(i,j) over the upper-triangular units,
+    flattened to integer vectors of length n*n: left rank, right rank,
+    meet dimension (by rank of the stacked rows) and the orbit dimension
+    left + right - meet."""
+    n = x.n
+    m = to_matrix(x).cells
+    units = [unit_matrix(n, i, j) for i in range(n) for j in range(i, n)]
+
+    def flat(mat):
+        return tuple(v for row in mat for v in row)
+
+    left_rows = tuple(flat(matrix_product_01(u, m)) for u in units)
+    right_rows = tuple(flat(matrix_product_01(m, u)) for u in units)
+    left, right = row_rank(left_rows, n * n), row_rank(right_rows, n * n)
+    meet = left + right - row_rank(left_rows + right_rows, n * n)
+    return left, right, meet, left + right - meet
 
 
 def tuple_inversions(t: tuple[int, ...]) -> int:

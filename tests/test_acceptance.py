@@ -82,16 +82,16 @@ def _timed(fn, *args):
     return time.perf_counter() - start
 
 
-def test_criterion_02_oracle_matches_formula_through_r5():
+def test_criterion_02_oracle_matches_formula_through_r6():
     start = time.perf_counter()
     checked = 0
-    for n in (4, 5):
+    for n in (4, 5, 6):
         for x in elements_of(n):
             assert oracle_length(x) == length(x), str(x)
             checked += 1
     announce(
-        "linear-algebra oracle equals the combinatorial length",
-        f"{checked} elements of R_4 and R_5 in {time.perf_counter() - start:.1f}s",
+        "orbit oracle equals the combinatorial length",
+        f"{checked} elements of R_4 through R_6 in {time.perf_counter() - start:.1f}s",
     )
 
 

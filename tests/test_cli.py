@@ -55,6 +55,20 @@ def test_cmp_incomparable_pair(capsys):
     assert "ppr: false" in out
 
 
+def test_cmp_refuses_sizes_above_seven_before_comparing(capsys, monkeypatch):
+    def refuse(x, y):
+        raise AssertionError("no order test may run past the size cap")
+
+    for name in ("deodhar_leq", "deodhar_leq_gamma", "ppr_leq"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, "cmp", "0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0")
+    assert (code, out, err) == (1, "", "error: cmp supports n <= 7\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "cmp", "7,6,5,4,3,2,1", "7,6,5,4,3,2,1")
+    assert code == 0
+    assert "ppr: true" in out
+
+
 def test_cmp_exits_two_when_implementations_disagree(capsys, monkeypatch):
     monkeypatch.setattr(cli, "deodhar_leq", lambda x, y: False)
     code, out, err = run(capsys, "cmp", "0,0", "0,1")

@@ -1,7 +1,10 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 
 from rookorder import (
+    OneLine,
     left_span,
     length,
     meet_dim,
@@ -11,7 +14,14 @@ from rookorder import (
     right_span,
 )
 
-from helpers import elements_of, identity_el, rook_elements, zero_el
+from helpers import (
+    dense_oracle,
+    elements_of,
+    identity_el,
+    reversal_el,
+    rook_elements,
+    zero_el,
+)
 
 
 def test_span_example():
@@ -38,12 +48,14 @@ def test_span_of_zero_and_identity():
         assert oracle_length(e) == expected
 
 
-def test_basis_rows_are_exact_integers():
-    span = left_span(parse_one_line("2,0,3"))
-    assert len(span.basis_rows) == 6  # one generator per upper-triangular unit
-    for row in span.basis_rows:
-        assert len(row) == 9
-        assert all(type(v) is int for v in row)
+def test_span_coordinates_lie_in_ambient_space():
+    x = parse_one_line("2,0,3")
+    for span in (left_span(x), right_span(x)):
+        assert span.ambient_dim == 9
+        assert all(type(c) is int and c in range(9) for c in span.coordinates)
+        assert span.rank == len(span.coordinates)
+    # rows 0..1 of column 0 and rows 0..2 of column 2
+    assert left_span(x).coordinates == {0, 3, 2, 5, 8}
 
 
 def test_meet_with_self_is_rank():
@@ -65,13 +77,38 @@ def test_rank_closed_forms_exhaustive(n):
         assert right.rank == sum(n - i for i, a in enumerate(x.entries) if a)
         meet = meet_dim(left, right)
         assert 0 <= meet <= min(left.rank, right.rank)
-        assert left.rank <= min(len(left.basis_rows), left.ambient_dim)
+        for span in (left, right):
+            assert span.coordinates <= set(range(n * n))
+            assert span.rank == len(span.coordinates)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_matches_formula_exhaustive(n):
     for x in elements_of(n):
         assert oracle_length(x) == length(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_oracle_matches_dense_reference_exhaustive(n):
+    for x in elements_of(n):
+        left = left_span(x)
+        right = right_span(x)
+        got = (left.rank, right.rank, meet_dim(left, right), oracle_length(x))
+        assert got == dense_oracle(x), str(x)
+
+
+def test_oracle_at_large_n():
+    assert oracle_length(identity_el(30)) == 465
+    assert oracle_length(reversal_el(30)) == 900
+    rng = Random(12)
+    n = 12
+    for _ in range(50):
+        k = rng.randint(0, n)
+        entries = [0] * n
+        for p, v in zip(rng.sample(range(n), k), rng.sample(range(1, n + 1), k)):
+            entries[p] = v
+        x = OneLine(tuple(entries))
+        assert oracle_length(x) == length(x), str(x)
 
 
 @given(rook_elements(max_n=5, n=5))

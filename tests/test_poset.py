@@ -220,6 +220,14 @@ def test_verify_sampled_is_seed_deterministic():
     assert a["passed"]
 
 
+def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
+    calls = []
+    real = poset.oracle_length
+    monkeypatch.setattr(poset, "oracle_length", lambda x: calls.append(x) or real(x))
+    assert verify(5, "sampled", sample_count=1000).passed
+    assert len(calls) == len(set(calls)) == 1546
+
+
 ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
 MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
 # One injected fault per check, each wrong in a way that no other check sees:
