@@ -13,7 +13,7 @@ from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length_breakdown
 from .oracle import left_span, meet_dim, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
-from .poset import build_hasse, export_dot, export_json, verify
+from .poset import EXHAUSTIVE_MAX_N, build_hasse, export_dot, export_json, verify
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
@@ -154,7 +154,7 @@ def _cmd_hasse(args) -> int:
 def _cmd_verify(args) -> int:
     if args.sampled is not None:
         mode, count = "sampled", args.sampled
-    elif args.n >= 5:
+    elif args.n > EXHAUSTIVE_MAX_N:
         mode, count = "sampled", _DEFAULT_SAMPLE_COUNT
     else:
         mode, count = "exhaustive", _DEFAULT_SAMPLE_COUNT

@@ -15,7 +15,7 @@ check.
 
 from dataclasses import dataclass
 
-from .elements import OneLine, to_matrix
+from .elements import OneLine
 
 __all__ = ["MatrixSpan", "left_span", "right_span", "meet_dim", "oracle_length"]
 
@@ -37,30 +37,20 @@ def _span(n: int, coordinates: frozenset[int]) -> MatrixSpan:
 def left_span(x: OneLine) -> MatrixSpan:
     """Span of the products E(i,j) * x over the upper-triangular units:
     the unit at (i, c) for each i <= j where row j of x has its 1 in
-    column c."""
+    column c, i.e. for each i < a where column c holds the value a."""
     n = x.n
-    cells = to_matrix(x).cells
     return _span(n, frozenset(
-        i * n + c
-        for j, row in enumerate(cells)
-        for c, v in enumerate(row)
-        if v
-        for i in range(j + 1)
+        i * n + c for c, a in enumerate(x.entries) for i in range(a)
     ))
 
 
 def right_span(x: OneLine) -> MatrixSpan:
     """Span of the products x * E(i,j) over the upper-triangular units:
     the unit at (r, j) for each j >= i where column i of x has its 1 in
-    row r."""
+    row r, i.e. in row a - 1 when column i holds the value a."""
     n = x.n
-    cells = to_matrix(x).cells
     return _span(n, frozenset(
-        r * n + j
-        for r, row in enumerate(cells)
-        for i, v in enumerate(row)
-        if v
-        for j in range(i, n)
+        (a - 1) * n + j for i, a in enumerate(x.entries) if a for j in range(i, n)
     ))
 
 

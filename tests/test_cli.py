@@ -180,6 +180,21 @@ def test_verify_exits_two_on_failure(capsys, monkeypatch):
     assert out.splitlines()[-1] == "result: FAIL"
 
 
+@pytest.mark.parametrize("n, mode", [(4, "exhaustive"), (5, "sampled")])
+def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n, mode):
+    calls = []
+
+    def record(n, mode, sample_count, seed):
+        calls.append((n, mode, sample_count, seed))
+        return VerificationReport(n, mode, 1, [], [], [], 0.0, seed=seed)
+
+    monkeypatch.setattr(cli, "verify", record)
+    code, out, _ = run(capsys, "verify", str(n))
+    assert code == 0
+    assert calls == [(n, mode, 100_000, 0)]
+    assert f"mode: {mode}" in out
+
+
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])
 def test_verify_exits_two_when_search_disagrees_with_closure(capsys, monkeypatch, argv):
     monkeypatch.setattr(poset, "ppr_leq", lambda x, y: False)
@@ -210,6 +225,10 @@ def test_help_exits_clean(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "rookorder" in out
+
+
+def test_cmp_size_mismatch(capsys):
+    assert run(capsys, "cmp", "1,0", "1,0,0") == (1, "", "error: size mismatch: 2 vs 3\n")
 
 
 @pytest.mark.parametrize("args", [["cmp", "1,0", "1,0,0"], ["covers", "abc"]])

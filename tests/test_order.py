@@ -127,7 +127,7 @@ def test_ppr_examples():
         ppr_leq(OneLine((1, 0)), OneLine((1, 0, 0)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ppr_agrees_with_deodhar_exhaustively(n):
     els = elements_of(n)
     for x in els:

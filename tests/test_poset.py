@@ -152,6 +152,12 @@ def _with_node(index, **changes):
     return _edited(nodes=nodes)
 
 
+def _with_onelines_swapped(a, b):
+    nodes = json.loads(json.dumps(R2_DOC["nodes"]))
+    nodes[a]["oneline"], nodes[b]["oneline"] = nodes[b]["oneline"], nodes[a]["oneline"]
+    return _edited(nodes=nodes)
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"n": 2},
@@ -175,10 +181,18 @@ def _with_node(index, **changes):
     _with_node(1, length=2),
     _with_node(1, length=1.0),
     _with_node(1, extra=0),
+    _with_node(1, oneline="0,0", length=0),
+    _with_onelines_swapped(2, 3),
 ])
 def test_hasse_from_json_rejects_bad_documents(doc):
     with pytest.raises(ValueError):
         hasse_from_json(json.dumps(doc))
+
+
+def test_json_round_trip_of_an_r4_interval():
+    sub = interval(build_hasse(4), OneLine((0, 1, 0, 0)), OneLine((3, 4, 0, 2)))
+    assert len(sub.nodes) > 20 and sub.edges
+    assert hasse_from_json(export_json(sub)) == sub
 
 
 def test_dot_output_shape():
@@ -226,6 +240,15 @@ def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
     monkeypatch.setattr(poset, "oracle_length", lambda x: calls.append(x) or real(x))
     assert verify(5, "sampled", sample_count=1000).passed
     assert len(calls) == len(set(calls)) == 1546
+
+
+def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
+    calls = []
+    real = poset.ppr_leq
+    monkeypatch.setattr(poset, "ppr_leq", lambda x, y: calls.append(x) or real(x, y))
+    assert verify(4).passed
+    assert 200 <= len(calls) <= 400
+    assert len(set(calls)) > 1
 
 
 ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
