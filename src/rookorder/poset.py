@@ -3,12 +3,12 @@
 build_hasse assembles the graded order diagram of R_n from the covering
 predicates.  verify cross-checks everything against everything: the two
 order implementations pair by pair, the precomputed move closure against
-the per-pair move search on about 200 evenly spaced pairs, the covering
-predicates against brute-force covers extracted from the move closure,
-and the combinatorial length against the exact coordinate-subspace
-oracle on every element.  Exhaustive and sampled campaigns share one
-body and differ only in the pairs they draw.  Every disagreement lands
-in its own list of the returned report; none raises.
+the per-pair move search on about 200 evenly spaced pairs, and, on every
+element for every n, the covering predicates against brute-force covers
+extracted from the move closure and the combinatorial length against
+the exact coordinate-subspace oracle.  Exhaustive and sampled campaigns
+share one body and differ only in the pairs they draw.  Every
+disagreement lands in its own list of the returned report; none raises.
 """
 
 import json
@@ -135,13 +135,17 @@ def export_json(h: HasseDiagram) -> str:
 def hasse_from_json(text: str) -> HasseDiagram:
     """Load a diagram written by export_json.
 
-    Raises ValueError unless the document has exactly the keys n, nodes
-    and edges, node ids run densely from 0 in order, every element parses
-    with size n and carries its own length, the elements strictly increase
-    in lexicographic order, and every edge is a pair of node ids.  Edges
-    are not re-checked as covers.
+    Raises ValueError unless the text is JSON that nests within the
+    interpreter's recursion limit, the document has exactly the keys n,
+    nodes and edges, node ids run densely from 0 in order, every element
+    parses with size n and carries its own length, the elements strictly
+    increase in lexicographic order, and every edge is a pair of node
+    ids.  Edges are not re-checked as covers.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("diagram JSON is nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"n", "nodes", "edges"}:
         raise ValueError("diagram must be an object with exactly the keys n, nodes, edges")
     n, raw_nodes, raw_edges = doc["n"], doc["nodes"], doc["edges"]
@@ -236,9 +240,9 @@ def verify(
     Exhaustive mode (n <= 4) compares the two order routes on every
     ordered pair; sampled mode (n <= 6) on sample_count seeded random
     pairs.  In both modes the per-pair move search spot-checks about 200
-    evenly spaced pairs of the stream (all of a shorter one), covers are
-    audited against the move closure for every element while n <= 5, and
-    the oracle is audited on every element.
+    evenly spaced pairs of the stream (all of a shorter one), and both
+    the covers (against the move closure) and the oracle are audited on
+    every element, whatever n.
     """
     start = time.perf_counter()
     exhaustive = mode == "exhaustive"
@@ -256,7 +260,7 @@ def verify(
     elements = list(enumerate_elements(n))
     count = len(elements)
     lengths = [length(e) for e in elements]
-    closure = _move_closure(elements, lengths)
+    closure, successors = _move_closure(elements, lengths)
     if exhaustive:
         pairs = ((i, j) for i in range(count) for j in range(count))
         pairs_checked = count * count
@@ -282,9 +286,8 @@ def verify(
             mismatches.append((str(x), str(y), d, p))
 
     # Brute-force cover extraction reads the move closure; with no order
-    # mismatch it equals the containment relation bit for bit.  Past n = 5
-    # that audit gets heavy, so it stops there.
-    cover_mismatches = _audit_covers(elements, closure) if n <= 5 else []
+    # mismatch it equals the containment relation bit for bit.
+    cover_mismatches = _audit_covers(elements, closure, successors)
     oracle_mismatches = _audit_oracle(elements, lengths)
     return VerificationReport(
         n, mode, pairs_checked, mismatches, cover_mismatches, oracle_mismatches,
@@ -294,11 +297,13 @@ def verify(
     )
 
 
-def _move_closure(elements: list[OneLine], lengths: list[int]) -> list[int]:
+def _move_closure(
+    elements: list[OneLine], lengths: list[int]
+) -> tuple[list[int], list[list[int]]]:
     """Reachability bitsets of the generator-move relation, one row per
     element: bit j of row i says element j is reachable from element i.
     Rows are filled in decreasing length order, so every successor row is
-    ready when needed."""
+    ready when needed.  The one-move successor lists come back too."""
     index = {e.entries: i for i, e in enumerate(elements)}
     successors = [
         [index[y.entries] for y in ppr_raises(e)] for e in elements
@@ -309,24 +314,24 @@ def _move_closure(elements: list[OneLine], lengths: list[int]) -> list[int]:
         for j in successors[i]:
             bits |= closure[j]
         closure[i] = bits
-    return closure
+    return closure, successors
 
 
 def _audit_covers(
-    elements: list[OneLine], leq_rows: list[int]
+    elements: list[OneLine], closure: list[int], successors: list[list[int]]
 ) -> list[tuple[str, list[str], list[str]]]:
     """Compare predicate covers with brute-force covers: y covers x when
-    y is strictly above x and the open interval between them is empty,
-    i.e. y lies in no strict up-set of an element strictly above x."""
-    strict_up = [row & ~(1 << i) for i, row in enumerate(leq_rows)]
+    y is strictly above x and the open interval between them is empty.
+    Every element strictly above x is at or above a one-move successor
+    of x, so the covers are the successors that lie in no strict up-set
+    of a successor."""
     out = []
     for i, x in enumerate(elements):
-        above = strict_up[i]
         beyond = 0
-        for k in _bit_indices(above):
-            beyond |= strict_up[k]
+        for s in successors[i]:
+            beyond |= closure[s] & ~(1 << s)
         predicate = sorted(y.entries for y in covers_of(x))
-        brute = sorted(elements[j].entries for j in _bit_indices(above & ~beyond))
+        brute = sorted(elements[s].entries for s in successors[i] if not beyond >> s & 1)
         if predicate != brute:
             out.append((
                 str(x),
@@ -334,13 +339,6 @@ def _audit_covers(
                 [",".join(map(str, e)) for e in brute],
             ))
     return out
-
-
-def _bit_indices(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def _audit_oracle(elements, lengths) -> list[tuple[str, int, int]]:

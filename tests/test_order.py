@@ -184,7 +184,7 @@ def test_cover_predicates_match_length_jump(x, data):
     assert is_cover == (length(y) == length(x) + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_covers_match_brute_force_exhaustive(n):
     brute = brute_cover_sets(n)
     for i, x in enumerate(elements_of(n)):

@@ -189,6 +189,11 @@ def test_hasse_from_json_rejects_bad_documents(doc):
         hasse_from_json(json.dumps(doc))
 
 
+def test_hasse_from_json_rejects_deep_nesting():
+    with pytest.raises(ValueError):
+        hasse_from_json("[" * 100_000)
+
+
 def test_json_round_trip_of_an_r4_interval():
     sub = interval(build_hasse(4), OneLine((0, 1, 0, 0)), OneLine((3, 4, 0, 2)))
     assert len(sub.nodes) > 20 and sub.edges
@@ -240,6 +245,16 @@ def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
     monkeypatch.setattr(poset, "oracle_length", lambda x: calls.append(x) or real(x))
     assert verify(5, "sampled", sample_count=1000).passed
     assert len(calls) == len(set(calls)) == 1546
+
+
+def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "covers_of", lambda x: calls.append(x) or [])
+    report = verify(6, "sampled", sample_count=1)
+    assert len(calls) == len(set(calls)) == 13327
+    # every element but the top has a cover that the stub hides
+    assert len(report.cover_mismatches) == 13326
+    assert "6,5,4,3,2,1" not in {x for x, _, _ in report.cover_mismatches}
 
 
 def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
