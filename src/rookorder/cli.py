@@ -18,9 +18,18 @@ from .poset import EXHAUSTIVE_MAX_N, build_hasse, export_dot, export_json, verif
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 _DEFAULT_SAMPLE_COUNT = 100_000
-# The per-pair move search in cmp takes about 15 s and 248 MB in the
-# worst case at n = 7 and does not finish at n >= 8.
+# Size caps, each checked before any work runs; above one the command
+# exits 1.  The per-pair move search in cmp takes about 15 s and 248 MB
+# in the worst case at n = 7 and does not finish at n >= 8.
 CMP_MAX_N = 7
+# covers of the zero element (n*n raises): 0.6 s and 80 MB at n = 200.
+COVERS_MAX_N = 200
+# len of the identity (n(n-1)/2 coinversion pairs): 0.7 s and 111 MB at n = 1000.
+LEN_MAX_N = 1000
+# oracle of the identity: 0.25 s and 92 MB at n = 700, 171 MB at n = 1000.
+ORACLE_MAX_N = 700
+# enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
+ENUM_MAX_N = 8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,8 +95,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     return handler(args)
 
 
+def _check_size(command: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{command} supports n <= {cap}")
+
+
 def _cmd_len(args) -> int:
     x = parse_one_line(args.element)
+    _check_size("len", x.n, LEN_MAX_N)
     b = length_breakdown(x)
     pairs = coinversions(x)
     print(f"element: {x}")
@@ -107,8 +122,7 @@ def _cmd_len(args) -> int:
 def _cmd_cmp(args) -> int:
     x = parse_one_line(args.x)
     y = parse_one_line(args.y)
-    if max(x.n, y.n) > CMP_MAX_N:
-        raise ValueError(f"cmp supports n <= {CMP_MAX_N}")
+    _check_size("cmp", max(x.n, y.n), CMP_MAX_N)
     d = deodhar_leq(x, y)
     g = deodhar_leq_gamma(x, y)
     p = ppr_leq(x, y)
@@ -127,6 +141,7 @@ def _cmd_cmp(args) -> int:
 
 def _cmd_covers(args) -> int:
     x = parse_one_line(args.element)
+    _check_size("covers", x.n, COVERS_MAX_N)
     for y in covers_of(x):
         print(y)
     return 0
@@ -134,6 +149,7 @@ def _cmd_covers(args) -> int:
 
 def _cmd_oracle(args) -> int:
     x = parse_one_line(args.element)
+    _check_size("oracle", x.n, ORACLE_MAX_N)
     left = left_span(x)
     right = right_span(x)
     print(f"element: {x}")
@@ -167,6 +183,7 @@ def _cmd_verify(args) -> int:
         if report.mode == "sampled":
             print(f"seed: {report.seed}")
         print(f"pairs_checked: {report.pairs_checked}")
+        print(f"relation_size: {report.relation_size}")
         print(f"order_mismatches: {len(report.mismatches)}")
         for x, y, d, p in report.mismatches:
             print(f"  pair {x} vs {y}: containment={_verdict(d)} moves={_verdict(p)}")
@@ -179,12 +196,14 @@ def _cmd_verify(args) -> int:
         print(f"oracle_mismatches: {len(report.oracle_mismatches)}")
         for x, formula, oracle in report.oracle_mismatches:
             print(f"  element {x}: formula={formula} oracle={oracle}")
+        print("phases_s: " + " ".join(f"{k}={v:.3f}" for k, v in report.phases.items()))
         print(f"elapsed_s: {report.elapsed:.3f}")
         print(f"result: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else MISMATCH_ERROR
 
 
 def _cmd_enum(args) -> int:
+    _check_size("enum", args.n, ENUM_MAX_N)
     for e in enumerate_elements(args.n):
         print(e)
     return 0

@@ -4,12 +4,17 @@ deodhar_leq compares sorted truncations of the one-line vectors, and
 deodhar_leq_gamma restates the same comparison through threshold counts.
 ppr_leq instead takes the reflexive-transitive closure of two generator
 moves: raising one entry to a larger unused value, and exchanging a
-smaller entry with a larger one to its right.  ppr_raises lists the
-results of those single moves.  The two routes share no comparison
-logic; the verification harness checks that they agree.
+smaller entry with a larger one to its right.  The two routes share no
+comparison logic; the verification harness checks that they agree.
 
 is_cover_type1 and is_cover_type2 certify covering relations (edges of
 the Hasse diagram) directly from the entries of the two elements.
+
+One private kernel on entry tuples, _moves, lists every single move
+together with whether it is a cover, testing each with the one tuple
+helper of its type that the two predicates also call.  ppr_raises,
+covers_of, the search's successor cache and the diagram and verify code
+in poset all read it; OneLine is built only for values returned.
 """
 
 from bisect import insort
@@ -91,26 +96,39 @@ def ppr_raises(x: OneLine) -> list[OneLine]:
     lexicographic position order.  Results are pairwise distinct and all
     strictly above x.
     """
-    a = x.entries
-    n = x.n
-    taken = {v for v in a if v}
-    out: list[OneLine] = []
+    return [OneLine(y) for y, _ in _moves(x.entries)]
+
+
+def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every single generator move on the entries a, in ppr_raises order,
+    each paired with whether it is a cover: the one place both are decided."""
+    n = len(a)
+    out = []
     for i in range(n):
-        for v in range(a[i] + 1, n + 1):
-            if v not in taken:
-                out.append(OneLine(a[:i] + (v,) + a[i + 1:]))
+        for b in range(a[i] + 1, n + 1):
+            if b not in a:
+                out.append((a[:i] + (b,) + a[i + 1:], _raise_is_cover(a, i, b)))
     for i in range(n):
         for j in range(i + 1, n):
             if a[i] < a[j]:
-                swapped = list(a)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                out.append(OneLine(tuple(swapped)))
+                swapped = a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:]
+                out.append((swapped, _swap_is_cover(a, i, j)))
     return out
+
+
+def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
+    """Type 1: raising position i of a to the unused value b > a[i]."""
+    return set(range(a[i] + 1, b)) <= set(a[:i]) and (a[i] > 0 or all(t > b for t in a[i + 1:]))
+
+
+def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
+    """Type 2: swapping positions i < j of a, where a[i] < a[j]."""
+    return all(v < a[i] or v > a[j] for v in a[i + 1:j])
 
 
 @lru_cache(maxsize=None)
 def _successors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(y.entries for y in ppr_raises(OneLine(entries)))
+    return tuple(y for y, _ in _moves(entries))
 
 
 @lru_cache(maxsize=None)
@@ -161,15 +179,7 @@ def is_cover_type1(x: OneLine, y: OneLine) -> bool:
     if len(diff) != 1:
         return False
     i = diff[0]
-    a, b = x.entries[i], y.entries[i]
-    if b <= a:
-        return False
-    before = set(x.entries[:i])
-    if any(v not in before for v in range(a + 1, b)):
-        return False
-    if a == 0 and any(t <= b for t in x.entries[i + 1:]):
-        return False
-    return True
+    return y.entries[i] > x.entries[i] and _raise_is_cover(x.entries, i, y.entries[i])
 
 
 def is_cover_type2(x: OneLine, y: OneLine) -> bool:
@@ -189,15 +199,12 @@ def is_cover_type2(x: OneLine, y: OneLine) -> bool:
     i, j = diff
     if x.entries[i] != y.entries[j] or x.entries[j] != y.entries[i]:
         return False
-    lo, hi = x.entries[i], x.entries[j]
-    if lo >= hi:
-        return False
-    return all(v < lo or v > hi for v in x.entries[i + 1: j])
+    return x.entries[i] < x.entries[j] and _swap_is_cover(x.entries, i, j)
 
 
 def covers_of(x: OneLine) -> list[OneLine]:
     """All elements covering x, certified by the two covering predicates."""
-    return [y for y in ppr_raises(x) if is_cover_type1(x, y) or is_cover_type2(x, y)]
+    return [OneLine(y) for y, cover in _moves(x.entries) if cover]
 
 
 def _check_same_n(x: OneLine, y: OneLine) -> None:

@@ -1,14 +1,19 @@
 """Hasse diagram, rank statistics, exports, and the verification campaign.
 
-build_hasse assembles the graded order diagram of R_n from the covering
-predicates.  verify cross-checks everything against everything: the two
-order implementations pair by pair, the precomputed move closure against
-the per-pair move search on about 200 evenly spaced pairs, and, on every
-element for every n, the covering predicates against brute-force covers
-extracted from the move closure and the combinatorial length against
-the exact coordinate-subspace oracle.  Exhaustive and sampled campaigns
-share one body and differ only in the pairs they draw.  Every
+Every consumer reads one move table, built from the order module's move
+kernel: for each element, the index of every one-move result and whether
+that move is a cover.  build_hasse reads its cover flags as the diagram
+edges, and hasse_from_json rejects edges that differ from them.  verify
+cross-checks everything against everything: the two order
+implementations pair by pair, the move closure of the table against the
+per-pair move search on about 200 evenly spaced pairs, and, on every
+element for every n, the table's cover flags against brute-force covers
+(the transitive reduction of the closure) and the combinatorial length
+against the exact coordinate-subspace oracle.  Exhaustive and sampled
+campaigns share one body and differ only in the pairs they draw.  Every
 disagreement lands in its own list of the returned report; none raises.
+The report also carries the size of the relation and the seconds of
+each phase.
 """
 
 import json
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from .elements import OneLine, enumerate_elements, parse_one_line
 from .length import length
 from .oracle import oracle_length
-from .order import covers_of, deodhar_leq, ppr_leq, ppr_raises
+from .order import _moves, deodhar_leq, ppr_leq
 
 __all__ = [
     "HasseDiagram",
@@ -37,6 +42,7 @@ HASSE_MAX_N = 5
 EXHAUSTIVE_MAX_N = 4
 SAMPLED_MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
+_PHASES = ("enumerate", "closure", "pairs", "covers", "oracle")
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,8 @@ def build_hasse(n: int) -> HasseDiagram:
     if not 1 <= n <= HASSE_MAX_N:
         raise ValueError(f"supported sizes are 1..{HASSE_MAX_N}")
     elements = list(enumerate_elements(n))
-    index = {e.entries: i for i, e in enumerate(elements)}
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    edges = sorted(
-        (i, index[c.entries])
-        for i, e in enumerate(elements)
-        for c in covers_of(e)
-    )
-    return HasseDiagram(n, nodes, tuple(edges))
+    return HasseDiagram(n, nodes, _cover_edges(_move_table(elements)))
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -139,8 +139,10 @@ def hasse_from_json(text: str) -> HasseDiagram:
     interpreter's recursion limit, the document has exactly the keys n,
     nodes and edges, node ids run densely from 0 in order, every element
     parses with size n and carries its own length, the elements strictly
-    increase in lexicographic order, and every edge is a pair of node
-    ids.  Edges are not re-checked as covers.
+    increase in lexicographic order, every edge is a pair of node ids,
+    and the edges, in sorted order, are exactly the covering pairs of R_n
+    between nodes.  build_hasse and interval write edges that way: a full
+    diagram and an interval are both convex.
     """
     try:
         doc = json.loads(text)
@@ -178,6 +180,8 @@ def hasse_from_json(text: str) -> HasseDiagram:
         ):
             raise ValueError(f"edge {edge!r} is not a pair of node ids")
         edges.append((edge[0], edge[1]))
+    if tuple(edges) != _cover_edges(_move_table([e for _, e, _ in nodes])):
+        raise ValueError("edges must be exactly the sorted covering pairs between the nodes")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
 
 
@@ -191,7 +195,11 @@ class VerificationReport:
     verdict) wherever the two ways of evaluating move reachability
     differ; cover_mismatches holds (x, predicate covers, brute-force
     covers); oracle_mismatches holds (x, formula length, oracle length).
-    All elements are reported in canonical text form.
+    All elements are reported in canonical text form.  relation_size is
+    the number of pairs, reflexive ones included, in the move closure.
+    phases splits elapsed into the seconds of enumerate (argument checks,
+    elements and lengths), closure (move table and closure), pairs,
+    covers and oracle.
     """
 
     n: int
@@ -203,6 +211,8 @@ class VerificationReport:
     elapsed: float
     seed: int | None = None
     search_mismatches: list[tuple[str, str, bool, bool]] = field(default_factory=list)
+    relation_size: int = 0
+    phases: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -224,6 +234,8 @@ class VerificationReport:
                 for x, predicate, brute in self.cover_mismatches
             ],
             "oracle_mismatches": [list(entry) for entry in self.oracle_mismatches],
+            "relation_size": self.relation_size,
+            "phases": self.phases,
             "elapsed": self.elapsed,
             "passed": self.passed,
         }
@@ -244,7 +256,7 @@ def verify(
     the covers (against the move closure) and the oracle are audited on
     every element, whatever n.
     """
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     exhaustive = mode == "exhaustive"
     if exhaustive:
         if not 1 <= n <= EXHAUSTIVE_MAX_N:
@@ -260,7 +272,10 @@ def verify(
     elements = list(enumerate_elements(n))
     count = len(elements)
     lengths = [length(e) for e in elements]
-    closure, successors = _move_closure(elements, lengths)
+    marks.append(time.perf_counter())
+    moves = _move_table(elements)
+    closure = _move_closure(moves, lengths)
+    marks.append(time.perf_counter())
     if exhaustive:
         pairs = ((i, j) for i in range(count) for j in range(count))
         pairs_checked = count * count
@@ -284,59 +299,65 @@ def verify(
                 search_mismatches.append((str(x), str(y), p, s))
         if d != p:
             mismatches.append((str(x), str(y), d, p))
+    marks.append(time.perf_counter())
 
     # Brute-force cover extraction reads the move closure; with no order
     # mismatch it equals the containment relation bit for bit.
-    cover_mismatches = _audit_covers(elements, closure, successors)
+    cover_mismatches = _audit_covers(elements, closure, moves)
+    marks.append(time.perf_counter())
     oracle_mismatches = _audit_oracle(elements, lengths)
+    marks.append(time.perf_counter())
     return VerificationReport(
         n, mode, pairs_checked, mismatches, cover_mismatches, oracle_mismatches,
-        time.perf_counter() - start,
+        marks[-1] - marks[0],
         seed=None if exhaustive else seed,
         search_mismatches=search_mismatches,
+        relation_size=sum(row.bit_count() for row in closure),
+        phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
     )
 
 
-def _move_closure(
-    elements: list[OneLine], lengths: list[int]
-) -> tuple[list[int], list[list[int]]]:
+def _move_table(elements: list[OneLine]) -> list[list[tuple[int, bool]]]:
+    """Per element, its moves that stay in elements: (index, is a cover)."""
+    index = {e.entries: i for i, e in enumerate(elements)}
+    return [[(index[y], cover) for y, cover in _moves(e.entries) if y in index] for e in elements]
+
+
+def _cover_edges(moves) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((i, j) for i, row in enumerate(moves) for j, cover in row if cover))
+
+
+def _move_closure(moves, lengths: list[int]) -> list[int]:
     """Reachability bitsets of the generator-move relation, one row per
     element: bit j of row i says element j is reachable from element i.
     Rows are filled in decreasing length order, so every successor row is
-    ready when needed.  The one-move successor lists come back too."""
-    index = {e.entries: i for i, e in enumerate(elements)}
-    successors = [
-        [index[y.entries] for y in ppr_raises(e)] for e in elements
-    ]
-    closure = [0] * len(elements)
-    for i in sorted(range(len(elements)), key=lambda k: -lengths[k]):
+    ready when needed."""
+    closure = [0] * len(moves)
+    for i in sorted(range(len(moves)), key=lambda k: -lengths[k]):
         bits = 1 << i
-        for j in successors[i]:
+        for j, _ in moves[i]:
             bits |= closure[j]
         closure[i] = bits
-    return closure, successors
+    return closure
 
 
-def _audit_covers(
-    elements: list[OneLine], closure: list[int], successors: list[list[int]]
-) -> list[tuple[str, list[str], list[str]]]:
-    """Compare predicate covers with brute-force covers: y covers x when
-    y is strictly above x and the open interval between them is empty.
-    Every element strictly above x is at or above a one-move successor
-    of x, so the covers are the successors that lie in no strict up-set
-    of a successor."""
+def _audit_covers(elements, closure, moves) -> list[tuple[str, list[str], list[str]]]:
+    """Compare predicate covers, the cover flags of the move table, with
+    brute-force covers: y covers x when nothing lies strictly between.
+    Every element strictly above x is at or above a one-move successor of
+    x, so those are the successors in no strict up-set of a successor."""
     out = []
-    for i, x in enumerate(elements):
+    for i, row in enumerate(moves):
         beyond = 0
-        for s in successors[i]:
+        for s, _ in row:
             beyond |= closure[s] & ~(1 << s)
-        predicate = sorted(y.entries for y in covers_of(x))
-        brute = sorted(elements[s].entries for s in successors[i] if not beyond >> s & 1)
+        predicate = sorted(s for s, cover in row if cover)
+        brute = sorted(s for s, _ in row if not beyond >> s & 1)
         if predicate != brute:
             out.append((
-                str(x),
-                [",".join(map(str, e)) for e in predicate],
-                [",".join(map(str, e)) for e in brute],
+                str(elements[i]),
+                [str(elements[s]) for s in predicate],
+                [str(elements[s]) for s in brute],
             ))
     return out
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rookorder import VerificationReport, cli, poset
+from rookorder import VerificationReport, cli, parse_one_line, poset
 
 
 def run(capsys, *argv):
@@ -67,6 +71,52 @@ def test_cmp_refuses_sizes_above_seven_before_comparing(capsys, monkeypatch):
     code, out, _ = run(capsys, "cmp", "7,6,5,4,3,2,1", "7,6,5,4,3,2,1")
     assert code == 0
     assert "ppr: true" in out
+
+
+class WorkRan(Exception):
+    pass
+
+
+def _work(*args):
+    raise WorkRan
+
+
+@pytest.mark.parametrize("command, cap, workers", [
+    ("len", cli.LEN_MAX_N, ("length_breakdown", "coinversions")),
+    ("covers", cli.COVERS_MAX_N, ("covers_of",)),
+    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span", "meet_dim", "oracle_length")),
+    ("enum", cli.ENUM_MAX_N, ("enumerate_elements",)),
+])
+def test_size_caps_refuse_before_any_work(capsys, monkeypatch, command, cap, workers):
+    for name in workers:
+        monkeypatch.setattr(cli, name, _work)
+
+    def arg(n):
+        return str(n) if command == "enum" else ",".join(["0"] * n)
+
+    expected = (1, "", f"error: {command} supports n <= {cap}\n")
+    assert run(capsys, command, arg(cap + 1)) == expected
+    with pytest.raises(WorkRan):  # at the cap the work starts
+        cli.main([command, arg(cap)])
+
+
+def _is_element_text(text):
+    try:
+        parse_one_line(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.text().filter(lambda t: not _is_element_text(t)))
+def test_malformed_element_text_exits_one(text):
+    for argv in (["len", text], ["covers", text], ["oracle", text],
+                 ["cmp", text, "0"], ["cmp", "0", text]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 1, argv
+        assert "error:" in err.getvalue(), argv
 
 
 def test_cmp_exits_two_when_implementations_disagree(capsys, monkeypatch):
@@ -143,6 +193,8 @@ def test_verify_small(capsys):
     assert "mode: exhaustive" in lines
     assert "pairs_checked: 4" in lines
     assert "order_mismatches: 0" in lines
+    assert "relation_size: 3" in lines
+    assert any(line.startswith("phases_s: enumerate=") for line in lines)
     assert lines[-1] == "result: PASS"
 
 

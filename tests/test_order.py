@@ -16,7 +16,7 @@ from rookorder import (
     ppr_leq,
     ppr_raises,
 )
-from rookorder.order import deodhar_leq_vectors
+from rookorder.order import _moves, deodhar_leq_vectors
 
 from helpers import (
     brute_cover_sets,
@@ -182,6 +182,14 @@ def test_cover_predicates_match_length_jump(x, data):
     y = data.draw(st.sampled_from(moves))
     is_cover = is_cover_type1(x, y) or is_cover_type2(x, y)
     assert is_cover == (length(y) == length(x) + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_move_kernel_cover_flags_match_the_public_predicates(n):
+    for x in elements_of(n):
+        for entries, cover in _moves(x.entries):
+            y = OneLine(entries)
+            assert cover == (is_cover_type1(x, y) or is_cover_type2(x, y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rookorder import (
     OneLine,
@@ -183,6 +185,10 @@ def _with_onelines_swapped(a, b):
     _with_node(1, extra=0),
     _with_node(1, oneline="0,0", length=0),
     _with_onelines_swapped(2, 3),
+    _edited(edges=R2_DOC["edges"] + [[0, 6]]),  # 0,0 < 2,1 is no cover
+    _edited(edges=R2_DOC["edges"][1:]),  # the cover 0,0 < 0,1 dropped
+    _edited(edges=[[1, 0]] + R2_DOC["edges"][1:]),  # that cover reversed
+    _edited(edges=R2_DOC["edges"][::-1]),  # every cover, out of order
 ])
 def test_hasse_from_json_rejects_bad_documents(doc):
     with pytest.raises(ValueError):
@@ -192,6 +198,29 @@ def test_hasse_from_json_rejects_bad_documents(doc):
 def test_hasse_from_json_rejects_deep_nesting():
     with pytest.raises(ValueError):
         hasse_from_json("[" * 100_000)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+NODE_LIKE = st.fixed_dictionaries(
+    {"id": st.integers(-1, 8), "oneline": st.text("0123,", max_size=5), "length": st.integers(-1, 5)}
+)
+DIAGRAM_LIKE = st.fixed_dictionaries({
+    "n": st.integers(-1, 7) | JSON_VALUES,
+    "nodes": st.lists(NODE_LIKE | JSON_VALUES, max_size=8) | JSON_VALUES,
+    "edges": st.lists(st.lists(st.integers(-1, 8), max_size=3) | JSON_VALUES, max_size=8),
+})
+
+
+@given(st.text() | JSON_VALUES.map(json.dumps) | DIAGRAM_LIKE.map(json.dumps))
+def test_hasse_from_json_raises_only_value_error(text):
+    try:
+        hasse_from_json(text)
+    except ValueError:
+        pass
 
 
 def test_json_round_trip_of_an_r4_interval():
@@ -234,7 +263,8 @@ def test_verify_sampled():
 def test_verify_sampled_is_seed_deterministic():
     a = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
     b = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
-    del a["elapsed"], b["elapsed"]
+    for timing in ("elapsed", "phases"):
+        del a[timing], b[timing]
     assert a == b
     assert a["passed"]
 
@@ -249,10 +279,13 @@ def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
 
 def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     calls = []
-    monkeypatch.setattr(poset, "covers_of", lambda x: calls.append(x) or [])
+    real = poset._moves
+    monkeypatch.setattr(
+        poset, "_moves", lambda a: calls.append(a) or [(y, False) for y, _ in real(a)]
+    )
     report = verify(6, "sampled", sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
-    # every element but the top has a cover that the stub hides
+    # every element but the top has a cover whose flag the stub clears
     assert len(report.cover_mismatches) == 13326
     assert "6,5,4,3,2,1" not in {x for x, _, _ in report.cover_mismatches}
 
@@ -274,7 +307,9 @@ MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle
 FAULTS = {
     "mismatches": ("deodhar_leq", lambda real: lambda x, y: real(x, y) and (x, y) != (ZERO3, TOP3)),
     "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
-    "cover_mismatches": ("covers_of", lambda real: lambda x: [] if x == ZERO3 else real(x)),
+    "cover_mismatches": ("_moves", lambda real: lambda a: [
+        (y, cover and a != ZERO3.entries) for y, cover in real(a)
+    ]),
     "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
 }
 FIRST_ENTRY = {
@@ -294,6 +329,18 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, mode, target):
     assert report["passed"] is False
     if target in FIRST_ENTRY:
         assert report[target][0] == FIRST_ENTRY[target]
+
+
+def test_verify_reports_relation_size_and_phases():
+    r4 = verify(4)
+    r5 = verify(5, "sampled", sample_count=1)
+    assert (r4.relation_size, r5.relation_size) == (12301, 509662)
+    for report in (r4, r5):
+        assert list(report.phases) == ["enumerate", "closure", "pairs", "covers", "oracle"]
+        assert all(s >= 0 for s in report.phases.values())
+        assert sum(report.phases.values()) == pytest.approx(report.elapsed)
+        d = report.to_dict()
+        assert (d["relation_size"], d["phases"]) == (report.relation_size, report.phases)
 
 
 def test_verify_rejects_bad_arguments():
