@@ -26,7 +26,6 @@ from .length import (
     dim_bx,
     dim_meet,
     dim_xb,
-    inversions,
     length,
     length_breakdown,
     star_weight,

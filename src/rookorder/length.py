@@ -17,7 +17,7 @@ with star weight a_i + n - i at occupied columns and 0 elsewhere.
 
 from dataclasses import dataclass
 
-from .elements import OneLine, is_permutation, rank
+from .elements import OneLine, rank
 
 __all__ = [
     "CoinversionPair",
@@ -25,7 +25,6 @@ __all__ = [
     "coinversions",
     "star_weight",
     "length",
-    "inversions",
     "dim_bx",
     "dim_xb",
     "dim_meet",
@@ -58,15 +57,6 @@ def length(x: OneLine) -> int:
     """Orbit dimension: star-weight sum minus the coinversion count."""
     total = sum(star_weight(x, i) for i in range(1, x.n + 1))
     return total - len(coinversions(x))
-
-
-def inversions(w: OneLine) -> int:
-    """Pairs i < j with w_i > w_j.  Defined for permutations only; on them
-    length(w) = inversions(w) + n(n+1)/2."""
-    if not is_permutation(w):
-        raise ValueError("inversions are defined for permutations only")
-    a = w.entries
-    return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if a[i] > a[j])
 
 
 def dim_bx(x: OneLine) -> int:

@@ -14,7 +14,9 @@ One private kernel on entry tuples, _moves, lists every single move
 together with whether it is a cover, testing each with the one tuple
 helper of its type that the two predicates also call.  ppr_raises,
 covers_of, the search's successor cache and the diagram and verify code
-in poset all read it; OneLine is built only for values returned.
+in poset all read it; OneLine is built only for values returned.  Every
+move climbs in lexicographic order (see _moves), so the search walks in
+that order and reads no length.
 """
 
 from bisect import insort
@@ -23,7 +25,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .elements import OneLine
-from .length import length
 
 __all__ = [
     "deodhar_leq_vectors",
@@ -101,7 +102,12 @@ def ppr_raises(x: OneLine) -> list[OneLine]:
 
 def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
     """Every single generator move on the entries a, in ppr_raises order,
-    each paired with whether it is a cover: the one place both are decided."""
+    each paired with whether it is a cover: the one place both are decided.
+
+    Each move puts a larger value at the first position it changes, so
+    every result is lexicographically larger than a: lexicographic order
+    is a linear extension of the order.
+    """
     n = len(a)
     out = []
     for i in range(n):
@@ -131,25 +137,19 @@ def _successors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(y for y, _ in _moves(entries))
 
 
-@lru_cache(maxsize=None)
-def _cached_length(entries: tuple[int, ...]) -> int:
-    return length(OneLine(entries))
-
-
 def ppr_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by reachability of y from x under generator moves.
 
     Breadth-first closure over the moves with a visited set, pruned by
-    the length bound alone: every move strictly increases length, so no
-    element at or above length(y), other than y itself, can sit on a
-    path to y.  No containment logic is consulted.
+    the lexicographic bound alone: every move yields a lexicographically
+    larger tuple, so no element at or past y in that order, other than y
+    itself, can sit on a path to y.  No containment logic is consulted.
     """
     _check_same_n(x, y)
     target = y.entries
     if x.entries == target:
         return True
-    bound = _cached_length(target)
-    if _cached_length(x.entries) >= bound:
+    if x.entries > target:
         return False
     seen = {x.entries}
     queue = deque((x.entries,))
@@ -158,7 +158,7 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
         for nxt in _successors(current):
             if nxt == target:
                 return True
-            if nxt not in seen and _cached_length(nxt) < bound:
+            if nxt < target and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return False

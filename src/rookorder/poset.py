@@ -49,7 +49,8 @@ _PHASES = ("enumerate", "closure", "pairs", "covers", "oracle")
 class HasseDiagram:
     """Graded order diagram: nodes carry (id, element, length) and edges
     point from the lower element of each covering pair to the upper one.
-    Ids are dense from 0 in lexicographic element order."""
+    Ids are dense from 0 in lexicographic element order, which is a
+    linear extension of the order, and edges are sorted by lower id."""
 
     n: int
     nodes: tuple[tuple[int, OneLine, int], ...]
@@ -75,19 +76,21 @@ def rank_sizes(h: HasseDiagram) -> list[int]:
 
 def interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
     """Induced sub-diagram on the elements between x and y, re-labelled
-    densely from 0 in lexicographic order."""
+    densely from 0 in lexicographic order.  Edges are sorted by lower id
+    and ids extend the order, so the up-set of x is one forward pass over
+    the edges and the down-set of y one backward pass."""
     index = {e.entries: i for i, e, _ in h.nodes}
     if x.entries not in index or y.entries not in index:
         raise ValueError("endpoints must be nodes of the diagram")
     if not deodhar_leq(x, y):
         raise ValueError("endpoints are incomparable or reversed")
-    upward: dict[int, list[int]] = {}
-    downward: dict[int, list[int]] = {}
+    up, down = {index[x.entries]}, {index[y.entries]}
     for lo, hi in h.edges:
-        upward.setdefault(lo, []).append(hi)
-        downward.setdefault(hi, []).append(lo)
-    up = _reachable(upward, index[x.entries])
-    down = _reachable(downward, index[y.entries])
+        if lo in up:
+            up.add(hi)
+    for lo, hi in reversed(h.edges):
+        if hi in down:
+            down.add(lo)
     keep = sorted(up & down)
     relabel = {old: new for new, old in enumerate(keep)}
     nodes = tuple((relabel[i], h.nodes[i][1], h.nodes[i][2]) for i in keep)
@@ -97,17 +100,6 @@ def interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
         if lo in relabel and hi in relabel
     ))
     return HasseDiagram(h.n, nodes, edges)
-
-
-def _reachable(adjacency: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def export_dot(h: HasseDiagram) -> str:
@@ -197,9 +189,9 @@ class VerificationReport:
     covers); oracle_mismatches holds (x, formula length, oracle length).
     All elements are reported in canonical text form.  relation_size is
     the number of pairs, reflexive ones included, in the move closure.
-    phases splits elapsed into the seconds of enumerate (argument checks,
-    elements and lengths), closure (move table and closure), pairs,
-    covers and oracle.
+    phases splits elapsed into the seconds of enumerate (argument checks
+    and elements), closure (move table and closure), pairs, covers and
+    oracle (lengths and oracle values).
     """
 
     n: int
@@ -271,10 +263,9 @@ def verify(
 
     elements = list(enumerate_elements(n))
     count = len(elements)
-    lengths = [length(e) for e in elements]
     marks.append(time.perf_counter())
     moves = _move_table(elements)
-    closure = _move_closure(moves, lengths)
+    closure = _move_closure(moves)
     marks.append(time.perf_counter())
     if exhaustive:
         pairs = ((i, j) for i in range(count) for j in range(count))
@@ -305,7 +296,7 @@ def verify(
     # mismatch it equals the containment relation bit for bit.
     cover_mismatches = _audit_covers(elements, closure, moves)
     marks.append(time.perf_counter())
-    oracle_mismatches = _audit_oracle(elements, lengths)
+    oracle_mismatches = _audit_oracle(elements)
     marks.append(time.perf_counter())
     return VerificationReport(
         n, mode, pairs_checked, mismatches, cover_mismatches, oracle_mismatches,
@@ -327,13 +318,14 @@ def _cover_edges(moves) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, j) for i, row in enumerate(moves) for j, cover in row if cover))
 
 
-def _move_closure(moves, lengths: list[int]) -> list[int]:
+def _move_closure(moves) -> list[int]:
     """Reachability bitsets of the generator-move relation, one row per
     element: bit j of row i says element j is reachable from element i.
-    Rows are filled in decreasing length order, so every successor row is
-    ready when needed."""
+    Elements are in lexicographic order and every move goes up in it, so
+    filling rows in descending index order has every successor row ready
+    when needed."""
     closure = [0] * len(moves)
-    for i in sorted(range(len(moves)), key=lambda k: -lengths[k]):
+    for i in reversed(range(len(moves))):
         bits = 1 << i
         for j, _ in moves[i]:
             bits |= closure[j]
@@ -362,9 +354,10 @@ def _audit_covers(elements, closure, moves) -> list[tuple[str, list[str], list[s
     return out
 
 
-def _audit_oracle(elements, lengths) -> list[tuple[str, int, int]]:
+def _audit_oracle(elements) -> list[tuple[str, int, int]]:
     out = []
-    for x, ln in zip(elements, lengths):
+    for x in elements:
+        ln = length(x)
         computed = oracle_length(x)
         if computed != ln:
             out.append((str(x), ln, computed))

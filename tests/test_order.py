@@ -188,6 +188,7 @@ def test_cover_predicates_match_length_jump(x, data):
 def test_move_kernel_cover_flags_match_the_public_predicates(n):
     for x in elements_of(n):
         for entries, cover in _moves(x.entries):
+            assert entries > x.entries
             y = OneLine(entries)
             assert cover == (is_cover_type1(x, y) or is_cover_type2(x, y))
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from rookorder import (
     poset,
     VerificationReport,
     build_hasse,
+    deodhar_leq,
     export_dot,
     export_json,
     hasse_from_json,
@@ -125,6 +127,22 @@ def test_interval_rejects_bad_endpoints():
         interval(h, OneLine((1, 2)), OneLine((0, 0)))  # wrong way round
     with pytest.raises(ValueError):
         interval(h, OneLine((1, 2, 3)), OneLine((3, 2, 1)))  # not members
+
+
+def test_interval_r4_is_the_containment_interval():
+    h = build_hasse(4)
+    els = elements_of(4)
+    rng = random.Random(4)
+    checked = 0
+    while checked < 50:
+        x, y = rng.choice(els), rng.choice(els)
+        if not deodhar_leq(x, y):
+            continue
+        sub = interval(h, x, y)
+        between = {z.entries for z in els if deodhar_leq(x, z) and deodhar_leq(z, y)}
+        assert {node[1].entries for node in sub.nodes} == between
+        assert interval(sub, x, y) == sub
+        checked += 1
 
 
 def test_json_round_trip():
@@ -329,6 +347,17 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, mode, target):
     assert report["passed"] is False
     if target in FIRST_ENTRY:
         assert report[target][0] == FIRST_ENTRY[target]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, mode):
+    # No order route reads a length, so one wrong length is the oracle's alone.
+    real = poset.length
+    monkeypatch.setattr(poset, "length", lambda x: 10 if x == ZERO3 else real(x))
+    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    assert [key for key in MISMATCH_LISTS if report[key]] == ["oracle_mismatches"]
+    assert report["oracle_mismatches"][0] == ["0,0,0", 10, 0]
+    assert report["relation_size"] == 441
 
 
 def test_verify_reports_relation_size_and_phases():
