@@ -3,22 +3,31 @@
 Every consumer reads one move table, built from the order module's move
 kernel: for each element, the index of every one-move result and whether
 that move is a cover.  build_hasse reads its cover flags as the diagram
-edges, and hasse_from_json rejects edges that differ from them.  verify
-cross-checks everything against everything: the two order
-implementations pair by pair, the move closure of the table against the
-per-pair move search on about 200 evenly spaced pairs, and, on every
-element for every n, the table's cover flags against brute-force covers
-(the transitive reduction of the closure) and the combinatorial length
+edges, and hasse_from_json rejects edges that differ from them.
+
+verify compares two whole relations, each one bitset row per element.
+The move closure of the table is one.  The other is the containment
+relation, built by _containment_rows from the threshold lemma alone and
+without any move code: x <= y exactly when, for every prefix length k
+and every threshold a, the first k entries of y hold at least as many
+values >= a as those of x do.  The rows are compared with one integer
+equality each, and their bits are walked only where a row differs, so
+an exhaustive campaign covers every ordered pair.  verify also checks
+the per-pair containment test and the per-pair move search against the
+closure on about 200 evenly spaced pairs, and, on every element for
+every n, the table's cover flags against brute-force covers (the
+transitive reduction of the closure) and the combinatorial length
 against the exact coordinate-subspace oracle.  Exhaustive and sampled
-campaigns share one body and differ only in the pairs they draw.  Every
-disagreement lands in its own list of the returned report; none raises.
-The report also carries the size of the relation and the seconds of
-each phase.
+campaigns share those checks and differ only in the pairs whose
+verdicts they compare.  Every disagreement lands in its own list of the
+returned report; none raises.  The report also carries the size of the
+relation and the seconds of each phase.
 """
 
 import json
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .elements import OneLine, enumerate_elements, parse_one_line
@@ -39,10 +48,13 @@ __all__ = [
 ]
 
 HASSE_MAX_N = 5
-EXHAUSTIVE_MAX_N = 4
+EXHAUSTIVE_MAX_N = 6
 SAMPLED_MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
-_PHASES = ("enumerate", "closure", "pairs", "covers", "oracle")
+# Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
+# first ones in pair order and counts them all.
+_MISMATCH_LIMIT = 1000
+_PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "covers", "oracle")
 
 
 @dataclass(frozen=True)
@@ -182,7 +194,9 @@ class VerificationReport:
     """Outcome of one cross-checking campaign over R_n.
 
     mismatches holds (x, y, containment verdict, move-closure verdict)
-    for every checked pair where the two order implementations differ;
+    for the first 1 000 pairs where the containment rows, then the
+    spot-checked per-pair containment test, differ from the closure,
+    each in pair order; mismatch_count counts all such disagreements.
     search_mismatches holds (x, y, move-closure verdict, per-pair search
     verdict) wherever the two ways of evaluating move reachability
     differ; cover_mismatches holds (x, predicate covers, brute-force
@@ -190,8 +204,9 @@ class VerificationReport:
     All elements are reported in canonical text form.  relation_size is
     the number of pairs, reflexive ones included, in the move closure.
     phases splits elapsed into the seconds of enumerate (argument checks
-    and elements), closure (move table and closure), pairs, covers and
-    oracle (lengths and oracle values).
+    and elements), closure (move table and closure), containment (the
+    threshold rows), pairs (comparing the two relations), spot_checks
+    (the per-pair tests), covers and oracle (lengths and oracle values).
     """
 
     n: int
@@ -205,6 +220,7 @@ class VerificationReport:
     search_mismatches: list[tuple[str, str, bool, bool]] = field(default_factory=list)
     relation_size: int = 0
     phases: dict[str, float] = field(default_factory=dict)
+    mismatch_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -220,6 +236,7 @@ class VerificationReport:
             "seed": self.seed,
             "pairs_checked": self.pairs_checked,
             "mismatches": [list(entry) for entry in self.mismatches],
+            "mismatch_count": self.mismatch_count,
             "search_mismatches": [list(entry) for entry in self.search_mismatches],
             "cover_mismatches": [
                 [x, list(predicate), list(brute)]
@@ -241,12 +258,18 @@ def verify(
 ) -> VerificationReport:
     """Run the cross-checking campaign over R_n.
 
-    Exhaustive mode (n <= 4) compares the two order routes on every
-    ordered pair; sampled mode (n <= 6) on sample_count seeded random
-    pairs.  In both modes the per-pair move search spot-checks about 200
-    evenly spaced pairs of the stream (all of a shorter one), and both
-    the covers (against the move closure) and the oracle are audited on
-    every element, whatever n.
+    Two relations are built whole, one bitset row per element: the move
+    closure and the containment rows of the threshold lemma (x <= y
+    exactly when every prefix threshold count #{i <= k : x_i >= a} of x
+    is at most that of y).  Exhaustive mode (n <= 6) compares them row by
+    row, one integer equality per element, and walks the differing bits
+    of a row only when it differs, so every ordered pair is checked.
+    Sampled mode (n <= 6) compares their bits on sample_count seeded
+    random pairs.  In both modes the per-pair containment test and the
+    per-pair move search are spot-checked against the closure on about
+    200 evenly spaced pairs of the stream (all of a shorter one), and
+    both the covers (against the move closure) and the oracle are
+    audited on every element, whatever n.
     """
     marks = [time.perf_counter()]
     exhaustive = mode == "exhaustive"
@@ -267,29 +290,51 @@ def verify(
     moves = _move_table(elements)
     closure = _move_closure(moves)
     marks.append(time.perf_counter())
-    if exhaustive:
-        pairs = ((i, j) for i in range(count) for j in range(count))
-        pairs_checked = count * count
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (rng.randrange(count), rng.randrange(count)) for _ in range(sample_count)
-        )
-        pairs_checked = sample_count
-    stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
+    containment = _containment_rows(elements)
+    marks.append(time.perf_counter())
 
     mismatches = []
+    mismatch_count = 0
+
+    def note(i, j, d, p):
+        if len(mismatches) < _MISMATCH_LIMIT:
+            mismatches.append((str(elements[i]), str(elements[j]), bool(d), bool(p)))
+
+    pairs_checked = count * count if exhaustive else sample_count
+    stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
+    if exhaustive:
+        spot = [divmod(t, count) for t in range(0, pairs_checked, stride)]
+        for i, (row, reach) in enumerate(zip(containment, closure)):
+            diff = row ^ reach
+            mismatch_count += diff.bit_count()
+            while diff and len(mismatches) < _MISMATCH_LIMIT:
+                j = (diff & -diff).bit_length() - 1
+                note(i, j, row >> j & 1, reach >> j & 1)
+                diff &= diff - 1
+    else:
+        spot = []
+        rng = random.Random(seed)
+        for t in range(sample_count):
+            i, j = rng.randrange(count), rng.randrange(count)
+            if t % stride == 0:
+                spot.append((i, j))
+            d, p = containment[i] >> j & 1, closure[i] >> j & 1
+            if d != p:
+                mismatch_count += 1
+                note(i, j, d, p)
+    marks.append(time.perf_counter())
+
     search_mismatches = []
-    for t, (i, j) in enumerate(pairs):
+    for i, j in spot:
         x, y = elements[i], elements[j]
-        d = deodhar_leq(x, y)
         p = bool(closure[i] >> j & 1)
-        if t % stride == 0:
-            s = ppr_leq(x, y)
-            if s != p:
-                search_mismatches.append((str(x), str(y), p, s))
+        d = deodhar_leq(x, y)
         if d != p:
-            mismatches.append((str(x), str(y), d, p))
+            mismatch_count += 1
+            note(i, j, d, p)
+        s = ppr_leq(x, y)
+        if s != p:
+            search_mismatches.append((str(x), str(y), p, s))
     marks.append(time.perf_counter())
 
     # Brute-force cover extraction reads the move closure; with no order
@@ -305,7 +350,54 @@ def verify(
         search_mismatches=search_mismatches,
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
+        mismatch_count=mismatch_count,
     )
+
+
+def _containment_rows(elements: list[OneLine]) -> list[int]:
+    """Up-set bitsets of the containment order, one row per element: bit
+    j of row i says elements[i] <= elements[j].  Reads no move code.
+
+    Threshold lemma (the principle of deodhar_leq_gamma): x <= y exactly
+    when, for every prefix length k and every nonzero entry a among the
+    first k entries of x, the first k entries of y hold at least as many
+    values >= a as those of x do.  Thresholds a > x_k may be skipped too:
+    there x's count equals its count over the first k - 1 entries, which
+    is checked already, and y's count cannot shrink as k grows.
+
+    at_least[k][a][v] is the bitset of elements with at least v values
+    >= a among their first k + 1 entries.  It is built one position at a
+    time by bit-sliced counting: the elements whose entry at the position
+    is >= a form one bitset, read off the column of entries with a byte
+    translation, and adding it to the counts is one AND and one OR per v.
+    The row of x is then the AND of one such bitset per (k, a) it needs,
+    at most n(n + 1)/2 of them.
+    """
+    n = elements[0].n
+    everything = (1 << len(elements)) - 1
+    # Reversed, so that element j lands on bit j of int(..., 2).
+    columns = [bytes(e.entries[i] for e in reversed(elements)) for i in range(n)]
+    at_least = [[None] * (n + 1) for _ in range(n)]
+    for a in range(1, n + 1):
+        digits = bytes(ord("1") if v >= a else ord("0") for v in range(256))
+        counts = [everything] + [0] * n
+        for k, column in enumerate(columns):
+            hits = int(column.translate(digits), 2)
+            for v in range(k + 1, 0, -1):
+                counts[v] |= counts[v - 1] & hits
+            at_least[k][a] = counts[:]
+    rows = []
+    for x in elements:
+        row = everything
+        seen = []  # nonzero entries so far, ascending
+        for k, b in enumerate(x.entries):
+            if b:
+                insort(seen, b)
+                # seen[q] has len(seen) - q values >= it among the first k + 1
+                for q in range(seen.index(b) + 1):
+                    row &= at_least[k][seen[q]][len(seen) - q]
+        rows.append(row)
+    return rows
 
 
 def _move_table(elements: list[OneLine]) -> list[list[tuple[int, bool]]]:

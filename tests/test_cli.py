@@ -223,6 +223,7 @@ def test_verify_exits_two_on_failure(capsys, monkeypatch):
         cover_mismatches=[],
         oracle_mismatches=[],
         elapsed=0.01,
+        mismatch_count=1,
     )
     monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "2")
@@ -232,19 +233,34 @@ def test_verify_exits_two_on_failure(capsys, monkeypatch):
     assert out.splitlines()[-1] == "result: FAIL"
 
 
-@pytest.mark.parametrize("n, mode", [(4, "exhaustive"), (5, "sampled")])
+@pytest.mark.parametrize("n, mode", [
+    (4, "exhaustive"), (5, "exhaustive"), (6, "exhaustive"), (7, "refused"),
+])
 def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n, mode):
     calls = []
+    real = cli.verify
+    monkeypatch.setattr(cli, "verify", lambda *a, **k: calls.append(a) or real(*a, **k))
+    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    if mode == "refused":
+        expected = (1, "", "error: exhaustive mode supports n in 1..6\n")
+        assert run(capsys, "verify", str(n)) == expected
+    else:
+        with pytest.raises(WorkRan):  # up to the bound the work starts
+            cli.main(["verify", str(n)])
+    assert calls == [(n, "exhaustive")]
 
-    def record(n, mode, sample_count, seed):
-        calls.append((n, mode, sample_count, seed))
-        return VerificationReport(n, mode, 1, [], [], [], 0.0, seed=seed)
 
-    monkeypatch.setattr(cli, "verify", record)
-    code, out, _ = run(capsys, "verify", str(n))
-    assert code == 0
-    assert calls == [(n, mode, 100_000, 0)]
-    assert f"mode: {mode}" in out
+def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeypatch):
+    # Rows holding only their own bit disagree on every strict pair of R_4.
+    monkeypatch.setattr(poset, "_containment_rows", lambda els: [1 << i for i in range(len(els))])
+    code, out, _ = run(capsys, "verify", "4")
+    assert code == 2
+    assert "order_mismatches: 12092 (first 1000 listed)" in out
+    assert sum(line.startswith("  pair ") for line in out.splitlines()) == 1000
+    assert out.splitlines()[-1] == "result: FAIL"
+    code, out, _ = run(capsys, "verify", "4", "--json")
+    doc = json.loads(out)
+    assert (code, doc["mismatch_count"], len(doc["mismatches"])) == (2, 12092, 1000)
 
 
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])

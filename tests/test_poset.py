@@ -320,10 +320,12 @@ def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
 ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
 MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
 # One injected fault per check, each wrong in a way that no other check sees:
-# a single containment verdict on a non-cover pair whose upper end is the top,
-# every per-pair search verdict, the covers of one element, one oracle value.
+# one containment bit on a non-cover pair whose upper end is the top, every
+# per-pair search verdict, the covers of one element, one oracle value.
 FAULTS = {
-    "mismatches": ("deodhar_leq", lambda real: lambda x, y: real(x, y) and (x, y) != (ZERO3, TOP3)),
+    "mismatches": ("_containment_rows", lambda real: lambda els: [
+        row & ~(1 << len(els) - 1) if i == 0 else row for i, row in enumerate(real(els))
+    ]),
     "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
     "cover_mismatches": ("_moves", lambda real: lambda a: [
         (y, cover and a != ZERO3.entries) for y, cover in real(a)
@@ -350,6 +352,20 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, mode, target):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, mode):
+    real = poset.deodhar_leq
+    monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: not real(x, y))
+    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
+    # the per-pair test runs on every stride-th pair of the stream, and only there
+    stride = report["pairs_checked"] // 200
+    spot_checks = len(range(0, report["pairs_checked"], stride))
+    assert report["mismatch_count"] == len(report["mismatches"]) == spot_checks
+    if mode == "exhaustive":
+        assert report["mismatches"][0] == ["0,0,0", "0,0,0", False, True]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, mode):
     # No order route reads a length, so one wrong length is the oracle's alone.
     real = poset.length
@@ -365,16 +381,53 @@ def test_verify_reports_relation_size_and_phases():
     r5 = verify(5, "sampled", sample_count=1)
     assert (r4.relation_size, r5.relation_size) == (12301, 509662)
     for report in (r4, r5):
-        assert list(report.phases) == ["enumerate", "closure", "pairs", "covers", "oracle"]
+        assert list(report.phases) == [
+            "enumerate", "closure", "containment", "pairs", "spot_checks", "covers", "oracle",
+        ]
         assert all(s >= 0 for s in report.phases.values())
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
         d = report.to_dict()
         assert (d["relation_size"], d["phases"]) == (report.relation_size, report.phases)
 
 
+def test_verify_r5_is_exhaustive():
+    r = verify(5)
+    assert r.passed
+    assert (r.mode, r.pairs_checked, r.relation_size, r.mismatch_count) == (
+        "exhaustive", 2390116, 509662, 0,
+    )
+
+
+def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch):
+    # Rows holding only their own bit disagree on every strict pair of R_4.
+    monkeypatch.setattr(poset, "_containment_rows", lambda els: [1 << i for i in range(len(els))])
+    report = verify(4)
+    assert not report.passed
+    assert (report.mismatch_count, len(report.mismatches)) == (12092, 1000)
+    assert report.mismatches[0] == ("0,0,0,0", "0,0,0,1", False, True)
+    index = {str(e): i for i, e in enumerate(elements_of(4))}
+    pairs = [(index[x], index[y]) for x, y, _, _ in report.mismatches]
+    assert pairs == sorted(pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the containment rows may read no move code")
+
+    for name in ("_moves", "_move_table", "_move_closure", "ppr_leq"):
+        monkeypatch.setattr(poset, name, refuse)
+    assert poset._containment_rows(list(elements_of(n))) == list(deodhar_matrix(n))
+
+
+def test_containment_rows_of_r5_hold_the_relation():
+    rows = poset._containment_rows(list(elements_of(5)))
+    assert sum(row.bit_count() for row in rows) == 509662
+
+
 def test_verify_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        verify(5, mode="exhaustive")
+        verify(7, mode="exhaustive")
     with pytest.raises(ValueError):
         verify(2, mode="spot")
     with pytest.raises(ValueError):
