@@ -12,16 +12,18 @@ without any move code: x <= y exactly when, for every prefix length k
 and every threshold a, the first k entries of y hold at least as many
 values >= a as those of x do.  The rows are compared with one integer
 equality each, and their bits are walked only where a row differs, so
-an exhaustive campaign covers every ordered pair.  verify also checks
-the per-pair containment test and the per-pair move search against the
-closure on about 200 evenly spaced pairs, and, on every element for
-every n, the table's cover flags against brute-force covers (the
+a campaign covers every ordered pair; given a sample_count, it compares
+the relations on that many seeded random pairs instead.  Either way
+verify also checks the per-pair containment test and the per-pair move
+search against the closure on about 200 evenly spaced pairs, and, on
+every element, the table's cover flags against brute-force covers (the
 transitive reduction of the closure) and the combinatorial length
-against the exact coordinate-subspace oracle.  Exhaustive and sampled
-campaigns share those checks and differ only in the pairs whose
-verdicts they compare.  Every disagreement lands in its own list of the
-returned report; none raises.  The report also carries the size of the
-relation and the seconds of each phase.
+against the exact coordinate-subspace oracle.  Every disagreement lands
+in its own list of the returned report; none raises.  The report also
+carries the size of the relation and the seconds of each phase.
+
+build_hasse, hasse_from_json and verify, the operations over a whole
+monoid, share one size bound: n in 1..MAX_N.
 """
 
 import json
@@ -47,9 +49,10 @@ __all__ = [
     "verify",
 ]
 
-HASSE_MAX_N = 5
-EXHAUSTIVE_MAX_N = 6
-SAMPLED_MAX_N = 6
+# The largest R_n that build_hasse, hasse_from_json and verify accept.
+# R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
+# holds 177.6M ordered pairs in bitset rows of about 100 MB.
+MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
 # first ones in pair order and counts them all.
@@ -70,9 +73,9 @@ class HasseDiagram:
 
 
 def build_hasse(n: int) -> HasseDiagram:
-    """Diagram of all of R_n; bounded to n <= 5 to keep memory sane."""
-    if not 1 <= n <= HASSE_MAX_N:
-        raise ValueError(f"supported sizes are 1..{HASSE_MAX_N}")
+    """Diagram of all of R_n, for n in 1..MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"supported sizes are 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
     return HasseDiagram(n, nodes, _cover_edges(_move_table(elements)))
@@ -90,16 +93,19 @@ def interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
     """Induced sub-diagram on the elements between x and y, re-labelled
     densely from 0 in lexicographic order.  Edges are sorted by lower id
     and ids extend the order, so the up-set of x is one forward pass over
-    the edges and the down-set of y one backward pass."""
+    the edges and the down-set of y one backward pass.  y must lie in the
+    up-set of x: comparability is read off the diagram's own edges, so a
+    loaded diagram whose node set is not convex is held to the paths it
+    contains."""
     index = {e.entries: i for i, e, _ in h.nodes}
     if x.entries not in index or y.entries not in index:
         raise ValueError("endpoints must be nodes of the diagram")
-    if not deodhar_leq(x, y):
-        raise ValueError("endpoints are incomparable or reversed")
     up, down = {index[x.entries]}, {index[y.entries]}
     for lo, hi in h.edges:
         if lo in up:
             up.add(hi)
+    if index[y.entries] not in up:
+        raise ValueError("endpoints are incomparable or reversed")
     for lo, hi in reversed(h.edges):
         if hi in down:
             down.add(lo)
@@ -155,8 +161,8 @@ def hasse_from_json(text: str) -> HasseDiagram:
     if not isinstance(doc, dict) or set(doc) != {"n", "nodes", "edges"}:
         raise ValueError("diagram must be an object with exactly the keys n, nodes, edges")
     n, raw_nodes, raw_edges = doc["n"], doc["nodes"], doc["edges"]
-    if type(n) is not int or not 1 <= n <= HASSE_MAX_N:
-        raise ValueError(f"diagram size must be an integer in 1..{HASSE_MAX_N}")
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise ValueError(f"diagram size must be an integer in 1..{MAX_N}")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
     nodes = []
@@ -250,39 +256,30 @@ class VerificationReport:
         }
 
 
-def verify(
-    n: int,
-    mode: str = "exhaustive",
-    sample_count: int = 100_000,
-    seed: int = 0,
-) -> VerificationReport:
-    """Run the cross-checking campaign over R_n.
+def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:
+    """Run the cross-checking campaign over R_n, for n in 1..MAX_N.
 
     Two relations are built whole, one bitset row per element: the move
     closure and the containment rows of the threshold lemma (x <= y
     exactly when every prefix threshold count #{i <= k : x_i >= a} of x
-    is at most that of y).  Exhaustive mode (n <= 6) compares them row by
-    row, one integer equality per element, and walks the differing bits
-    of a row only when it differs, so every ordered pair is checked.
-    Sampled mode (n <= 6) compares their bits on sample_count seeded
-    random pairs.  In both modes the per-pair containment test and the
-    per-pair move search are spot-checked against the closure on about
-    200 evenly spaced pairs of the stream (all of a shorter one), and
-    both the covers (against the move closure) and the oracle are
-    audited on every element, whatever n.
+    is at most that of y).  With sample_count None the campaign is
+    exhaustive: the relations are compared row by row, one integer
+    equality per element, and the differing bits of a row are walked
+    only when it differs, so every ordered pair is checked.  Otherwise
+    their bits are compared on sample_count pairs drawn from a generator
+    seeded with seed, each pair as one index t into the count * count
+    ordered pairs read as (i, j) = divmod(t, count).  Either way the
+    per-pair containment test and the per-pair move search are
+    spot-checked against the closure on about 200 evenly spaced pairs of
+    the stream (all of a shorter one), and both the covers (against the
+    move closure) and the oracle are audited on every element.
     """
     marks = [time.perf_counter()]
-    exhaustive = mode == "exhaustive"
-    if exhaustive:
-        if not 1 <= n <= EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive mode supports n in 1..{EXHAUSTIVE_MAX_N}")
-    elif mode == "sampled":
-        if not 1 <= n <= SAMPLED_MAX_N:
-            raise ValueError(f"sampled mode supports n in 1..{SAMPLED_MAX_N}")
-        if sample_count < 1:
-            raise ValueError("sample_count must be positive")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    exhaustive = sample_count is None
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"verify supports n in 1..{MAX_N}")
+    if not exhaustive and sample_count < 1:
+        raise ValueError("sample_count must be positive")
 
     elements = list(enumerate_elements(n))
     count = len(elements)
@@ -313,9 +310,9 @@ def verify(
                 diff &= diff - 1
     else:
         spot = []
-        rng = random.Random(seed)
+        draw, space = random.Random(seed).randrange, count * count
         for t in range(sample_count):
-            i, j = rng.randrange(count), rng.randrange(count)
+            i, j = divmod(draw(space), count)
             if t % stride == 0:
                 spot.append((i, j))
             d, p = containment[i] >> j & 1, closure[i] >> j & 1
@@ -344,8 +341,8 @@ def verify(
     oracle_mismatches = _audit_oracle(elements)
     marks.append(time.perf_counter())
     return VerificationReport(
-        n, mode, pairs_checked, mismatches, cover_mismatches, oracle_mismatches,
-        marks[-1] - marks[0],
+        n, "exhaustive" if exhaustive else "sampled", pairs_checked,
+        mismatches, cover_mismatches, oracle_mismatches, marks[-1] - marks[0],
         seed=None if exhaustive else seed,
         search_mismatches=search_mismatches,
         relation_size=sum(row.bit_count() for row in closure),

@@ -50,12 +50,12 @@ COVER_CHAIN = [
 
 @lru_cache(maxsize=None)
 def exhaustive_report(n):
-    return verify(n, "exhaustive")
+    return verify(n)
 
 
 @lru_cache(maxsize=None)
 def sampled_report_r5():
-    return verify(5, "sampled", sample_count=100_000, seed=0)
+    return verify(5, sample_count=100_000, seed=0)
 
 
 def announce(criterion, detail):

@@ -180,6 +180,22 @@ def test_hasse_json(capsys):
     assert len(doc["edges"]) == 9
 
 
+def test_hasse_ranks(capsys):
+    code, out, _ = run(capsys, "hasse", "2", "--format", "ranks")
+    assert code == 0
+    assert out == (
+        "R_2: 7 elements, 9 covering pairs\n"
+        "  length  count\n"
+        "       0      1\n"
+        "       1      1\n"
+        "       2      2\n"
+        "       3      2\n"
+        "       4      1\n"
+        "  widest rank: length 2 with 2 elements\n"
+        "\n"
+    )
+
+
 def test_hasse_rejects_big_n(capsys):
     code, _, err = run(capsys, "hasse", "9")
     assert code == 1
@@ -242,12 +258,21 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
     monkeypatch.setattr(cli, "verify", lambda *a, **k: calls.append(a) or real(*a, **k))
     monkeypatch.setattr(poset, "enumerate_elements", _work)
     if mode == "refused":
-        expected = (1, "", "error: exhaustive mode supports n in 1..6\n")
+        expected = (1, "", "error: verify supports n in 1..6\n")
         assert run(capsys, "verify", str(n)) == expected
     else:
         with pytest.raises(WorkRan):  # up to the bound the work starts
             cli.main(["verify", str(n)])
-    assert calls == [(n, "exhaustive")]
+    assert calls == [(n, None, 0)]
+
+
+def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    cap = cli.SAMPLED_MAX_K
+    expected = (1, "", f"error: verify supports --sampled K <= {cap}\n")
+    assert run(capsys, "verify", "6", "--sampled", str(cap + 1)) == expected
+    with pytest.raises(WorkRan):  # at the cap the work starts
+        cli.main(["verify", "6", "--sampled", str(cap)])
 
 
 def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeypatch):

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookorder import (
+    HasseDiagram,
     OneLine,
     poset,
     VerificationReport,
     build_hasse,
+    covers_of,
     deodhar_leq,
     export_dot,
     export_json,
@@ -51,7 +53,7 @@ def test_hasse_rejects_out_of_range():
     with pytest.raises(ValueError):
         build_hasse(0)
     with pytest.raises(ValueError):
-        build_hasse(6)
+        build_hasse(7)
 
 
 def test_hasse_deterministic():
@@ -143,6 +145,19 @@ def test_interval_r4_is_the_containment_interval():
         assert {node[1].entries for node in sub.nodes} == between
         assert interval(sub, x, y) == sub
         checked += 1
+
+
+def test_interval_of_a_loaded_diagram_follows_its_edges():
+    # Both ends of R_2 and no edge: the loader accepts it, since 0,0 < 2,1
+    # is no cover, but no path of the diagram joins the two.
+    doc = {"n": 2, "edges": [], "nodes": [
+        {"id": 0, "oneline": "0,0", "length": 0},
+        {"id": 1, "oneline": "2,1", "length": 4},
+    ]}
+    h = hasse_from_json(json.dumps(doc))
+    with pytest.raises(ValueError):
+        interval(h, OneLine((0, 0)), OneLine((2, 1)))
+    assert interval(h, OneLine((2, 1)), OneLine((2, 1))).nodes == ((0, OneLine((2, 1)), 4),)
 
 
 def test_json_round_trip():
@@ -247,6 +262,27 @@ def test_json_round_trip_of_an_r4_interval():
     assert hasse_from_json(export_json(sub)) == sub
 
 
+def test_json_round_trip_of_an_r6_interval():
+    # The interval is grown from x along covers that stay below y, so the
+    # test builds no full R_6 diagram.
+    x, y = OneLine((0, 0, 1, 0, 0, 2)), OneLine((2, 3, 0, 1, 0, 4))
+    members, todo = {x.entries}, [x]
+    while todo:
+        for z in covers_of(todo.pop()):
+            if z.entries not in members and deodhar_leq(z, y):
+                members.add(z.entries)
+                todo.append(z)
+    nodes = tuple((i, e, length(e)) for i, e in enumerate(map(OneLine, sorted(members))))
+    ids = {e.entries: i for i, e, _ in nodes}
+    edges = tuple(sorted(
+        (i, ids[z.entries]) for i, e, _ in nodes for z in covers_of(e) if z.entries in ids
+    ))
+    sub = HasseDiagram(6, nodes, edges)
+    assert len(nodes) == 250 and edges
+    assert hasse_from_json(export_json(sub)) == sub
+    assert interval(sub, x, y) == sub
+
+
 def test_dot_output_shape():
     h = build_hasse(2)
     dot = export_dot(h)
@@ -271,7 +307,7 @@ def test_verify_small_exhaustive():
 
 
 def test_verify_sampled():
-    r = verify(2, mode="sampled", sample_count=500, seed=7)
+    r = verify(2, sample_count=500, seed=7)
     assert r.passed
     assert r.mode == "sampled"
     assert r.seed == 7
@@ -279,8 +315,8 @@ def test_verify_sampled():
 
 
 def test_verify_sampled_is_seed_deterministic():
-    a = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
-    b = verify(3, mode="sampled", sample_count=200, seed=11).to_dict()
+    a = verify(3, sample_count=200, seed=11).to_dict()
+    b = verify(3, sample_count=200, seed=11).to_dict()
     for timing in ("elapsed", "phases"):
         del a[timing], b[timing]
     assert a == b
@@ -291,7 +327,7 @@ def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
     calls = []
     real = poset.oracle_length
     monkeypatch.setattr(poset, "oracle_length", lambda x: calls.append(x) or real(x))
-    assert verify(5, "sampled", sample_count=1000).passed
+    assert verify(5, sample_count=1000).passed
     assert len(calls) == len(set(calls)) == 1546
 
 
@@ -301,7 +337,7 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     monkeypatch.setattr(
         poset, "_moves", lambda a: calls.append(a) or [(y, False) for y, _ in real(a)]
     )
-    report = verify(6, "sampled", sample_count=1)
+    report = verify(6, sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
     # every element but the top has a cover whose flag the stub clears
     assert len(report.cover_mismatches) == 13326
@@ -332,6 +368,8 @@ FAULTS = {
     ]),
     "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
 }
+# Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
+CAMPAIGNS = [pytest.param(None, id="exhaustive"), pytest.param(5000, id="sampled")]
 FIRST_ENTRY = {
     "mismatches": ["0,0,0", "3,2,1", False, True],
     "cover_mismatches": ["0,0,0", [], ["0,0,1"]],
@@ -339,38 +377,38 @@ FIRST_ENTRY = {
 }
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("sample_count", CAMPAIGNS)
 @pytest.mark.parametrize("target", MISMATCH_LISTS)
-def test_verify_routes_each_fault_to_its_own_list(monkeypatch, mode, target):
+def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, target):
     name, fault = FAULTS[target]
     monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
-    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == [target]
     assert report["passed"] is False
     if target in FIRST_ENTRY:
         assert report[target][0] == FIRST_ENTRY[target]
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, mode):
+@pytest.mark.parametrize("sample_count", CAMPAIGNS)
+def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, sample_count):
     real = poset.deodhar_leq
     monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: not real(x, y))
-    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
     # the per-pair test runs on every stride-th pair of the stream, and only there
     stride = report["pairs_checked"] // 200
     spot_checks = len(range(0, report["pairs_checked"], stride))
     assert report["mismatch_count"] == len(report["mismatches"]) == spot_checks
-    if mode == "exhaustive":
+    if sample_count is None:
         assert report["mismatches"][0] == ["0,0,0", "0,0,0", False, True]
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, mode):
+@pytest.mark.parametrize("sample_count", CAMPAIGNS)
+def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, sample_count):
     # No order route reads a length, so one wrong length is the oracle's alone.
     real = poset.length
     monkeypatch.setattr(poset, "length", lambda x: 10 if x == ZERO3 else real(x))
-    report = verify(3, mode, sample_count=5000, seed=0).to_dict()
+    report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["oracle_mismatches"]
     assert report["oracle_mismatches"][0] == ["0,0,0", 10, 0]
     assert report["relation_size"] == 441
@@ -378,7 +416,7 @@ def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, mode):
 
 def test_verify_reports_relation_size_and_phases():
     r4 = verify(4)
-    r5 = verify(5, "sampled", sample_count=1)
+    r5 = verify(5, sample_count=1)
     assert (r4.relation_size, r5.relation_size) == (12301, 509662)
     for report in (r4, r5):
         assert list(report.phases) == [
@@ -427,13 +465,13 @@ def test_containment_rows_of_r5_hold_the_relation():
 
 def test_verify_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        verify(7, mode="exhaustive")
+        verify(7)
     with pytest.raises(ValueError):
-        verify(2, mode="spot")
+        verify(7, sample_count=1)
     with pytest.raises(ValueError):
         verify(0)
     with pytest.raises(ValueError):
-        verify(2, mode="sampled", sample_count=0)
+        verify(2, sample_count=0)
 
 
 def test_report_shape():
