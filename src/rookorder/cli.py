@@ -18,8 +18,8 @@ from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 # Size caps, each checked before any work runs; above one the command
-# exits 1.  The per-pair move search in cmp takes about 15 s and 248 MB
-# in the worst case at n = 7 and does not finish at n >= 8.
+# exits 1.  The per-pair move search in cmp is slowest at n = 7 on false
+# pairs such as 0,0,0,0,7,0,0 against 6,5,4,3,2,7,1: 3.1-4.1 s and 60 MB.
 CMP_MAX_N = 7
 # covers of the zero element (n*n raises): 0.6 s and 80 MB at n = 200.
 COVERS_MAX_N = 200

@@ -14,13 +14,19 @@ One private kernel on entry tuples, _moves, lists every single move
 together with whether it is a cover, testing each with the one tuple
 helper of its type that the two predicates also call.  ppr_raises,
 covers_of, the search's successor cache and the diagram and verify code
-in poset all read it; OneLine is built only for values returned.  Every
-move climbs in lexicographic order (see _moves), so the search walks in
-that order and reads no length.
+in poset all read it; OneLine is built only for values returned.
+
+ppr_leq meets in the middle: a breadth-first search climbs from x by
+the moves (_successors) and another descends from y by their inverses
+(_predecessors), one level of the smaller frontier at a time.  Two
+potentials, both read off the moves, prune it: every move climbs in
+lexicographic order (see _moves) and none lowers the entry sum, so a
+node outside the lexicographic and the sum range between x and y lies
+on no path.  The search reads no length.  The two neighbour caches
+share one tuple per element.
 """
 
 from bisect import insort
-from collections import deque
 from functools import lru_cache
 from typing import Sequence
 
@@ -132,35 +138,82 @@ def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
     return all(v < a[i] or v > a[j] for v in a[i + 1:j])
 
 
+# One shared tuple per element for both neighbour caches, so that an
+# element listed by many entries is held once.
+_shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def _successors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(y for y, _ in _moves(entries))
+    return tuple(_shared.setdefault(z, z) for z, _ in _moves(entries))
+
+
+@lru_cache(maxsize=None)
+def _predecessors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every z with entries among its single moves, the inverse of _moves:
+    each nonzero entry lowered to 0 or to a smaller unused value, then
+    each descending pair of positions exchanged.  Pairwise distinct."""
+    a = entries
+    n = len(a)
+    out = []
+    for i in range(n):
+        for c in range(a[i]):
+            if c == 0 or c not in a:
+                out.append(a[:i] + (c,) + a[i + 1:])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] > a[j]:
+                out.append(a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:])
+    return tuple(_shared.setdefault(z, z) for z in out)
 
 
 def ppr_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by reachability of y from x under generator moves.
 
-    Breadth-first closure over the moves with a visited set, pruned by
-    the lexicographic bound alone: every move yields a lexicographically
-    larger tuple, so no element at or past y in that order, other than y
-    itself, can sit on a path to y.  No containment logic is consulted.
+    Bidirectional breadth-first search: x's side climbs by the moves
+    (_successors), y's side descends by their inverses (_predecessors),
+    and each step expands the smaller of the two frontiers by one level.
+    The answer is True as soon as one side generates an element the other
+    has seen, and False once either frontier is empty.
+
+    Two potentials, both read off the moves, prune every node that cannot
+    lie on a path from x to y.  Every move yields a lexicographically
+    larger tuple, so x's side keeps only nodes below y and y's side only
+    nodes above x.  A raise adds b - a_i > 0 to the entry sum and a swap
+    keeps it, so x <= y needs sum(x) <= sum(y), x's side keeps only nodes
+    with sum at most sum(y) and y's side only nodes with sum at least
+    sum(x).  No containment logic and no length is consulted.
     """
     _check_same_n(x, y)
-    target = y.entries
-    if x.entries == target:
+    source, target = x.entries, y.entries
+    if source == target:
         return True
-    if x.entries > target:
+    low, high = sum(source), sum(target)
+    if source > target or low > high:
         return False
-    seen = {x.entries}
-    queue = deque((x.entries,))
-    while queue:
-        current = queue.popleft()
-        for nxt in _successors(current):
-            if nxt == target:
-                return True
-            if nxt < target and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    forward, backward = {source}, {target}
+    ahead, behind = [source], [target]
+    while ahead and behind:
+        if len(ahead) <= len(behind):
+            level = []
+            for current in ahead:
+                for z in _successors(current):
+                    if z in backward:
+                        return True
+                    if z < target and z not in forward and sum(z) <= high:
+                        forward.add(z)
+                        level.append(z)
+            ahead = level
+        else:
+            level = []
+            for current in behind:
+                for z in _predecessors(current):
+                    if z in forward:
+                        return True
+                    if z > source and z not in backward and sum(z) >= low:
+                        backward.add(z)
+                        level.append(z)
+            behind = level
     return False
 
 

@@ -299,15 +299,16 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
 
     pairs_checked = count * count if exhaustive else sample_count
     stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
+    # Bit j of diff[i] says the two relations disagree on the pair (i, j).
+    diff = [row ^ reach for row, reach in zip(containment, closure)]
     if exhaustive:
         spot = [divmod(t, count) for t in range(0, pairs_checked, stride)]
-        for i, (row, reach) in enumerate(zip(containment, closure)):
-            diff = row ^ reach
-            mismatch_count += diff.bit_count()
-            while diff and len(mismatches) < _MISMATCH_LIMIT:
-                j = (diff & -diff).bit_length() - 1
-                note(i, j, row >> j & 1, reach >> j & 1)
-                diff &= diff - 1
+        for i, bits in enumerate(diff):
+            mismatch_count += bits.bit_count()
+            while bits and len(mismatches) < _MISMATCH_LIMIT:
+                j = (bits & -bits).bit_length() - 1
+                note(i, j, containment[i] >> j & 1, closure[i] >> j & 1)
+                bits &= bits - 1
     else:
         spot = []
         draw, space = random.Random(seed).randrange, count * count
@@ -315,10 +316,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
             i, j = divmod(draw(space), count)
             if t % stride == 0:
                 spot.append((i, j))
-            d, p = containment[i] >> j & 1, closure[i] >> j & 1
-            if d != p:
+            if diff[i] >> j & 1:
                 mismatch_count += 1
-                note(i, j, d, p)
+                note(i, j, containment[i] >> j & 1, closure[i] >> j & 1)
     marks.append(time.perf_counter())
 
     search_mismatches = []

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from rookorder import (
     ppr_leq,
     ppr_raises,
 )
-from rookorder.order import _moves, deodhar_leq_vectors
+from rookorder.order import _moves, _predecessors, deodhar_leq_vectors
 
 from helpers import (
     brute_cover_sets,
@@ -133,6 +134,51 @@ def test_ppr_agrees_with_deodhar_exhaustively(n):
     for x in els:
         for y in els:
             assert ppr_leq(x, y) == deodhar_leq(x, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_predecessors_invert_the_move_kernel(n):
+    below = {x.entries: set() for x in elements_of(n)}
+    for x in elements_of(n):
+        for y, _ in _moves(x.entries):
+            below[y].add(x.entries)
+    for y, expected in below.items():
+        found = _predecessors(y)
+        assert len(set(found)) == len(found)
+        assert set(found) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moves_never_lower_the_entry_sum(n):
+    # the sum potential of the search: a swap keeps it, a raise adds to it
+    for x in elements_of(n):
+        a = x.entries
+        for b, _ in _moves(a):
+            changed = sum(1 for u, v in zip(a, b) if u != v)
+            assert changed in (1, 2)
+            if changed == 2:
+                assert sum(b) == sum(a)
+            else:
+                assert sum(b) > sum(a)
+
+
+def test_ppr_agrees_with_deodhar_on_length_stratified_r6_pairs():
+    # one seeded pair per cell (a, b) of lengths with a <= b: 703 pairs,
+    # 487 of them comparable
+    levels = {}
+    for x in elements_of(6):
+        levels.setdefault(length(x), []).append(x)
+    rng = random.Random(6)
+    answers = []
+    for a in sorted(levels):
+        for b in sorted(levels):
+            if a <= b:
+                x, y = rng.choice(levels[a]), rng.choice(levels[b])
+                d = deodhar_leq(x, y)
+                assert ppr_leq(x, y) == d, (x, y)
+                answers.append(d)
+    assert len(answers) >= 500
+    assert True in answers and False in answers
 
 
 def test_cover_type1_examples():
