@@ -18,16 +18,21 @@ in poset all read it; OneLine is built only for values returned.
 
 ppr_leq meets in the middle: a breadth-first search climbs from x by
 the moves (_successors) and another descends from y by their inverses
-(_predecessors), one level of the smaller frontier at a time.  Two
-potentials, both read off the moves, prune it: every move climbs in
-lexicographic order (see _moves) and none lowers the entry sum, so a
-node outside the lexicographic and the sum range between x and y lies
-on no path.  The search reads no length.  The two neighbour caches
-share one tuple per element.
+(_predecessors), one level of the smaller frontier at a time.  Every
+move climbs in lexicographic order and lowers no prefix sum (see
+_moves), and three prunes follow.  Lexicographic: x after y is refused,
+and each side keeps only nodes strictly between x and y.  Prefix sums:
+a pair with some prefix sum of x above the same prefix sum of y is
+refused before either side expands.  Entry sum, the last prefix sum:
+each side keeps only nodes whose sum lies between sum(x) and sum(y).
+The search reads no length.  The two neighbour caches share one tuple
+per element.
 """
 
 from bisect import insort
 from functools import lru_cache
+from itertools import accumulate
+from operator import le
 from typing import Sequence
 
 from .elements import OneLine
@@ -81,17 +86,25 @@ def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
 
     For each truncation length k and each nonzero entry a of the prefix
     x(k), the prefix y(k) must hold at least as many entries >= a as x(k)
-    does.  Counting entries >= a as gamma_count(..., a - 1) makes the
-    condition exactly equivalent to containment of the sorted prefixes,
-    so this must agree with deodhar_leq on every pair.
+    does: gamma_count(y(k), a - 1) >= gamma_count(x(k), a - 1).  That is
+    exactly containment of the sorted prefixes, so this must agree with
+    deodhar_leq on every pair.  The counts of entries >= t are kept per
+    threshold t and updated as each entry of the two prefixes arrives,
+    so the whole test runs in O(n^2).
     """
     _check_same_n(x, y)
-    a, b = x.entries, y.entries
-    for k in range(1, x.n + 1):
-        xk = a[:k]
-        yk = b[:k]
-        for v in xk:
-            if v and gamma_count(xk, v - 1) > gamma_count(yk, v - 1):
+    at_least_x = [0] * (x.n + 1)
+    at_least_y = [0] * (x.n + 1)
+    seen = []
+    for u, v in zip(x.entries, y.entries):
+        for t in range(1, u + 1):
+            at_least_x[t] += 1
+        for t in range(1, v + 1):
+            at_least_y[t] += 1
+        if u:
+            seen.append(u)
+        for t in seen:
+            if at_least_x[t] > at_least_y[t]:
                 return False
     return True
 
@@ -113,6 +126,11 @@ def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
     Each move puts a larger value at the first position it changes, so
     every result is lexicographically larger than a: lexicographic order
     is a linear extension of the order.
+
+    No move lowers a prefix sum S_k = a_1 + ... + a_k.  Raising position
+    i by d adds d to S_k for every k >= i; swapping i < j with a_i < a_j
+    adds a_j - a_i to S_k for i <= k < j and leaves the others alone.  So
+    x <= y needs every prefix sum of x to be at most that of y.
     """
     n = len(a)
     out = []
@@ -176,21 +194,23 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     The answer is True as soon as one side generates an element the other
     has seen, and False once either frontier is empty.
 
-    Two potentials, both read off the moves, prune every node that cannot
-    lie on a path from x to y.  Every move yields a lexicographically
-    larger tuple, so x's side keeps only nodes below y and y's side only
-    nodes above x.  A raise adds b - a_i > 0 to the entry sum and a swap
-    keeps it, so x <= y needs sum(x) <= sum(y), x's side keeps only nodes
-    with sum at most sum(y) and y's side only nodes with sum at least
-    sum(x).  No containment logic and no length is consulted.
+    Two potentials, both read off the moves (see _moves), give three
+    prunes.  Every move yields a lexicographically larger tuple and
+    lowers no prefix sum, so x > y lexicographically, or any prefix sum
+    of x above the same prefix sum of y, answers False before the search.
+    In the search, x's side keeps only nodes below y and y's side only
+    nodes above x.  The entry sum is the last prefix sum, so x's side
+    also keeps only nodes with sum at most sum(y) and y's side only
+    nodes with sum at least sum(x).  No containment logic and no length
+    is consulted.
     """
     _check_same_n(x, y)
     source, target = x.entries, y.entries
     if source == target:
         return True
-    low, high = sum(source), sum(target)
-    if source > target or low > high:
+    if source > target or not all(map(le, accumulate(source), accumulate(target))):
         return False
+    low, high = sum(source), sum(target)
     forward, backward = {source}, {target}
     ahead, behind = [source], [target]
     while ahead and behind:

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from rookorder import (
     ppr_leq,
     ppr_raises,
 )
+from rookorder import order
 from rookorder.order import _moves, _predecessors, deodhar_leq_vectors
 
 from helpers import (
@@ -150,16 +151,54 @@ def test_predecessors_invert_the_move_kernel(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_moves_never_lower_the_entry_sum(n):
-    # the sum potential of the search: a swap keeps it, a raise adds to it
+    # the sum potential of the search: a swap keeps it, a raise adds to it;
+    # and every prefix sum, of which the entry sum is the last, rises by
+    # exactly the move's step over the prefixes that hold the change
     for x in elements_of(n):
         a = x.entries
         for b, _ in _moves(a):
-            changed = sum(1 for u, v in zip(a, b) if u != v)
+            diff = [p for p in range(n) if a[p] != b[p]]
+            changed = len(diff)
             assert changed in (1, 2)
             if changed == 2:
                 assert sum(b) == sum(a)
+                i, j = diff
+                step, rises = b[i] - a[i], range(i, j)
             else:
                 assert sum(b) > sum(a)
+                (i,) = diff
+                step, rises = b[i] - a[i], range(i, n)
+            assert step > 0
+            for k, (s, t) in enumerate(zip(accumulate(a), accumulate(b))):
+                assert t - s == (step if k in rises else 0)
+
+
+def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
+    # lexicographically below and with the smaller entry sum, but the
+    # second prefix sum of x is 3 against 1: no side may expand
+    def expand(entries):
+        raise AssertionError("the search expanded a node")
+
+    monkeypatch.setattr(order, "_successors", expand)
+    monkeypatch.setattr(order, "_predecessors", expand)
+    assert not ppr_leq(OneLine((0, 3, 0)), OneLine((1, 0, 3)))
+
+
+def test_search_refuses_the_false_pairs_that_pass_both_entry_tests():
+    # the pairs the entry tests cannot refute still reach the search, so
+    # its own False path is exercised on each of them
+    els = elements_of(4)
+    rows = deodhar_matrix(4)
+    admitted = 0
+    for i, x in enumerate(els):
+        for j, y in enumerate(els):
+            a, b = x.entries, y.entries
+            if rows[i] >> j & 1 or a > b:
+                continue
+            if all(s <= t for s, t in zip(accumulate(a), accumulate(b))):
+                admitted += 1
+                assert not ppr_leq(x, y), (x, y)
+    assert admitted == 1792
 
 
 def test_ppr_agrees_with_deodhar_on_length_stratified_r6_pairs():
