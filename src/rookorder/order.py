@@ -10,23 +10,24 @@ comparison logic; the verification harness checks that they agree.
 is_cover_type1 and is_cover_type2 certify covering relations (edges of
 the Hasse diagram) directly from the entries of the two elements.
 
-One private kernel on entry tuples, _moves, lists every single move
-together with whether it is a cover, testing each with the one tuple
-helper of its type that the two predicates also call.  ppr_raises,
-covers_of, the search's successor cache and the diagram and verify code
-in poset all read it; OneLine is built only for values returned.
+One private kernel on entry tuples, _steps, generates every single
+move.  _moves pairs each with whether it is a cover, testing it with
+the one tuple helper of its type that the two predicates also call;
+ppr_raises, covers_of and the diagram and verify code in poset read
+_moves, while the search's successor cache reads _steps and decides no
+cover.  OneLine is built only for values returned.
 
 ppr_leq meets in the middle: a breadth-first search climbs from x by
 the moves (_successors) and another descends from y by their inverses
 (_predecessors), one level of the smaller frontier at a time.  Every
 move climbs in lexicographic order and lowers no prefix sum (see
-_moves), and three prunes follow.  Lexicographic: x after y is refused,
-and each side keeps only nodes strictly between x and y.  Prefix sums:
-a pair with some prefix sum of x above the same prefix sum of y is
-refused before either side expands.  Entry sum, the last prefix sum:
-each side keeps only nodes whose sum lies between sum(x) and sum(y).
-The search reads no length.  The two neighbour caches share one tuple
-per element.
+_steps), so each of the two potentials prunes twice.  Lexicographic:
+x after y is refused, and each side keeps only nodes strictly between
+x and y.  Prefix sums: a pair with some prefix sum of x above the same
+prefix sum of y is refused before either side expands, x's side keeps
+only nodes with no prefix sum above y's, and y's side only nodes with
+no prefix sum below x's.  The search reads no length.  The two
+neighbour caches share one tuple per element.
 """
 
 from bisect import insort
@@ -119,9 +120,11 @@ def ppr_raises(x: OneLine) -> list[OneLine]:
     return [OneLine(y) for y, _ in _moves(x.entries)]
 
 
-def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+def _steps(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int | None]]:
     """Every single generator move on the entries a, in ppr_raises order,
-    each paired with whether it is a cover: the one place both are decided.
+    as (result, i, j): a raise of position i has j None, a swap of
+    positions i < j has j.  The one place the moves are generated; no
+    cover is decided here, so the search's successor cache pays for none.
 
     Each move puts a larger value at the first position it changes, so
     every result is lexicographically larger than a: lexicographic order
@@ -137,13 +140,21 @@ def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
     for i in range(n):
         for b in range(a[i] + 1, n + 1):
             if b not in a:
-                out.append((a[:i] + (b,) + a[i + 1:], _raise_is_cover(a, i, b)))
+                out.append((a[:i] + (b,) + a[i + 1:], i, None))
     for i in range(n):
         for j in range(i + 1, n):
             if a[i] < a[j]:
-                swapped = a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:]
-                out.append((swapped, _swap_is_cover(a, i, j)))
+                out.append((a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:], i, j))
     return out
+
+
+def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every single generator move on the entries a (see _steps), each
+    paired with whether it is a cover: the one place both are decided."""
+    return [
+        (z, _raise_is_cover(a, i, z[i]) if j is None else _swap_is_cover(a, i, j))
+        for z, i, j in _steps(a)
+    ]
 
 
 def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
@@ -163,7 +174,7 @@ _shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _successors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(_shared.setdefault(z, z) for z, _ in _moves(entries))
+    return tuple(_shared.setdefault(z, z) for z, _, _ in _steps(entries))
 
 
 @lru_cache(maxsize=None)
@@ -194,23 +205,23 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     The answer is True as soon as one side generates an element the other
     has seen, and False once either frontier is empty.
 
-    Two potentials, both read off the moves (see _moves), give three
-    prunes.  Every move yields a lexicographically larger tuple and
-    lowers no prefix sum, so x > y lexicographically, or any prefix sum
-    of x above the same prefix sum of y, answers False before the search.
-    In the search, x's side keeps only nodes below y and y's side only
-    nodes above x.  The entry sum is the last prefix sum, so x's side
-    also keeps only nodes with sum at most sum(y) and y's side only
-    nodes with sum at least sum(x).  No containment logic and no length
-    is consulted.
+    Two potentials, both read off the moves (see _steps), prune every
+    node that cannot lie on a path from x to y.  Every move yields a
+    lexicographically larger tuple and lowers no prefix sum, so x > y
+    lexicographically, or any prefix sum of x above the same prefix sum
+    of y, answers False before the search.  In the search, x's side keeps
+    only nodes below y whose prefix sums are all at most y's, and y's
+    side only nodes above x whose prefix sums are all at least x's.  The
+    prefix sums of a node are recomputed where it is generated, not
+    stored.  No containment logic and no length is consulted.
     """
     _check_same_n(x, y)
     source, target = x.entries, y.entries
     if source == target:
         return True
-    if source > target or not all(map(le, accumulate(source), accumulate(target))):
+    floor, ceiling = list(accumulate(source)), list(accumulate(target))
+    if source > target or not all(map(le, floor, ceiling)):
         return False
-    low, high = sum(source), sum(target)
     forward, backward = {source}, {target}
     ahead, behind = [source], [target]
     while ahead and behind:
@@ -220,7 +231,7 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
                 for z in _successors(current):
                     if z in backward:
                         return True
-                    if z < target and z not in forward and sum(z) <= high:
+                    if z < target and z not in forward and all(map(le, accumulate(z), ceiling)):
                         forward.add(z)
                         level.append(z)
             ahead = level
@@ -230,7 +241,7 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
                 for z in _predecessors(current):
                     if z in forward:
                         return True
-                    if z > source and z not in backward and sum(z) >= low:
+                    if z > source and z not in backward and all(map(le, floor, accumulate(z))):
                         backward.add(z)
                         level.append(z)
             behind = level

@@ -151,9 +151,10 @@ def test_predecessors_invert_the_move_kernel(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_moves_never_lower_the_entry_sum(n):
-    # the sum potential of the search: a swap keeps it, a raise adds to it;
-    # and every prefix sum, of which the entry sum is the last, rises by
-    # exactly the move's step over the prefixes that hold the change
+    # the prefix-sum potential of the search: a swap keeps the entry sum,
+    # a raise adds to it, and every prefix sum, of which the entry sum is
+    # the last, rises by exactly the move's step over the prefixes that
+    # hold the change
     for x in elements_of(n):
         a = x.entries
         for b, _ in _moves(a):
@@ -182,6 +183,28 @@ def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
     monkeypatch.setattr(order, "_successors", expand)
     monkeypatch.setattr(order, "_predecessors", expand)
     assert not ppr_leq(OneLine((0, 3, 0)), OneLine((1, 0, 3)))
+
+
+@pytest.mark.parametrize("x, y", [
+    # x's side: its one successor below y, 0,3,0, has entry sum 3 = sum(y)
+    # but second prefix sum 3 against 1
+    ((0, 0, 3), (1, 0, 2)),
+    # y's side: after x's side keeps two nodes, y's one predecessor above
+    # x, 0,2,0,4, has entry sum 6 = sum(x) but third prefix sum 2 against 3
+    ((0, 1, 2, 3), (0, 2, 4, 0)),
+])
+def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
+    # every node the entry sum alone would keep is refused by a prefix sum,
+    # so the search ends after expanding x and y and nothing else
+    def only(kernel, start):
+        def expand(entries):
+            assert entries == start, f"the search expanded {entries}"
+            return kernel(entries)
+        return expand
+
+    monkeypatch.setattr(order, "_successors", only(order._successors, x))
+    monkeypatch.setattr(order, "_predecessors", only(order._predecessors, y))
+    assert not ppr_leq(OneLine(x), OneLine(y))
 
 
 def test_search_refuses_the_false_pairs_that_pass_both_entry_tests():
