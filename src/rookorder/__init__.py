@@ -36,7 +36,6 @@ from .order import (
     deodhar_leq,
     deodhar_leq_gamma,
     deodhar_leq_vectors,
-    gamma_count,
     is_cover_type1,
     is_cover_type2,
     ppr_leq,

@@ -19,7 +19,9 @@ USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 # Size caps, each checked before any work runs; above one the command
 # exits 1.  The per-pair move search in cmp is slowest at n = 7 on false
-# pairs such as 0,0,0,0,7,0,0 against 6,5,4,3,2,7,1: 1.7-2.8 s and 55 MB.
+# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.9-2.2 s and 41 MB.
+# The slowest true pair found, 0,0,0,0,0,3,0 against 7,0,6,1,5,3,4, takes
+# 1.0-1.3 s.
 CMP_MAX_N = 7
 # covers of the zero element (n*n raises): 0.6 s and 80 MB at n = 200.
 COVERS_MAX_N = 200
