@@ -1,21 +1,19 @@
 """Rook monoid under the Bruhat-Chevalley order.
 
-The package provides the monoid arithmetic, the combinatorial length
-function, two independent implementations of the order (sorted-truncation
-containment and generator-move closure), covering-relation predicates, an
-exact integer linear-algebra oracle for orbit dimensions, Hasse-diagram
-tooling, and one verification campaign (verify) that cross-checks all of
-them against each other on whole monoids, exhaustively or on a seeded
-sample of pairs.
+The package provides rook elements (parsing, rank, matrix form and
+enumeration), the combinatorial length function, two independent
+implementations of the order (sorted-truncation containment and
+generator-move closure), the covers of an element, an exact integer
+linear-algebra oracle for orbit dimensions, Hasse-diagram tooling, and
+one verification campaign (verify) that cross-checks all of them against
+each other on whole monoids, exhaustively or on a seeded sample of
+pairs.
 """
 
 from .elements import (
     OneLine,
     RookMatrix,
     enumerate_elements,
-    from_matrix,
-    is_permutation,
-    multiply,
     parse_one_line,
     rank,
     to_matrix,
@@ -35,9 +33,6 @@ from .order import (
     covers_of,
     deodhar_leq,
     deodhar_leq_gamma,
-    deodhar_leq_vectors,
-    is_cover_type1,
-    is_cover_type2,
     ppr_leq,
     ppr_raises,
 )

@@ -1,4 +1,4 @@
-"""Rook-monoid elements and their basic arithmetic.
+"""Rook-monoid elements: parsing, validation, rank and enumeration.
 
 An element of the rook monoid R_n is an n-by-n matrix of zeros and ones
 with at most one 1 in every row and every column.  Column j is recorded
@@ -13,8 +13,8 @@ throughout this package; n is always the vector length.
 2
 >>> to_matrix(x).cells[2]
 (1, 0, 0, 0)
->>> str(multiply(x, x))
-'4,0,0,0'
+>>> [str(e) for e in enumerate_elements(1)]
+['0', '1']
 """
 
 from dataclasses import dataclass
@@ -24,11 +24,8 @@ __all__ = [
     "OneLine",
     "RookMatrix",
     "parse_one_line",
-    "from_matrix",
     "to_matrix",
-    "multiply",
     "rank",
-    "is_permutation",
     "enumerate_elements",
 ]
 
@@ -109,21 +106,8 @@ def parse_one_line(text: str) -> OneLine:
     return OneLine(tuple(int(t) for t in tokens))
 
 
-def from_matrix(m: RookMatrix) -> OneLine:
-    """Read the column values off a 0-1 matrix."""
-    entries = []
-    for j in range(m.n):
-        hit = 0
-        for i in range(m.n):
-            if m.cells[i][j]:
-                hit = i + 1
-                break
-        entries.append(hit)
-    return OneLine(tuple(entries))
-
-
 def to_matrix(x: OneLine) -> RookMatrix:
-    """Inverse of from_matrix."""
+    """The 0-1 matrix of x: a 1 in row x_j of column j for every nonzero x_j."""
     n = x.n
     rows = [[0] * n for _ in range(n)]
     for j, a in enumerate(x.entries):
@@ -132,25 +116,9 @@ def to_matrix(x: OneLine) -> RookMatrix:
     return RookMatrix(tuple(tuple(r) for r in rows))
 
 
-def multiply(x: OneLine, y: OneLine) -> OneLine:
-    """Monoid product; agrees with the matrix product to_matrix(x) * to_matrix(y).
-
-    Column j of the product is column y_j of x when y_j is nonzero, and
-    empty otherwise.
-    """
-    if x.n != y.n:
-        raise ValueError(f"size mismatch: {x.n} vs {y.n}")
-    return OneLine(tuple(x.entries[b - 1] if b else 0 for b in y.entries))
-
-
 def rank(x: OneLine) -> int:
     """Number of ones in the matrix, i.e. of nonzero columns."""
     return sum(1 for a in x.entries if a)
-
-
-def is_permutation(x: OneLine) -> bool:
-    """True when every column is occupied, so the element is invertible."""
-    return rank(x) == x.n
 
 
 def enumerate_elements(n: int) -> Iterator[OneLine]:

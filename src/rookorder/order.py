@@ -7,15 +7,13 @@ moves: raising one entry to a larger unused value, and exchanging a
 smaller entry with a larger one to its right.  The two routes share no
 comparison logic; the verification harness checks that they agree.
 
-is_cover_type1 and is_cover_type2 certify covering relations (edges of
-the Hasse diagram) directly from the entries of the two elements.
-
 One private kernel on entry tuples, _steps, generates every single
-move.  _moves pairs each with whether it is a cover, testing it with
-the one tuple helper of its type that the two predicates also call;
-covers_of and the diagram and verify code in poset read _moves, while
-ppr_raises and the search's successor cache read _steps and decide no
-cover.  OneLine is built only for values returned.
+move.  _moves pairs each with whether it is a cover (an edge of the
+Hasse diagram), the one place a cover is decided: a raise by the
+condition _raise_is_cover, a swap by _swap_is_cover, both read off the
+entries of x alone.  covers_of and the diagram and verify code in poset
+read _moves, while ppr_raises and the search's successor cache read
+_steps and decide no cover.  OneLine is built only for values returned.
 
 ppr_leq searches depth first from x by the moves (_successors).  Every
 move climbs in lexicographic order and lowers no prefix sum (see
@@ -30,46 +28,37 @@ from bisect import insort
 from functools import lru_cache
 from itertools import accumulate
 from operator import le
-from typing import Sequence
 
 from .elements import OneLine
 
 __all__ = [
-    "deodhar_leq_vectors",
     "deodhar_leq",
     "deodhar_leq_gamma",
     "ppr_raises",
     "ppr_leq",
-    "is_cover_type1",
-    "is_cover_type2",
     "covers_of",
 ]
 
 
-def deodhar_leq_vectors(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Containment of every pair of same-length sorted truncations.
+def deodhar_leq(x: OneLine, y: OneLine) -> bool:
+    """Order test by containment of every pair of same-length sorted
+    truncations.
 
     The sorted prefixes grow by insertion, so the whole test runs in
     O(n^2); the first failing truncation exits early.  Comparing the
     ascending prefixes componentwise is the same as comparing the
     non-increasing ones.
     """
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+    _check_same_n(x, y)
     xs: list[int] = []
     ys: list[int] = []
-    for u, v in zip(a, b):
+    for u, v in zip(x.entries, y.entries):
         insort(xs, u)
         insort(ys, v)
         for p, q in zip(xs, ys):
             if p > q:
                 return False
     return True
-
-
-def deodhar_leq(x: OneLine, y: OneLine) -> bool:
-    """Order test by containment of sorted truncations."""
-    return deodhar_leq_vectors(x.entries, y.entries)
 
 
 def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
@@ -148,12 +137,18 @@ def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
 
 
 def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
-    """Type 1: raising position i of a to the unused value b > a[i]."""
+    """Type 1: raising position i of a to the unused value b > a[i] is a
+    cover exactly when every value strictly between a[i] and b already
+    sits to the left of i and, when a[i] == 0, every entry to the right
+    of i exceeds b (so in particular no empty column remains after i)."""
     return set(range(a[i] + 1, b)) <= set(a[:i]) and (a[i] > 0 or all(t > b for t in a[i + 1:]))
 
 
 def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
-    """Type 2: swapping positions i < j of a, where a[i] < a[j]."""
+    """Type 2: swapping positions i < j of a, where a[i] < a[j], is a
+    cover exactly when no entry strictly between the two positions lies
+    in the closed value range [a[i], a[j]]; with a[i] == 0 that bars
+    intervening empty columns too."""
     return all(v < a[i] or v > a[j] for v in a[i + 1:j])
 
 
@@ -182,9 +177,10 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     lexicographically larger tuple and lowers no prefix sum, so x > y
     lexicographically, or any prefix sum of x above the same prefix sum
     of y, answers False before the search.  In the search, only nodes
-    below y whose prefix sums are all at most y's are kept.  The prefix
-    sums of a node are recomputed where it is generated, not stored.  No
-    containment logic and no length is consulted.
+    below y whose prefix sums are all at most y's are kept.  Every node
+    below y enters seen before its prefix sums are tested, so each node
+    is tested once, kept or refused; the sums are computed there, not
+    stored.  No containment logic and no length is consulted.
     """
     _check_same_n(x, y)
     source, target = x.entries, y.entries
@@ -199,52 +195,15 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
         for z in reversed(_successors(stack.pop())):
             if z == target:
                 return True
-            if z < target and z not in seen and all(map(le, accumulate(z), ceiling)):
+            if z < target and z not in seen:
                 seen.add(z)
-                stack.append(z)
+                if all(map(le, accumulate(z), ceiling)):
+                    stack.append(z)
     return False
 
 
-def is_cover_type1(x: OneLine, y: OneLine) -> bool:
-    """Covering test for a single raised entry.
-
-    Raising position i from a to b is a cover exactly when every value
-    strictly between a and b already sits to the left of position i and,
-    when a == 0, every entry to the right of position i exceeds b (so in
-    particular no empty column remains after i).  False whenever x and y
-    do not differ by exactly one raise.
-    """
-    if x.n != y.n:
-        return False
-    diff = [p for p in range(x.n) if x.entries[p] != y.entries[p]]
-    if len(diff) != 1:
-        return False
-    i = diff[0]
-    return y.entries[i] > x.entries[i] and _raise_is_cover(x.entries, i, y.entries[i])
-
-
-def is_cover_type2(x: OneLine, y: OneLine) -> bool:
-    """Covering test for one exchange.
-
-    Swapping positions i < j with a_i < a_j is a cover exactly when no
-    entry strictly between the two positions lies in the closed value
-    range [a_i, a_j]; with a_i == 0 that bars intervening empty columns
-    too.  False whenever x and y do not differ by exactly one ascending
-    exchange.
-    """
-    if x.n != y.n:
-        return False
-    diff = [p for p in range(x.n) if x.entries[p] != y.entries[p]]
-    if len(diff) != 2:
-        return False
-    i, j = diff
-    if x.entries[i] != y.entries[j] or x.entries[j] != y.entries[i]:
-        return False
-    return x.entries[i] < x.entries[j] and _swap_is_cover(x.entries, i, j)
-
-
 def covers_of(x: OneLine) -> list[OneLine]:
-    """All elements covering x, certified by the two covering predicates."""
+    """All elements covering x: the single moves of x that _moves flags."""
     return [OneLine(y) for y, cover in _moves(x.entries) if cover]
 
 

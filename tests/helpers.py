@@ -10,7 +10,7 @@ from math import comb, factorial
 
 from hypothesis import strategies as st
 
-from rookorder import OneLine, deodhar_leq, enumerate_elements, length, to_matrix
+from rookorder import OneLine, RookMatrix, enumerate_elements, length, to_matrix
 
 
 def closed_form_count(n: int) -> int:
@@ -34,6 +34,19 @@ def identity_el(n: int) -> OneLine:
 
 def reversal_el(n: int) -> OneLine:
     return OneLine(tuple(range(n, 0, -1)))
+
+
+def from_matrix(m: RookMatrix) -> OneLine:
+    """Read the column values off a 0-1 matrix: the inverse of to_matrix."""
+    entries = []
+    for j in range(m.n):
+        hit = 0
+        for i in range(m.n):
+            if m.cells[i][j]:
+                hit = i + 1
+                break
+        entries.append(hit)
+    return OneLine(tuple(entries))
 
 
 def matrix_product_01(a, b):
@@ -130,14 +143,30 @@ def classical_bruhat_leq(u: OneLine, w: OneLine) -> bool:
 @lru_cache(maxsize=None)
 def deodhar_matrix(n: int) -> tuple[int, ...]:
     """Bitset rows of the containment order: bit j of row i says
-    element i <= element j in lexicographic indexing."""
-    els = elements_of(n)
+    element i <= element j in lexicographic indexing.
+
+    x <= y when every sorted truncation of x is componentwise at most the
+    one of y.  The sorted truncations of each element are laid end to end
+    in one key, so x <= y is key(x) <= key(y) at every position p, and
+    the row of x is the AND over p of the elements whose key at p is at
+    least key(x)[p]."""
+    keys = [
+        tuple(v for k in range(1, n + 1) for v in sorted(x.entries[:k]))
+        for x in elements_of(n)
+    ]
+    at_least = []
+    for p in range(len(keys[0])):
+        by_value = [0] * (n + 2)
+        for j, key in enumerate(keys):
+            by_value[key[p]] |= 1 << j
+        for v in range(n, -1, -1):
+            by_value[v] |= by_value[v + 1]
+        at_least.append(by_value)
     rows = []
-    for x in els:
-        bits = 0
-        for j, y in enumerate(els):
-            if deodhar_leq(x, y):
-                bits |= 1 << j
+    for key in keys:
+        bits = (1 << len(keys)) - 1
+        for p, v in enumerate(key):
+            bits &= at_least[p][v]
         rows.append(bits)
     return tuple(rows)
 

@@ -6,9 +6,6 @@ from rookorder import (
     OneLine,
     RookMatrix,
     enumerate_elements,
-    from_matrix,
-    is_permutation,
-    multiply,
     parse_one_line,
     rank,
     to_matrix,
@@ -17,8 +14,8 @@ from rookorder import (
 from helpers import (
     closed_form_count,
     elements_of,
+    from_matrix,
     identity_el,
-    matrix_product_01,
     rook_elements,
     zero_el,
 )
@@ -96,60 +93,11 @@ def test_matrix_round_trip_exhaustive(n):
         assert from_matrix(to_matrix(x)) == x
 
 
-def test_multiply_hand_example():
-    x = parse_one_line("2,1")
-    assert multiply(x, x).entries == (1, 2)
-
-
-def test_multiply_identity_and_zero():
-    for n in (1, 2, 3):
-        e = identity_el(n)
-        z = zero_el(n)
-        for x in elements_of(n):
-            assert multiply(e, x) == x
-            assert multiply(x, e) == x
-            assert multiply(z, x) == z
-            assert multiply(x, z) == z
-
-
-def test_multiply_size_mismatch():
-    with pytest.raises(ValueError):
-        multiply(identity_el(2), identity_el(3))
-
-
-@given(rook_elements(max_n=4, n=4), rook_elements(max_n=4, n=4))
-def test_multiply_matches_matrix_product(x, y):
-    product = matrix_product_01(to_matrix(x).cells, to_matrix(y).cells)
-    assert to_matrix(multiply(x, y)).cells == product
-
-
-def test_multiply_associative_r2_exhaustive():
-    els = elements_of(2)
-    for x in els:
-        for y in els:
-            xy = multiply(x, y)
-            for z in els:
-                assert multiply(xy, z) == multiply(x, multiply(y, z))
-
-
-@given(rook_elements(n=3), rook_elements(n=3), rook_elements(n=3))
-def test_multiply_associative_r3(x, y, z):
-    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
-
-
-def test_products_stay_valid_r3_exhaustive():
-    els = elements_of(3)
-    for x in els:
-        for y in els:
-            multiply(x, y)  # OneLine validates on construction
-
-
 def test_rank_and_permutation():
     assert rank(parse_one_line("3,0,4,0")) == 2
     assert rank(zero_el(3)) == 0
     assert rank(identity_el(3)) == 3
-    assert is_permutation(parse_one_line("3,1,4,2"))
-    assert not is_permutation(parse_one_line("3,0,4,0"))
+    assert rank(parse_one_line("3,1,4,2")) == 4  # a permutation fills every column
 
 
 def test_enumeration_counts():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate, permutations
 
 import pytest
@@ -10,14 +11,12 @@ from rookorder import (
     covers_of,
     deodhar_leq,
     deodhar_leq_gamma,
-    is_cover_type1,
-    is_cover_type2,
     length,
     ppr_leq,
     ppr_raises,
 )
 from rookorder import order
-from rookorder.order import _moves, deodhar_leq_vectors
+from rookorder.order import _moves
 
 from helpers import (
     brute_cover_sets,
@@ -42,13 +41,6 @@ def test_deodhar_not_just_final_containment():
     # entry multisets are comparable, but the k = 1 truncation is not
     assert all(u <= v for u, v in zip(sorted((2, 0)), sorted((1, 2))))
     assert not deodhar_leq(OneLine((2, 0)), OneLine((1, 2)))
-
-
-def test_deodhar_vectors_handles_invalid_prefixes():
-    # truncations may exceed their own length bound; the comparison is on
-    # plain integer vectors
-    assert deodhar_leq_vectors((0, 3), (3, 0))
-    assert not deodhar_leq_vectors((3, 0), (0, 3))
 
 
 def test_gamma_variant_examples():
@@ -124,9 +116,10 @@ def test_ppr_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ppr_agrees_with_deodhar_exhaustively(n):
     els = elements_of(n)
-    for x in els:
-        for y in els:
-            assert ppr_leq(x, y) == deodhar_leq(x, y)
+    rows = deodhar_matrix(n)
+    for i, x in enumerate(els):
+        for j, y in enumerate(els):
+            assert ppr_leq(x, y) == deodhar_leq(x, y) == bool(rows[i] >> j & 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -200,6 +193,22 @@ def test_search_visits_successors_in_kernel_order(monkeypatch):
     assert len(expanded) <= 50
 
 
+def test_search_tests_each_node_once(monkeypatch):
+    # a node refused by its prefix sums is remembered too, so no node is
+    # prefix-tested twice however many nodes generate it; on this false
+    # pair a search that remembers only kept nodes tests one node 14 times
+    tested = Counter()
+
+    def counting(entries):
+        tested[entries] += 1
+        return accumulate(entries)
+
+    monkeypatch.setattr(order, "accumulate", counting)
+    assert not ppr_leq(OneLine((0, 0, 0, 0, 6, 0)), OneLine((5, 4, 3, 2, 1, 6)))
+    assert len(tested) > 1000
+    assert max(tested.values()) == 1
+
+
 def test_search_refuses_the_false_pairs_that_pass_both_entry_tests():
     # the pairs the entry tests cannot refute still reach the search, so
     # its own False path is exercised on each of them
@@ -236,29 +245,27 @@ def test_ppr_agrees_with_deodhar_on_length_stratified_r6_pairs():
     assert True in answers and False in answers
 
 
+def _is_cover_move(x: OneLine, y: OneLine) -> bool:
+    """Whether y covers x, for a y that arises from x by one move."""
+    assert y in ppr_raises(x)
+    return y in covers_of(x)
+
+
 def test_cover_type1_examples():
+    # raises of one entry
     x = OneLine((4, 0, 5, 0, 3, 1))
-    assert is_cover_type1(x, OneLine((4, 0, 5, 0, 6, 1)))  # 3 -> 6 via 4, 5 on the left
-    assert not is_cover_type1(x, OneLine((6, 0, 5, 0, 3, 1)))  # skips 5
-    assert is_cover_type1(OneLine((0, 0)), OneLine((0, 1)))
+    assert _is_cover_move(x, OneLine((4, 0, 5, 0, 6, 1)))  # 3 -> 6 via 4, 5 on the left
+    assert not _is_cover_move(x, OneLine((6, 0, 5, 0, 3, 1)))  # skips 5
+    assert _is_cover_move(OneLine((0, 0)), OneLine((0, 1)))
     # raising the first empty column is no cover: 0,1 sits between
-    assert not is_cover_type1(OneLine((0, 0)), OneLine((1, 0)))
-    # non-matching difference patterns
-    assert not is_cover_type1(x, x)
-    assert not is_cover_type1(OneLine((1, 2)), OneLine((2, 1)))
-    assert not is_cover_type1(OneLine((2, 0)), OneLine((1, 0)))
-    assert not is_cover_type1(OneLine((1, 0)), OneLine((1, 0, 0)))
+    assert not _is_cover_move(OneLine((0, 0)), OneLine((1, 0)))
 
 
 def test_cover_type2_examples():
-    assert is_cover_type2(OneLine((2, 6, 5, 0, 4, 1, 7)), OneLine((4, 6, 5, 0, 2, 1, 7)))
-    assert not is_cover_type2(OneLine((1, 2, 3)), OneLine((3, 2, 1)))
-    assert is_cover_type2(OneLine((0, 1)), OneLine((1, 0)))
-    # non-matching difference patterns
-    assert not is_cover_type2(OneLine((0, 1)), OneLine((0, 2)))
-    assert not is_cover_type2(OneLine((1, 2)), OneLine((1, 2)))
-    assert not is_cover_type2(OneLine((2, 1)), OneLine((1, 2)))  # descending swap
-    assert not is_cover_type2(OneLine((1, 0)), OneLine((1, 0, 0)))
+    # exchanges of a smaller entry with a larger one to its right
+    assert _is_cover_move(OneLine((2, 6, 5, 0, 4, 1, 7)), OneLine((4, 6, 5, 0, 2, 1, 7)))
+    assert not _is_cover_move(OneLine((1, 2, 3)), OneLine((3, 2, 1)))
+    assert _is_cover_move(OneLine((0, 1)), OneLine((1, 0)))
 
 
 def test_reversal_is_three_covers_above_identity_in_r3():
@@ -281,17 +288,16 @@ def test_cover_predicates_match_length_jump(x, data):
     if not moves:
         return
     y = data.draw(st.sampled_from(moves))
-    is_cover = is_cover_type1(x, y) or is_cover_type2(x, y)
-    assert is_cover == (length(y) == length(x) + 1)
+    assert (y in covers_of(x)) == (length(y) == length(x) + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_move_kernel_cover_flags_match_the_public_predicates(n):
-    for x in elements_of(n):
+    brute = brute_cover_sets(n)
+    for i, x in enumerate(elements_of(n)):
         for entries, cover in _moves(x.entries):
             assert entries > x.entries
-            y = OneLine(entries)
-            assert cover == (is_cover_type1(x, y) or is_cover_type2(x, y))
+            assert cover == (entries in brute[i])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -366,8 +372,11 @@ def test_prefix_and_suffix_stability(n):
         for y in els:
             if not deodhar_leq(x, y):
                 continue
+            # a prefix padded with empty columns is again an element of R_n,
+            # and the padding adds equal zeros to both sorted truncations
             for k in range(1, n + 1):
-                assert deodhar_leq_vectors(x.entries[:k], y.entries[:k])
+                pad = (0,) * (n - k)
+                assert deodhar_leq(OneLine(x.entries[:k] + pad), OneLine(y.entries[:k] + pad))
             for c in range(0, n + 2):
                 try:
                     xc = OneLine(x.entries + (c,))
