@@ -1,7 +1,8 @@
 """Rook monoid under the Bruhat-Chevalley order.
 
-The package provides rook elements (parsing, rank, matrix form and
-enumeration), the combinatorial length function, two independent
+The package provides rook elements (parsing, rank, matrix rows and
+enumeration), the combinatorial length function with its decomposition
+into star weights, coinversions and orbit dimensions, two independent
 implementations of the order (sorted-truncation containment and
 generator-move closure), the covers of an element, an exact integer
 linear-algebra oracle for orbit dimensions, Hasse-diagram tooling, and
@@ -12,7 +13,6 @@ pairs.
 
 from .elements import (
     OneLine,
-    RookMatrix,
     enumerate_elements,
     parse_one_line,
     rank,
@@ -21,12 +21,8 @@ from .elements import (
 from .length import (
     LengthBreakdown,
     coinversions,
-    dim_bx,
-    dim_meet,
-    dim_xb,
     length,
     length_breakdown,
-    star_weight,
 )
 from .oracle import MatrixSpan, left_span, meet_dim, oracle_length, right_span
 from .order import (

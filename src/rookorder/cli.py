@@ -10,7 +10,7 @@ import json
 import sys
 
 from .elements import enumerate_elements, parse_one_line, rank
-from .length import coinversions, length_breakdown
+from .length import coinversions, length, length_breakdown
 from .oracle import left_span, meet_dim, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
 from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
@@ -44,20 +44,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("len", help="length breakdown of one element")
     p.add_argument("element", help="one-line form, e.g. 4,0,2,3")
+    p.set_defaults(handler=_cmd_len)
 
     p = sub.add_parser("cmp", help="compare two elements under every order implementation")
     p.add_argument("x")
     p.add_argument("y")
+    p.set_defaults(handler=_cmd_cmp)
 
     p = sub.add_parser("covers", help="list the elements covering one element")
     p.add_argument("element")
+    p.set_defaults(handler=_cmd_covers)
 
     p = sub.add_parser("oracle", help="orbit dimensions from the exact linear-algebra oracle")
     p.add_argument("element")
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("hasse", help="emit the full order diagram of R_n")
     p.add_argument("n", type=int)
     p.add_argument("--format", choices=("dot", "json", "ranks"), default="dot")
+    p.set_defaults(handler=_cmd_hasse)
 
     p = sub.add_parser("verify", help="cross-check all implementations over R_n")
     p.add_argument("n", type=int)
@@ -65,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check K seeded random pairs instead of all pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="print the report as JSON")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("enum", help="list all elements of R_n, one per line")
     p.add_argument("n", type=int)
+    p.set_defaults(handler=_cmd_enum)
 
     return parser
 
@@ -79,23 +86,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
-        return _dispatch(args)
-    except (ValueError, IndexError) as exc:
+        return args.handler(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    handler = {
-        "len": _cmd_len,
-        "cmp": _cmd_cmp,
-        "covers": _cmd_covers,
-        "oracle": _cmd_oracle,
-        "hasse": _cmd_hasse,
-        "verify": _cmd_verify,
-        "enum": _cmd_enum,
-    }[args.command]
-    return handler(args)
 
 
 def _check_size(command: str, n: int, cap: int) -> None:
@@ -134,8 +128,8 @@ def _cmd_cmp(args) -> int:
     print(f"deodhar: {_verdict(d)}")
     print(f"gamma: {_verdict(g)}")
     print(f"ppr: {_verdict(p)}")
-    print(f"length_x: {length_breakdown(x).length}")
-    print(f"length_y: {length_breakdown(y).length}")
+    print(f"length_x: {length(x)}")
+    print(f"length_y: {length(y)}")
     if not d == g == p:
         print("implementations disagree", file=sys.stderr)
         return MISMATCH_ERROR

@@ -11,7 +11,7 @@ throughout this package; n is always the vector length.
 (3, 0, 4, 0)
 >>> rank(x)
 2
->>> to_matrix(x).cells[2]
+>>> to_matrix(x)[2]
 (1, 0, 0, 0)
 >>> [str(e) for e in enumerate_elements(1)]
 ['0', '1']
@@ -22,7 +22,6 @@ from typing import Iterator
 
 __all__ = [
     "OneLine",
-    "RookMatrix",
     "parse_one_line",
     "to_matrix",
     "rank",
@@ -61,30 +60,6 @@ class OneLine:
         return ",".join(map(str, self.entries))
 
 
-@dataclass(frozen=True)
-class RookMatrix:
-    """Square 0-1 matrix with at most one 1 per row and per column."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.cells)
-        if n == 0 or any(len(row) != n for row in self.cells):
-            raise ValueError("cells must form a nonempty square array")
-        for row in self.cells:
-            if any(v not in (0, 1) for v in row):
-                raise ValueError("cells must contain only 0 and 1")
-            if sum(row) > 1:
-                raise ValueError("row holds more than one 1")
-        for j in range(n):
-            if sum(row[j] for row in self.cells) > 1:
-                raise ValueError("column holds more than one 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-
 def parse_one_line(text: str) -> OneLine:
     """Parse element text.
 
@@ -106,14 +81,15 @@ def parse_one_line(text: str) -> OneLine:
     return OneLine(tuple(int(t) for t in tokens))
 
 
-def to_matrix(x: OneLine) -> RookMatrix:
-    """The 0-1 matrix of x: a 1 in row x_j of column j for every nonzero x_j."""
+def to_matrix(x: OneLine) -> tuple[tuple[int, ...], ...]:
+    """The rows of the 0-1 matrix of x: a 1 in row x_j of column j for
+    every nonzero x_j."""
     n = x.n
     rows = [[0] * n for _ in range(n)]
     for j, a in enumerate(x.entries):
         if a:
             rows[a - 1][j] = 1
-    return RookMatrix(tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def rank(x: OneLine) -> int:

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 from hypothesis import strategies as st
 
-from rookorder import OneLine, RookMatrix, enumerate_elements, length, to_matrix
+from rookorder import OneLine, enumerate_elements, length, to_matrix
 
 
 def closed_form_count(n: int) -> int:
@@ -36,13 +36,15 @@ def reversal_el(n: int) -> OneLine:
     return OneLine(tuple(range(n, 0, -1)))
 
 
-def from_matrix(m: RookMatrix) -> OneLine:
-    """Read the column values off a 0-1 matrix: the inverse of to_matrix."""
+def from_matrix(m: tuple[tuple[int, ...], ...]) -> OneLine:
+    """Read the column values off the rows of a 0-1 matrix: the inverse of
+    to_matrix."""
+    n = len(m)
     entries = []
-    for j in range(m.n):
+    for j in range(n):
         hit = 0
-        for i in range(m.n):
-            if m.cells[i][j]:
+        for i in range(n):
+            if m[i][j]:
                 hit = i + 1
                 break
         entries.append(hit)
@@ -92,7 +94,7 @@ def dense_oracle(x: OneLine) -> tuple[int, int, int, int]:
     meet dimension (by rank of the stacked rows) and the orbit dimension
     left + right - meet."""
     n = x.n
-    m = to_matrix(x).cells
+    m = to_matrix(x)
     units = [unit_matrix(n, i, j) for i in range(n) for j in range(i, n)]
 
     def flat(mat):

@@ -6,15 +6,11 @@ from hypothesis import given
 from rookorder import (
     OneLine,
     coinversions,
-    dim_bx,
-    dim_meet,
-    dim_xb,
     length,
     length_breakdown,
     oracle_length,
     parse_one_line,
     rank,
-    star_weight,
 )
 
 from helpers import elements_of, identity_el, reversal_el, rook_elements, tuple_inversions, zero_el
@@ -25,15 +21,6 @@ def test_coinversion_examples():
     assert coinversions(parse_one_line("3,2,1")) == []
     assert coinversions(parse_one_line("3,0,5,1,0,4")) == [(1, 3), (1, 6), (4, 6)]
     assert coinversions(zero_el(4)) == []
-
-
-def test_star_weight_examples():
-    x = parse_one_line("4,0,2,3")
-    assert [star_weight(x, i) for i in range(1, 5)] == [7, 0, 3, 3]
-    with pytest.raises(IndexError):
-        star_weight(x, 0)
-    with pytest.raises(IndexError):
-        star_weight(x, 5)
 
 
 LENGTH_EXAMPLES = [
@@ -75,15 +62,14 @@ def test_permutation_length_is_shifted_inversion_count():
 
 
 def test_dimension_pieces():
-    x = parse_one_line("4,0,2,3")
-    assert dim_bx(x) == 9
-    assert dim_xb(x) == 7
-    assert dim_meet(x) == 4
-    assert dim_bx(zero_el(3)) == dim_xb(zero_el(3)) == dim_meet(zero_el(3)) == 0
-    e = identity_el(3)
-    assert dim_bx(e) == 6
-    assert dim_xb(e) == 6
-    assert dim_meet(parse_one_line("1,2")) == 3
+    def dims(x):
+        b = length_breakdown(x)
+        return b.dim_bx, b.dim_xb, b.dim_meet
+
+    assert dims(parse_one_line("4,0,2,3")) == (9, 7, 4)
+    assert dims(zero_el(3)) == (0, 0, 0)
+    assert dims(identity_el(3))[:2] == (6, 6)
+    assert dims(parse_one_line("1,2"))[2] == 3
 
 
 def test_breakdown_fields():
@@ -99,6 +85,7 @@ def test_breakdown_fields():
 def test_decomposition_exhaustive(n):
     for x in elements_of(n):
         b = length_breakdown(x)
+        assert b.length == length(x)
         assert b.length == b.star_sum - b.coinv
         assert b.length == b.dim_bx + b.dim_xb - b.dim_meet
         assert b.dim_meet == rank(x) + b.coinv
