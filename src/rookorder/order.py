@@ -7,17 +7,16 @@ moves: raising one entry to a larger unused value, and exchanging a
 smaller entry with a larger one to its right.  The two routes share no
 comparison logic; the verification harness checks that they agree.
 
-One private kernel on entry tuples, _steps, generates every single
-move.  _moves pairs each with whether it is a cover (an edge of the
-Hasse diagram), the one place a cover is decided: a raise by the
-condition _raise_is_cover, a swap by _swap_is_cover, both read off the
-entries of x alone.  covers_of and the diagram and verify code in poset
-read _moves, while ppr_raises and the search's successor cache read
-_steps and decide no cover.  OneLine is built only for values returned.
+One private kernel on entry tuples, _moves, generates every single
+move paired with whether it is a cover (an edge of the Hasse diagram),
+the one place a cover is decided: both come out of one scan of the
+entries of x alone.  covers_of, ppr_raises, the search's successor
+cache and the diagram and verify code in poset all read _moves.
+OneLine is built only for values returned.
 
 ppr_leq searches depth first from x by the moves (_successors).  Every
 move climbs in lexicographic order and lowers no prefix sum (see
-_steps), so each of the two potentials prunes twice.  Lexicographic: x
+_moves), so each of the two potentials prunes twice.  Lexicographic: x
 after y is refused, and the search keeps only nodes strictly below y.
 Prefix sums: a pair with some prefix sum of x above the same prefix
 sum of y is refused before the search, and the search keeps only nodes
@@ -89,21 +88,25 @@ def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
 
 
 def ppr_raises(x: OneLine) -> list[OneLine]:
-    """Results of every single generator move on x.
-
-    Raises come first (position-major, values ascending), then swaps in
-    lexicographic position order.  Results are pairwise distinct and all
-    strictly above x.
-    """
-    return [OneLine(y) for y, _, _ in _steps(x.entries)]
+    """Results of every single generator move on x: raises first
+    (position-major, values ascending), then swaps in lexicographic
+    position order, pairwise distinct and all strictly above x."""
+    return [OneLine(y) for y, _ in _moves(x.entries)]
 
 
-def _steps(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int | None]]:
+def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
     """Every single generator move on the entries a, in ppr_raises order,
-    as (result, i, j): a raise of position i has j None, a swap of
-    positions i < j has j.  The one place the moves are generated; no
-    cover is decided here, so ppr_raises and the search's successor
-    cache pay for none.
+    each as (result, is a cover): the one place both are decided.
+
+    Raising position i to an unused b > a[i] is a cover exactly when
+    every value strictly between sits left of i and, if a[i] == 0, every
+    entry right of i exceeds b; swapping i < j with a[i] < a[j] exactly
+    when no entry between them lies in [a[i], a[j]].  So no entry after
+    i, up to j for a swap, may lie in [a[i], target).  One scan of j > i
+    keeps low, the least such entry (0 once a zero follows a zero), and
+    flags a swap by a[j] < low and a raise by b < low.  Then low drops
+    to 0: the free b lies between a[i] and every later raise target, so
+    only the first raise of i can be a cover.
 
     Each move puts a larger value at the first position it changes, so
     every result is lexicographically larger than a: lexicographic order
@@ -115,41 +118,23 @@ def _steps(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], int, int | None]]:
     x <= y needs every prefix sum of x to be at most that of y.
     """
     n = len(a)
-    out = []
-    for i in range(n):
-        for b in range(a[i] + 1, n + 1):
-            if b not in a:
-                out.append((a[:i] + (b,) + a[i + 1:], i, None))
-    for i in range(n):
+    free = [b for b in range(1, n + 1) if b not in a]
+    raises = []
+    swaps = []
+    for i, u in enumerate(a):
+        head, tail = a[:i], a[i + 1:]
+        low = n + 1
         for j in range(i + 1, n):
-            if a[i] < a[j]:
-                out.append((a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:], i, j))
-    return out
-
-
-def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
-    """Every single generator move on the entries a (see _steps), each
-    paired with whether it is a cover: the one place both are decided."""
-    return [
-        (z, _raise_is_cover(a, i, z[i]) if j is None else _swap_is_cover(a, i, j))
-        for z, i, j in _steps(a)
-    ]
-
-
-def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
-    """Type 1: raising position i of a to the unused value b > a[i] is a
-    cover exactly when every value strictly between a[i] and b already
-    sits to the left of i and, when a[i] == 0, every entry to the right
-    of i exceeds b (so in particular no empty column remains after i)."""
-    return set(range(a[i] + 1, b)) <= set(a[:i]) and (a[i] > 0 or all(t > b for t in a[i + 1:]))
-
-
-def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
-    """Type 2: swapping positions i < j of a, where a[i] < a[j], is a
-    cover exactly when no entry strictly between the two positions lies
-    in the closed value range [a[i], a[j]]; with a[i] == 0 that bars
-    intervening empty columns too."""
-    return all(v < a[i] or v > a[j] for v in a[i + 1:j])
+            v = a[j]
+            if v > u:
+                swaps.append((head + (v,) + a[i + 1:j] + (u,) + a[j + 1:], v < low))
+            if u <= v < low:
+                low = v
+        for b in free:
+            if b > u:
+                raises.append((head + (b,) + tail, b < low))
+                low = 0
+    return raises + swaps
 
 
 # One shared tuple per element across all successor lists, so that an
@@ -160,7 +145,7 @@ _shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _successors(entries: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(_shared.setdefault(z, z) for z, _, _ in _steps(entries))
+    return tuple(_shared.setdefault(z, z) for z, _ in _moves(entries))
 
 
 def ppr_leq(x: OneLine, y: OneLine) -> bool:
@@ -172,7 +157,7 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     expands 14 nodes, and the reverse order 28 625.  The answer is True
     as soon as the search generates y, and False once no node is left.
 
-    Two potentials, both read off the moves (see _steps), prune every
+    Two potentials, both read off the moves (see _moves), prune every
     node that cannot lie on a path from x to y.  Every move yields a
     lexicographically larger tuple and lowers no prefix sum, so x > y
     lexicographically, or any prefix sum of x above the same prefix sum

@@ -19,8 +19,10 @@ search against the closure on about 200 evenly spaced pairs, and, on
 every element, the table's cover flags against brute-force covers (the
 transitive reduction of the closure) and the combinatorial length
 against the exact coordinate-subspace oracle.  Every disagreement lands
-in its own list of the returned report; none raises.  The report also
-carries the size of the relation and the seconds of each phase.
+in its own list of the returned report, and none raises; every list
+but the search's keeps its first 1 000 entries next to an exact count.
+The report also carries the size of the relation and the seconds of
+each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.
@@ -55,7 +57,7 @@ __all__ = [
 MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
-# first ones in pair order and counts them all.
+# first order, cover and oracle mismatches in order and counts them all.
 _MISMATCH_LIMIT = 1000
 _PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "covers", "oracle")
 
@@ -206,7 +208,8 @@ class VerificationReport:
     search_mismatches holds (x, y, move-closure verdict, per-pair search
     verdict) wherever the two ways of evaluating move reachability
     differ; cover_mismatches holds (x, predicate covers, brute-force
-    covers); oracle_mismatches holds (x, formula length, oracle length).
+    covers) and oracle_mismatches (x, formula length, oracle length) for
+    the first 1 000 failing elements, each counted by its _count field.
     All elements are reported in canonical text form.  relation_size is
     the number of pairs, reflexive ones included, in the move closure.
     phases splits elapsed into the seconds of enumerate (argument checks
@@ -227,6 +230,8 @@ class VerificationReport:
     relation_size: int = 0
     phases: dict[str, float] = field(default_factory=dict)
     mismatch_count: int = 0
+    cover_mismatch_count: int = 0
+    oracle_mismatch_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -248,7 +253,9 @@ class VerificationReport:
                 [x, list(predicate), list(brute)]
                 for x, predicate, brute in self.cover_mismatches
             ],
+            "cover_mismatch_count": self.cover_mismatch_count,
             "oracle_mismatches": [list(entry) for entry in self.oracle_mismatches],
+            "oracle_mismatch_count": self.oracle_mismatch_count,
             "relation_size": self.relation_size,
             "phases": self.phases,
             "elapsed": self.elapsed,
@@ -342,12 +349,15 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     marks.append(time.perf_counter())
     return VerificationReport(
         n, "exhaustive" if exhaustive else "sampled", pairs_checked,
-        mismatches, cover_mismatches, oracle_mismatches, marks[-1] - marks[0],
+        mismatches, cover_mismatches[:_MISMATCH_LIMIT], oracle_mismatches[:_MISMATCH_LIMIT],
+        marks[-1] - marks[0],
         seed=None if exhaustive else seed,
         search_mismatches=search_mismatches,
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
         mismatch_count=mismatch_count,
+        cover_mismatch_count=len(cover_mismatches),
+        oracle_mismatch_count=len(oracle_mismatches),
     )
 
 
@@ -431,7 +441,8 @@ def _audit_covers(elements, closure, moves) -> list[tuple[str, list[str], list[s
     for i, row in enumerate(moves):
         beyond = 0
         for s, _ in row:
-            beyond |= closure[s] & ~(1 << s)
+            # The XOR relies on the self bit: _move_closure starts row s at 1 << s.
+            beyond |= closure[s] ^ (1 << s)
         predicate = sorted(s for s, cover in row if cover)
         brute = sorted(s for s, _ in row if not beyond >> s & 1)
         if predicate != brute:

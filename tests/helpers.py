@@ -203,6 +203,40 @@ def brute_cover_sets(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     return tuple(out)
 
 
+def reference_moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """Every single generator move on the entries a, each with its cover
+    flag, straight from the definitions: raises position-major with
+    values ascending, then swaps in lexicographic (i, j) order."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        for b in range(a[i] + 1, n + 1):
+            if b not in a:
+                out.append((a[:i] + (b,) + a[i + 1:], _raise_is_cover(a, i, b)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] < a[j]:
+                swapped = a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:]
+                out.append((swapped, _swap_is_cover(a, i, j)))
+    return out
+
+
+def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
+    """Type 1: raising position i of a to the unused value b > a[i] is a
+    cover exactly when every value strictly between a[i] and b already
+    sits to the left of i and, when a[i] == 0, every entry to the right
+    of i exceeds b (so in particular no empty column remains after i)."""
+    return set(range(a[i] + 1, b)) <= set(a[:i]) and (a[i] > 0 or all(t > b for t in a[i + 1:]))
+
+
+def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
+    """Type 2: swapping positions i < j of a, where a[i] < a[j], is a
+    cover exactly when no entry strictly between the two positions lies
+    in the closed value range [a[i], a[j]]; with a[i] == 0 that bars
+    intervening empty columns too."""
+    return all(v < a[i] or v > a[j] for v in a[i + 1:j])
+
+
 @lru_cache(maxsize=None)
 def lengths_of(n: int) -> tuple[int, ...]:
     return tuple(length(e) for e in elements_of(n))

@@ -288,6 +288,25 @@ def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeyp
     assert (code, doc["mismatch_count"], len(doc["mismatches"])) == (2, 12092, 1000)
 
 
+def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(capsys, monkeypatch):
+    # Cleared cover flags fail every element of R_3 but the top, which has
+    # no moves, and a wrong oracle fails all 34 elements.
+    real = poset._moves
+    monkeypatch.setattr(poset, "_MISMATCH_LIMIT", 2)
+    monkeypatch.setattr(poset, "_moves", lambda a: [(y, False) for y, _ in real(a)])
+    monkeypatch.setattr(poset, "oracle_length", lambda x: -1)
+    code, out, _ = run(capsys, "verify", "3")
+    lines = out.splitlines()
+    assert code == 2
+    assert "cover_mismatches: 33 (first 2 listed)" in lines
+    assert "oracle_mismatches: 34 (first 2 listed)" in lines
+    assert sum(line.startswith("  element ") for line in lines) == 4
+    code, out, _ = run(capsys, "verify", "3", "--json")
+    doc = json.loads(out)
+    assert (code, doc["cover_mismatch_count"], len(doc["cover_mismatches"])) == (2, 33, 2)
+    assert (doc["oracle_mismatch_count"], len(doc["oracle_mismatches"])) == (34, 2)
+
+
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])
 def test_verify_exits_two_when_search_disagrees_with_closure(capsys, monkeypatch, argv):
     monkeypatch.setattr(poset, "ppr_leq", lambda x, y: False)

@@ -25,6 +25,7 @@ from helpers import (
     element_pairs,
     elements_of,
     lengths_of,
+    reference_moves,
     rook_elements,
 )
 
@@ -298,6 +299,13 @@ def test_move_kernel_cover_flags_match_the_public_predicates(n):
         for entries, cover in _moves(x.entries):
             assert entries > x.entries
             assert cover == (entries in brute[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_move_kernel_equals_the_definitional_reference(n):
+    # same moves, same order, same cover flags
+    for x in elements_of(n):
+        assert _moves(x.entries) == reference_moves(x.entries), x
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -339,9 +339,11 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     )
     report = verify(6, sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
-    # every element but the top has a cover whose flag the stub clears
-    assert len(report.cover_mismatches) == 13326
-    assert "6,5,4,3,2,1" not in {x for x, _, _ in report.cover_mismatches}
+    # every element but the top has a cover whose flag the stub clears;
+    # the report counts them all and lists the first 1 000 in element order
+    assert report.cover_mismatch_count == 13326
+    assert len(report.cover_mismatches) == 1000
+    assert [x for x, _, _ in report.cover_mismatches] == [str(e) for e in elements_of(6)[:1000]]
 
 
 def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
@@ -370,6 +372,11 @@ FAULTS = {
 }
 # Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
 CAMPAIGNS = [pytest.param(None, id="exhaustive"), pytest.param(5000, id="sampled")]
+COUNTS = {
+    "mismatches": "mismatch_count",
+    "cover_mismatches": "cover_mismatch_count",
+    "oracle_mismatches": "oracle_mismatch_count",
+}
 FIRST_ENTRY = {
     "mismatches": ["0,0,0", "3,2,1", False, True],
     "cover_mismatches": ["0,0,0", [], ["0,0,1"]],
@@ -387,6 +394,8 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, tar
     assert report["passed"] is False
     if target in FIRST_ENTRY:
         assert report[target][0] == FIRST_ENTRY[target]
+    for key, count in COUNTS.items():
+        assert report[count] == len(report[key])
 
 
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
