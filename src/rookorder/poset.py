@@ -1,23 +1,23 @@
 """Hasse diagram, rank statistics, exports, and the verification campaign.
 
-Every consumer reads one move table, built from the order module's move
-kernel: for each element, the index of every one-move result and whether
-that move is a cover.  build_hasse reads its cover flags as the diagram
-edges, and hasse_from_json rejects edges that differ from them.
+Each whole-monoid pass reads the order module's move kernel once per
+element, in its one walk over the elements, and keeps no moves after.
+build_hasse takes the kernel's cover flags as the diagram edges, and
+hasse_from_json rejects edges that differ from them.
 
 verify compares two whole relations, each one bitset row per element.
-The move closure of the table is one.  The other is the containment
-relation, built by _containment_rows from the threshold lemma alone and
-without any move code: x <= y exactly when, for every prefix length k
-and every threshold a, the first k entries of y hold at least as many
-values >= a as those of x do.  The rows are compared with one integer
-equality each, and their bits are walked only where a row differs, so
-a campaign covers every ordered pair; given a sample_count, it compares
-the relations on that many seeded random pairs instead.  Either way
-verify also checks the per-pair containment test and the per-pair move
-search against the closure on about 200 evenly spaced pairs, and, on
-every element, the table's cover flags against brute-force covers (the
-transitive reduction of the closure) and the combinatorial length
+One is the move closure, whose pass also audits the kernel's cover
+flags against brute-force covers on every element.  The other is the
+containment relation, built by _containment_rows from the threshold
+lemma alone and without any move code: x <= y exactly when, for every
+prefix length k and every threshold a, the first k entries of y hold at
+least as many values >= a as those of x do.  The rows are compared
+with one integer equality each, and their bits are walked only where a
+row differs, so a campaign covers every ordered pair; given a
+sample_count, it compares the relations on that many seeded random
+pairs instead.  Either way verify also checks the per-pair containment
+test and the per-pair move search against the closure on about 200
+evenly spaced pairs, and, on every element, the combinatorial length
 against the exact coordinate-subspace oracle.  Every disagreement lands
 in its own list of the returned report, and none raises; every list
 but the search's keeps its first 1 000 entries next to an exact count.
@@ -53,13 +53,13 @@ __all__ = [
 
 # The largest R_n that build_hasse, hasse_from_json and verify accept.
 # R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
-# holds 177.6M ordered pairs in bitset rows of about 100 MB.
+# holds 177.6M ordered pairs in each of two 24 MB relations, 66 MB peak.
 MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
 # first order, cover and oracle mismatches in order and counts them all.
 _MISMATCH_LIMIT = 1000
-_PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "covers", "oracle")
+_PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "oracle")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def build_hasse(n: int) -> HasseDiagram:
         raise ValueError(f"supported sizes are 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    return HasseDiagram(n, nodes, _cover_edges(_move_table(elements)))
+    return HasseDiagram(n, nodes, _cover_edges(elements))
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -192,7 +192,7 @@ def hasse_from_json(text: str) -> HasseDiagram:
         ):
             raise ValueError(f"edge {edge!r} is not a pair of node ids")
         edges.append((edge[0], edge[1]))
-    if tuple(edges) != _cover_edges(_move_table([e for _, e, _ in nodes])):
+    if tuple(edges) != _cover_edges([e for _, e, _ in nodes]):
         raise ValueError("edges must be exactly the sorted covering pairs between the nodes")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
 
@@ -213,9 +213,9 @@ class VerificationReport:
     All elements are reported in canonical text form.  relation_size is
     the number of pairs, reflexive ones included, in the move closure.
     phases splits elapsed into the seconds of enumerate (argument checks
-    and elements), closure (move table and closure), containment (the
-    threshold rows), pairs (comparing the two relations), spot_checks
-    (the per-pair tests), covers and oracle (lengths and oracle values).
+    and elements), closure (kernel, closure rows and cover audit),
+    containment (the threshold rows), pairs (comparing the relations),
+    spot_checks (the per-pair tests) and oracle (lengths and oracle).
     """
 
     n: int
@@ -278,8 +278,8 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     ordered pairs read as (i, j) = divmod(t, count).  Either way the
     per-pair containment test and the per-pair move search are
     spot-checked against the closure on about 200 evenly spaced pairs of
-    the stream (all of a shorter one), and both the covers (against the
-    move closure) and the oracle are audited on every element.
+    the stream (all of a shorter one), and both the covers (in the pass
+    that builds the closure) and the oracle are audited on every element.
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
@@ -291,8 +291,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     elements = list(enumerate_elements(n))
     count = len(elements)
     marks.append(time.perf_counter())
-    moves = _move_table(elements)
-    closure = _move_closure(moves)
+    closure, cover_mismatches = _close_moves(elements)
     marks.append(time.perf_counter())
     containment = _containment_rows(elements)
     marks.append(time.perf_counter())
@@ -341,10 +340,6 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
             search_mismatches.append((str(x), str(y), p, s))
     marks.append(time.perf_counter())
 
-    # Brute-force cover extraction reads the move closure; with no order
-    # mismatch it equals the containment relation bit for bit.
-    cover_mismatches = _audit_covers(elements, closure, moves)
-    marks.append(time.perf_counter())
     oracle_mismatches = _audit_oracle(elements)
     marks.append(time.perf_counter())
     return VerificationReport(
@@ -407,51 +402,50 @@ def _containment_rows(elements: list[OneLine]) -> list[int]:
     return rows
 
 
-def _move_table(elements: list[OneLine]) -> list[list[tuple[int, bool]]]:
-    """Per element, its moves that stay in elements: (index, is a cover)."""
+def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:
+    """The covering pairs (i, j) between elements, sorted: for each
+    element in index order, the ascending indices of its flagged moves.
+    Moves leaving elements are skipped, since a loaded interval is a
+    subset of R_n."""
     index = {e.entries: i for i, e in enumerate(elements)}
-    return [[(index[y], cover) for y, cover in _moves(e.entries) if y in index] for e in elements]
+    return tuple(
+        (i, j)
+        for i, e in enumerate(elements)
+        for j in sorted(index[y] for y, cover in _moves(e.entries) if cover and y in index)
+    )
 
 
-def _cover_edges(moves) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((i, j) for i, row in enumerate(moves) for j, cover in row if cover))
+def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[str, list[str], list[str]]]]:
+    """Move closure rows and cover audit failures of all of R_n, from
+    one pass that reads each element's moves once.
 
-
-def _move_closure(moves) -> list[int]:
-    """Reachability bitsets of the generator-move relation, one row per
-    element: bit j of row i says element j is reachable from element i.
-    Elements are in lexicographic order and every move goes up in it, so
-    filling rows in descending index order has every successor row ready
-    when needed."""
-    closure = [0] * len(moves)
-    for i in reversed(range(len(moves))):
-        bits = 1 << i
-        for j, _ in moves[i]:
-            bits |= closure[j]
-        closure[i] = bits
-    return closure
-
-
-def _audit_covers(elements, closure, moves) -> list[tuple[str, list[str], list[str]]]:
-    """Compare predicate covers, the cover flags of the move table, with
-    brute-force covers: y covers x when nothing lies strictly between.
-    Every element strictly above x is at or above a one-move successor of
-    x, so those are the successors in no strict up-set of a successor."""
-    out = []
-    for i, row in enumerate(moves):
-        beyond = 0
-        for s, _ in row:
-            # The XOR relies on the self bit: _move_closure starts row s at 1 << s.
+    Bit j of row i says element j is reachable from element i.  Every
+    move climbs in lexicographic order, so filling rows in descending
+    index order has every move's row ready.  Everything strictly above x
+    is at or above a move of x, so the brute-force covers of x are its
+    moves in no strict up-set of a move: they read no cover flag.  Both
+    they and the flagged moves list distinct moves in kernel order, so
+    list equality is set equality.  Failures come in element order."""
+    index = {e.entries: i for i, e in enumerate(elements)}
+    closure = [0] * len(elements)
+    failures = []
+    for i in reversed(range(len(elements))):
+        moves = [(index[y], cover) for y, cover in _moves(elements[i].entries)]
+        reach = beyond = 0
+        for s, _ in moves:
+            reach |= closure[s]
             beyond |= closure[s] ^ (1 << s)
-        predicate = sorted(s for s, cover in row if cover)
-        brute = sorted(s for s, _ in row if not beyond >> s & 1)
-        if predicate != brute:
-            out.append((
+        closure[i] = reach | 1 << i
+        flagged = [s for s, cover in moves if cover]
+        brute = [s for s, _ in moves if not beyond >> s & 1]
+        if flagged != brute:
+            failures.append((
                 str(elements[i]),
-                [str(elements[s]) for s in predicate],
-                [str(elements[s]) for s in brute],
+                [str(elements[s]) for s in sorted(flagged)],
+                [str(elements[s]) for s in sorted(brute)],
             ))
-    return out
+    failures.reverse()
+    return closure, failures
 
 
 def _audit_oracle(elements) -> list[tuple[str, int, int]]:

@@ -22,7 +22,7 @@ from rookorder import (
     verify,
 )
 
-from helpers import deodhar_matrix, elements_of
+from helpers import brute_cover_sets, deodhar_matrix, elements_of
 
 R2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
 
@@ -429,7 +429,7 @@ def test_verify_reports_relation_size_and_phases():
     assert (r4.relation_size, r5.relation_size) == (12301, 509662)
     for report in (r4, r5):
         assert list(report.phases) == [
-            "enumerate", "closure", "containment", "pairs", "spot_checks", "covers", "oracle",
+            "enumerate", "closure", "containment", "pairs", "spot_checks", "oracle",
         ]
         assert all(s >= 0 for s in report.phases.values())
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
@@ -462,9 +462,36 @@ def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the containment rows may read no move code")
 
-    for name in ("_moves", "_move_table", "_move_closure", "ppr_leq"):
+    for name in ("_moves", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
     assert poset._containment_rows(list(elements_of(n))) == list(deodhar_matrix(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closure_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the closure rows may read no containment code")
+
+    for name in ("_containment_rows", "deodhar_leq", "ppr_leq"):
+        monkeypatch.setattr(poset, name, refuse)
+    assert poset._close_moves(list(elements_of(n)))[0] == list(deodhar_matrix(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brute_covers_read_no_cover_flag(monkeypatch, n):
+    # Every move flagged a cover: each element with a non-cover move fails,
+    # and its brute side is still the transitive reduction of the order.
+    real = poset._moves
+    monkeypatch.setattr(poset, "_moves", lambda a: [(y, True) for y, _ in real(a)])
+    report = verify(n)
+    els = elements_of(n)
+    covers = brute_cover_sets(n)
+    with_non_cover = [i for i, e in enumerate(els) if len(real(e.entries)) > len(covers[i])]
+    assert with_non_cover or n == 1
+    assert report.cover_mismatch_count == len(with_non_cover)
+    assert [x for x, _, _ in report.cover_mismatches] == [str(els[i]) for i in with_non_cover]
+    for i, (_, _, brute) in zip(with_non_cover, report.cover_mismatches):
+        assert brute == [str(OneLine(y)) for y in sorted(covers[i])]
 
 
 def test_containment_rows_of_r5_hold_the_relation():
