@@ -15,7 +15,11 @@ else:
     length = sum of star weights - number of coinversions
 
 with star weight a_i + n - i at occupied columns and 0 elsewhere.
-`length_breakdown` reports every one of these quantities.
+`length` evaluates it in one pass over the entries, counting the
+coinversions at each occupied column without listing them.
+`coinversions`, `_star_weights` and `length_breakdown` keep the
+definitional form: `length_breakdown` reports every one of these
+quantities, and `rookorder len` prints it.
 """
 
 from dataclasses import dataclass
@@ -44,8 +48,21 @@ def _star_weights(x: OneLine) -> Iterator[int]:
 
 
 def length(x: OneLine) -> int:
-    """Orbit dimension: star-weight sum minus the coinversion count."""
-    return sum(_star_weights(x)) - len(coinversions(x))
+    """Orbit dimension: star-weight sum minus the coinversion count.
+
+    For each occupied position i (1-based) it adds the star weight
+    a_i + n - i and subtracts one for each later entry larger than a_i,
+    the coinversions that start at i."""
+    a = x.entries
+    n = x.n
+    total = 0
+    for i, ai in enumerate(a, 1):
+        if ai:
+            total += ai + n - i
+            for b in a[i:]:
+                if b > ai:
+                    total -= 1
+    return total
 
 
 @dataclass(frozen=True)

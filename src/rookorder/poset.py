@@ -31,7 +31,7 @@ monoid, share one size bound: n in 1..MAX_N.
 import json
 import random
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .elements import OneLine, enumerate_elements, parse_one_line
@@ -93,33 +93,41 @@ def rank_sizes(h: HasseDiagram) -> list[int]:
 
 def interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
     """Induced sub-diagram on the elements between x and y, re-labelled
-    densely from 0 in lexicographic order.  Edges are sorted by lower id
-    and ids extend the order, so the up-set of x is one forward pass over
-    the edges and the down-set of y one backward pass.  y must lie in the
+    densely from 0 in lexicographic order.  Nodes are sorted by element,
+    so x and y are found by bisection.  Ids extend the order, so every
+    edge between x and y starts at an id from x's up to y's, exclusive,
+    and edges are sorted by lower id, so those edges are one slice, also
+    found by bisection.  The up-set of x is one forward pass over the
+    slice and the down-set of y one backward pass.  y must lie in the
     up-set of x: comparability is read off the diagram's own edges, so a
     loaded diagram whose node set is not convex is held to the paths it
     contains."""
-    index = {e.entries: i for i, e, _ in h.nodes}
-    if x.entries not in index or y.entries not in index:
-        raise ValueError("endpoints must be nodes of the diagram")
-    up, down = {index[x.entries]}, {index[y.entries]}
-    for lo, hi in h.edges:
+    ix, iy = _node_id(h, x), _node_id(h, y)
+    edges = h.edges[bisect_left(h.edges, (ix,)):bisect_left(h.edges, (iy,))]
+    up, down = {ix}, {iy}
+    for lo, hi in edges:
         if lo in up:
             up.add(hi)
-    if index[y.entries] not in up:
+    if iy not in up:
         raise ValueError("endpoints are incomparable or reversed")
-    for lo, hi in reversed(h.edges):
+    for lo, hi in reversed(edges):
         if hi in down:
             down.add(lo)
     keep = sorted(up & down)
     relabel = {old: new for new, old in enumerate(keep)}
     nodes = tuple((relabel[i], h.nodes[i][1], h.nodes[i][2]) for i in keep)
-    edges = tuple(sorted(
-        (relabel[lo], relabel[hi])
-        for lo, hi in h.edges
-        if lo in relabel and hi in relabel
-    ))
+    # relabel is increasing, so the kept edges stay sorted.
+    edges = tuple(
+        (relabel[lo], relabel[hi]) for lo, hi in edges if lo in relabel and hi in relabel
+    )
     return HasseDiagram(h.n, nodes, edges)
+
+
+def _node_id(h: HasseDiagram, x: OneLine) -> int:
+    i = bisect_left(h.nodes, x.entries, key=lambda node: node[1].entries)
+    if i == len(h.nodes) or h.nodes[i][1].entries != x.entries:
+        raise ValueError("endpoints must be nodes of the diagram")
+    return i
 
 
 def export_dot(h: HasseDiagram) -> str:
@@ -134,14 +142,21 @@ def export_dot(h: HasseDiagram) -> str:
 
 
 def export_json(h: HasseDiagram) -> str:
-    doc = {
-        "n": h.n,
-        "nodes": [
-            {"id": i, "oneline": str(e), "length": ln} for i, e, ln in h.nodes
-        ],
-        "edges": [[lo, hi] for lo, hi in h.edges],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document {"n", "nodes", "edges"}, nodes as {"id", "oneline",
+    "length"} objects and edges as [lo, hi] lists, in exactly the bytes
+    of json.dumps(doc, indent=2, sort_keys=True) plus a newline.  It is
+    written from templates: every value is an integer or a one-line form
+    of digits and commas, so nothing needs escaping."""
+    edges = [f"    [\n      {lo},\n      {hi}\n    ]" for lo, hi in h.edges]
+    nodes = [
+        f'    {{\n      "id": {i},\n      "length": {ln},\n      "oneline": "{e}"\n    }}'
+        for i, e, ln in h.nodes
+    ]
+    return f'{{\n  "edges": {_json_list(edges)},\n  "n": {h.n},\n  "nodes": {_json_list(nodes)}\n}}\n'
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def hasse_from_json(text: str) -> HasseDiagram:
@@ -185,13 +200,14 @@ def hasse_from_json(text: str) -> HasseDiagram:
             raise ValueError(f"node {ident}: length {ln!r} is not the length of {e}")
         nodes.append((ident, e, ln))
     edges = []
+    count = len(nodes)
     for edge in raw_edges:
-        if not (
-            isinstance(edge, list) and len(edge) == 2
-            and all(type(v) is int and 0 <= v < len(nodes) for v in edge)
-        ):
-            raise ValueError(f"edge {edge!r} is not a pair of node ids")
-        edges.append((edge[0], edge[1]))
+        if isinstance(edge, list) and len(edge) == 2:
+            lo, hi = edge
+            if type(lo) is int and type(hi) is int and 0 <= lo < count and 0 <= hi < count:
+                edges.append((lo, hi))
+                continue
+        raise ValueError(f"edge {edge!r} is not a pair of node ids")
     if tuple(edges) != _cover_edges([e for _, e, _ in nodes]):
         raise ValueError("edges must be exactly the sorted covering pairs between the nodes")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
@@ -291,7 +307,12 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     elements = list(enumerate_elements(n))
     count = len(elements)
     marks.append(time.perf_counter())
-    closure, cover_mismatches = _close_moves(elements)
+    closure, cover_failures = _close_moves(elements)
+    cover_mismatches = [
+        (str(elements[i]), [str(elements[s]) for s in sorted(flagged)],
+         [str(elements[s]) for s in sorted(brute)])
+        for i, flagged, brute in cover_failures[:_MISMATCH_LIMIT]
+    ]
     marks.append(time.perf_counter())
     containment = _containment_rows(elements)
     marks.append(time.perf_counter())
@@ -344,14 +365,14 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     marks.append(time.perf_counter())
     return VerificationReport(
         n, "exhaustive" if exhaustive else "sampled", pairs_checked,
-        mismatches, cover_mismatches[:_MISMATCH_LIMIT], oracle_mismatches[:_MISMATCH_LIMIT],
+        mismatches, cover_mismatches, oracle_mismatches[:_MISMATCH_LIMIT],
         marks[-1] - marks[0],
         seed=None if exhaustive else seed,
         search_mismatches=search_mismatches,
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
         mismatch_count=mismatch_count,
-        cover_mismatch_count=len(cover_mismatches),
+        cover_mismatch_count=len(cover_failures),
         oracle_mismatch_count=len(oracle_mismatches),
     )
 
@@ -415,9 +436,11 @@ def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[str, list[str], list[str]]]]:
+def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, list[int], list[int]]]]:
     """Move closure rows and cover audit failures of all of R_n, from
-    one pass that reads each element's moves once.
+    one pass that reads each element's moves once.  A failure is the
+    index triple (i, flagged moves, brute-force covers), both sides in
+    kernel order; verify formats only the failures it lists.
 
     Bit j of row i says element j is reachable from element i.  Every
     move climbs in lexicographic order, so filling rows in descending
@@ -439,11 +462,7 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[str, li
         flagged = [s for s, cover in moves if cover]
         brute = [s for s, _ in moves if not beyond >> s & 1]
         if flagged != brute:
-            failures.append((
-                str(elements[i]),
-                [str(elements[s]) for s in sorted(flagged)],
-                [str(elements[s]) for s in sorted(brute)],
-            ))
+            failures.append((i, flagged, brute))
     failures.reverse()
     return closure, failures
 

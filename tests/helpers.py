@@ -4,13 +4,14 @@ The oracles here are deliberately naive and independent of the library
 code paths they are used to check.
 """
 
+import json
 from collections import deque
 from functools import lru_cache
 from math import comb, factorial
 
 from hypothesis import strategies as st
 
-from rookorder import OneLine, enumerate_elements, length, to_matrix
+from rookorder import HasseDiagram, OneLine, enumerate_elements, length, to_matrix
 
 
 def closed_form_count(n: int) -> int:
@@ -235,6 +236,45 @@ def _swap_is_cover(a: tuple[int, ...], i: int, j: int) -> bool:
     in the closed value range [a[i], a[j]]; with a[i] == 0 that bars
     intervening empty columns too."""
     return all(v < a[i] or v > a[j] for v in a[i + 1:j])
+
+
+def reference_export_json(h: HasseDiagram) -> str:
+    """The diagram document written by the standard JSON encoder."""
+    doc = {
+        "n": h.n,
+        "nodes": [
+            {"id": i, "oneline": str(e), "length": ln} for i, e, ln in h.nodes
+        ],
+        "edges": [[lo, hi] for lo, hi in h.edges],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
+    """The sub-diagram between x and y from a dict of all nodes and two
+    passes over all edges: the up-set of x forward, the down-set of y
+    backward.  Raises ValueError where interval must."""
+    index = {e.entries: i for i, e, _ in h.nodes}
+    if x.entries not in index or y.entries not in index:
+        raise ValueError("endpoints must be nodes of the diagram")
+    up, down = {index[x.entries]}, {index[y.entries]}
+    for lo, hi in h.edges:
+        if lo in up:
+            up.add(hi)
+    if index[y.entries] not in up:
+        raise ValueError("endpoints are incomparable or reversed")
+    for lo, hi in reversed(h.edges):
+        if hi in down:
+            down.add(lo)
+    keep = sorted(up & down)
+    relabel = {old: new for new, old in enumerate(keep)}
+    nodes = tuple((relabel[i], h.nodes[i][1], h.nodes[i][2]) for i in keep)
+    edges = tuple(sorted(
+        (relabel[lo], relabel[hi])
+        for lo, hi in h.edges
+        if lo in relabel and hi in relabel
+    ))
+    return HasseDiagram(h.n, nodes, edges)
 
 
 @lru_cache(maxsize=None)

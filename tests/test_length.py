@@ -81,7 +81,7 @@ def test_breakdown_fields():
     assert (b.dim_bx, b.dim_xb, b.dim_meet) == (9, 7, 4)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_decomposition_exhaustive(n):
     for x in elements_of(n):
         b = length_breakdown(x)

@@ -22,7 +22,13 @@ from rookorder import (
     verify,
 )
 
-from helpers import brute_cover_sets, deodhar_matrix, elements_of
+from helpers import (
+    brute_cover_sets,
+    deodhar_matrix,
+    elements_of,
+    reference_export_json,
+    reference_interval,
+)
 
 R2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
 
@@ -158,6 +164,53 @@ def test_interval_of_a_loaded_diagram_follows_its_edges():
     with pytest.raises(ValueError):
         interval(h, OneLine((0, 0)), OneLine((2, 1)))
     assert interval(h, OneLine((2, 1)), OneLine((2, 1))).nodes == ((0, OneLine((2, 1)), 4),)
+    # It raises and accepts where the scan over all edges does, also on
+    # an element that is no node and on one of the wrong size.
+    ends = [OneLine((0, 0)), OneLine((2, 1)), OneLine((1, 2)), OneLine((0, 0, 0))]
+    for x in ends:
+        for y in ends:
+            try:
+                expected = reference_interval(h, x, y)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    interval(h, x, y)
+            else:
+                assert interval(h, x, y) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_export_json_is_the_encoder_output_of_a_full_diagram(n):
+    h = build_hasse(n)
+    assert export_json(h) == reference_export_json(h)
+
+
+def test_export_json_is_the_encoder_output_of_intervals_and_the_empty_diagram():
+    h2, h4 = build_hasse(2), build_hasse(4)
+    point = interval(h2, OneLine((1, 2)), OneLine((1, 2)))
+    r4 = interval(h4, OneLine((0, 1, 0, 0)), OneLine((3, 4, 0, 2)))
+    empty = hasse_from_json('{"n": 2, "nodes": [], "edges": []}')
+    assert point.edges == () and r4.edges and empty.nodes == ()
+    for h in (point, r4, empty):
+        assert export_json(h) == reference_export_json(h)
+
+
+def test_interval_equals_the_whole_edge_scan_on_r3():
+    h, els, rows = build_hasse(3), elements_of(3), deodhar_matrix(3)
+    pairs = [(x, y) for x, row in zip(els, rows) for j, y in enumerate(els) if row >> j & 1]
+    assert len(pairs) == 441
+    for x, y in pairs:
+        assert interval(h, x, y) == reference_interval(h, x, y)
+
+
+def test_interval_equals_the_whole_edge_scan_on_r5():
+    h, els, rows = build_hasse(5), elements_of(5), deodhar_matrix(5)
+    rng = random.Random(5)
+    checked = 0
+    while checked < 200:
+        i, j = rng.randrange(len(els)), rng.randrange(len(els))
+        if rows[i] >> j & 1:
+            assert interval(h, els[i], els[j]) == reference_interval(h, els[i], els[j])
+            checked += 1
 
 
 def test_json_round_trip():
