@@ -31,7 +31,7 @@ LEN_MAX_N = 1000
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
-# verify 6 --sampled K at the cap: 1.8-1.9 s and 67 MB (0.9-1.1 s at n = 5).
+# verify 6 --sampled K at the cap: 1.8-2.0 s and 43 MB (0.9-1.1 s at n = 5).
 SAMPLED_MAX_K = 1_000_000
 
 

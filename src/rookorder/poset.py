@@ -5,22 +5,22 @@ element, in its one walk over the elements, and keeps no moves after.
 build_hasse takes the kernel's cover flags as the diagram edges, and
 hasse_from_json rejects edges that differ from them.
 
-verify compares two whole relations, each one bitset row per element.
-One is the move closure, whose pass also audits the kernel's cover
-flags against brute-force covers on every element.  The other is the
-containment relation, built by _containment_rows from the threshold
-lemma alone and without any move code: x <= y exactly when, for every
-prefix length k and every threshold a, the first k entries of y hold at
-least as many values >= a as those of x do.  The rows are compared
-with one integer equality each, and their bits are walked only where a
-row differs, so a campaign covers every ordered pair; given a
-sample_count, it compares the relations on that many seeded random
-pairs instead.  Either way verify also checks the per-pair containment
-test and the per-pair move search against the closure on about 200
-evenly spaced pairs, and, on every element, the combinatorial length
-against the exact coordinate-subspace oracle.  Every disagreement lands
-in its own list of the returned report, and none raises; every list
-but the search's keeps its first 1 000 entries next to an exact count.
+verify compares two relations, one bitset row per element, and holds
+only the move closure, whose pass also audits the kernel's cover flags
+against brute-force covers on every element.  _containment_rows yields
+the other, the containment relation, from the threshold lemma alone and
+without any move code: x <= y exactly when, for every prefix length k
+and every threshold a, the first k entries of y hold at least as many
+values >= a as those of x do.  Each row is XORed with its closure row as
+it arrives, and the bits of a difference are walked only where it is
+nonzero, so a campaign covers every ordered pair; given a sample_count,
+it reads the differences on that many seeded random pairs instead.
+Either way verify also checks the per-pair containment test and the
+per-pair move search against the closure on about 200 evenly spaced
+pairs, and, on every element, the combinatorial length against the
+exact coordinate-subspace oracle.  Every disagreement lands in its own
+list of the returned report, and none raises; every list but the
+search's keeps its first 1 000 entries next to an exact count.
 The report also carries the size of the relation and the seconds of
 each phase.
 
@@ -33,6 +33,7 @@ import random
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .elements import OneLine, enumerate_elements, parse_one_line
 from .length import length
@@ -53,7 +54,7 @@ __all__ = [
 
 # The largest R_n that build_hasse, hasse_from_json and verify accept.
 # R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
-# holds 177.6M ordered pairs in each of two 24 MB relations, 66 MB peak.
+# checks 177.6M ordered pairs and holds one 24 MB relation, 43 MB peak.
 MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
@@ -165,11 +166,11 @@ def hasse_from_json(text: str) -> HasseDiagram:
     Raises ValueError unless the text is JSON that nests within the
     interpreter's recursion limit, the document has exactly the keys n,
     nodes and edges, node ids run densely from 0 in order, every element
-    parses with size n and carries its own length, the elements strictly
-    increase in lexicographic order, every edge is a pair of node ids,
-    and the edges, in sorted order, are exactly the covering pairs of R_n
-    between nodes.  build_hasse and interval write edges that way: a full
-    diagram and an interval are both convex.
+    is in canonical text, has size n and carries its own length, the
+    elements strictly increase in lexicographic order, every edge is a
+    pair of node ids, and the edges, in sorted order, are exactly the
+    covering pairs of R_n between nodes.  build_hasse and interval write
+    edges that way: a full diagram and an interval are both convex.
     """
     try:
         doc = json.loads(text)
@@ -191,8 +192,8 @@ def hasse_from_json(text: str) -> HasseDiagram:
         if not isinstance(node["oneline"], str):
             raise ValueError(f"node {ident}: oneline must be a string")
         e = parse_one_line(node["oneline"])
-        if e.n != n:
-            raise ValueError(f"node {ident}: element {e} does not have size {n}")
+        if node["oneline"] != str(e) or e.n != n:
+            raise ValueError(f"node {ident}: {node['oneline']!r} is not canonical text of size {n}")
         if nodes and e.entries <= nodes[-1][1].entries:
             raise ValueError(f"node {ident}: element {e} does not follow {nodes[-1][1]}")
         ln = node["length"]
@@ -220,7 +221,8 @@ class VerificationReport:
     mismatches holds (x, y, containment verdict, move-closure verdict)
     for the first 1 000 pairs where the containment rows, then the
     spot-checked per-pair containment test, differ from the closure,
-    each in pair order; mismatch_count counts all such disagreements.
+    each in pair order (so the two verdicts of an entry are opposite);
+    mismatch_count counts all such disagreements.
     search_mismatches holds (x, y, move-closure verdict, per-pair search
     verdict) wherever the two ways of evaluating move reachability
     differ; cover_mismatches holds (x, predicate covers, brute-force
@@ -230,8 +232,9 @@ class VerificationReport:
     the number of pairs, reflexive ones included, in the move closure.
     phases splits elapsed into the seconds of enumerate (argument checks
     and elements), closure (kernel, closure rows and cover audit),
-    containment (the threshold rows), pairs (comparing the relations),
-    spot_checks (the per-pair tests) and oracle (lengths and oracle).
+    containment (the threshold rows, each compared with its closure row
+    as it is built), pairs (reading the differences), spot_checks (the
+    per-pair tests) and oracle (lengths and oracle).
     """
 
     n: int
@@ -282,20 +285,20 @@ class VerificationReport:
 def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:
     """Run the cross-checking campaign over R_n, for n in 1..MAX_N.
 
-    Two relations are built whole, one bitset row per element: the move
-    closure and the containment rows of the threshold lemma (x <= y
-    exactly when every prefix threshold count #{i <= k : x_i >= a} of x
-    is at most that of y).  With sample_count None the campaign is
-    exhaustive: the relations are compared row by row, one integer
-    equality per element, and the differing bits of a row are walked
-    only when it differs, so every ordered pair is checked.  Otherwise
-    their bits are compared on sample_count pairs drawn from a generator
-    seeded with seed, each pair as one index t into the count * count
-    ordered pairs read as (i, j) = divmod(t, count).  Either way the
-    per-pair containment test and the per-pair move search are
-    spot-checked against the closure on about 200 evenly spaced pairs of
-    the stream (all of a shorter one), and both the covers (in the pass
-    that builds the closure) and the oracle are audited on every element.
+    The move closure is built whole, one bitset row per element, and
+    each containment row of the threshold lemma (x <= y exactly when
+    every prefix threshold count #{i <= k : x_i >= a} of x is at most
+    that of y) is XORed with its closure row as it is built; only the
+    differences are kept.  With sample_count None the campaign walks
+    every bit of every nonzero difference, so it checks every ordered
+    pair.  Otherwise it reads the differences on sample_count pairs
+    drawn from a generator seeded with seed, each pair as one index t
+    into the count * count ordered pairs read as (i, j) = divmod(t,
+    count).  Either way the per-pair containment test and the per-pair
+    move search are spot-checked against the closure on about 200 evenly
+    spaced pairs of the stream (all of a shorter one), and both the
+    covers (in the pass that builds the closure) and the oracle are
+    audited on every element.
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
@@ -314,27 +317,27 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         for i, flagged, brute in cover_failures[:_MISMATCH_LIMIT]
     ]
     marks.append(time.perf_counter())
-    containment = _containment_rows(elements)
+    # Bit j of diff[i] says the two relations disagree on the pair (i, j).
+    diff = [row ^ reach for row, reach in zip(_containment_rows(elements), closure)]
     marks.append(time.perf_counter())
 
     mismatches = []
     mismatch_count = 0
 
-    def note(i, j, d, p):
+    def note(i, j):
         if len(mismatches) < _MISMATCH_LIMIT:
-            mismatches.append((str(elements[i]), str(elements[j]), bool(d), bool(p)))
+            p = bool(closure[i] >> j & 1)
+            mismatches.append((str(elements[i]), str(elements[j]), not p, p))
 
     pairs_checked = count * count if exhaustive else sample_count
     stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
-    # Bit j of diff[i] says the two relations disagree on the pair (i, j).
-    diff = [row ^ reach for row, reach in zip(containment, closure)]
     if exhaustive:
         spot = [divmod(t, count) for t in range(0, pairs_checked, stride)]
         for i, bits in enumerate(diff):
             mismatch_count += bits.bit_count()
             while bits and len(mismatches) < _MISMATCH_LIMIT:
                 j = (bits & -bits).bit_length() - 1
-                note(i, j, containment[i] >> j & 1, closure[i] >> j & 1)
+                note(i, j)
                 bits &= bits - 1
     else:
         spot = []
@@ -345,17 +348,16 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
                 spot.append((i, j))
             if diff[i] >> j & 1:
                 mismatch_count += 1
-                note(i, j, containment[i] >> j & 1, closure[i] >> j & 1)
+                note(i, j)
     marks.append(time.perf_counter())
 
     search_mismatches = []
     for i, j in spot:
         x, y = elements[i], elements[j]
         p = bool(closure[i] >> j & 1)
-        d = deodhar_leq(x, y)
-        if d != p:
+        if deodhar_leq(x, y) != p:
             mismatch_count += 1
-            note(i, j, d, p)
+            note(i, j)
         s = ppr_leq(x, y)
         if s != p:
             search_mismatches.append((str(x), str(y), p, s))
@@ -377,9 +379,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     )
 
 
-def _containment_rows(elements: list[OneLine]) -> list[int]:
-    """Up-set bitsets of the containment order, one row per element: bit
-    j of row i says elements[i] <= elements[j].  Reads no move code.
+def _containment_rows(elements: list[OneLine]) -> Iterator[int]:
+    """Up-set bitsets of the containment order, yielded in element order:
+    bit j of row i says elements[i] <= elements[j].  Reads no move code.
 
     Threshold lemma (the principle of deodhar_leq_gamma): x <= y exactly
     when, for every prefix length k and every nonzero entry a among the
@@ -409,7 +411,6 @@ def _containment_rows(elements: list[OneLine]) -> list[int]:
             for v in range(k + 1, 0, -1):
                 counts[v] |= counts[v - 1] & hits
             at_least[k][a] = counts[:]
-    rows = []
     for x in elements:
         row = everything
         seen = []  # nonzero entries so far, ascending
@@ -419,8 +420,7 @@ def _containment_rows(elements: list[OneLine]) -> list[int]:
                 # seen[q] has len(seen) - q values >= it among the first k + 1
                 for q in range(seen.index(b) + 1):
                     row &= at_least[k][seen[q]][len(seen) - q]
-        rows.append(row)
-    return rows
+        yield row
 
 
 def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:

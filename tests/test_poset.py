@@ -275,6 +275,9 @@ def _with_onelines_swapped(a, b):
     _edited(edges=R2_DOC["edges"][1:]),  # the cover 0,0 < 0,1 dropped
     _edited(edges=[[1, 0]] + R2_DOC["edges"][1:]),  # that cover reversed
     _edited(edges=R2_DOC["edges"][::-1]),  # every cover, out of order
+    _with_node(0, oneline="00"),  # parse_one_line reads these three as 0,0,
+    _with_node(0, oneline="(0,0)"),  # but export_json writes none of them
+    _with_node(0, oneline=" 0, 0 "),
 ])
 def test_hasse_from_json_rejects_bad_documents(doc):
     with pytest.raises(ValueError):
@@ -452,6 +455,22 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, tar
 
 
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
+def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_count):
+    # The containment fault as a one-shot generator: verify may read each
+    # row once, in order, and must report exactly what the list gives.
+    name, fault = FAULTS["mismatches"]
+    listed = fault(getattr(poset, name))
+    monkeypatch.setattr(poset, name, listed)
+    expected = verify(3, sample_count, seed=0).to_dict()
+    monkeypatch.setattr(poset, name, lambda els: (row for row in listed(els)))
+    report = verify(3, sample_count, seed=0).to_dict()
+    assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
+    assert report["mismatches"][0] == expected["mismatches"][0] == FIRST_ENTRY["mismatches"]
+    for count in COUNTS.values():
+        assert report[count] == expected[count]
+
+
+@pytest.mark.parametrize("sample_count", CAMPAIGNS)
 def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, sample_count):
     real = poset.deodhar_leq
     monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: not real(x, y))
@@ -517,7 +536,7 @@ def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
 
     for name in ("_moves", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
-    assert poset._containment_rows(list(elements_of(n))) == list(deodhar_matrix(n))
+    assert list(poset._containment_rows(list(elements_of(n)))) == list(deodhar_matrix(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
