@@ -31,7 +31,10 @@ LEN_MAX_N = 1000
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
-# verify 6 --sampled K at the cap: 1.8-2.0 s and 43 MB (0.9-1.1 s at n = 5).
+# verify 6 --sampled K at the cap: 0.9-1.0 s and 43 MB when the relations
+# agree, since only the spot pairs are drawn; the cap bounds a run where
+# they differ, which draws and reads every pair: 1.8-2.0 s and 43 MB
+# (0.85-0.95 s at n = 5).
 SAMPLED_MAX_K = 1_000_000
 
 

@@ -14,11 +14,13 @@ and every threshold a, the first k entries of y hold at least as many
 values >= a as those of x do.  Each row is XORed with its closure row as
 it arrives, and the bits of a difference are walked only where it is
 nonzero, so a campaign covers every ordered pair; given a sample_count,
-it reads the differences on that many seeded random pairs instead.
-Either way verify also checks the per-pair containment test and the
-per-pair move search against the closure on about 200 evenly spaced
-pairs, and, on every element, the combinatorial length against the
-exact coordinate-subspace oracle.  Every disagreement lands in its own
+it reads the differences on that many seeded random pairs instead, and
+draws the pairs beyond its spot pairs only when some difference is
+nonzero.  Either way verify also checks the per-pair containment test
+and the per-pair move search against the closure on about 200 spot
+pairs (evenly spaced over all pairs, or the first draws of the sample),
+and, on every element, the combinatorial length against the exact
+coordinate-subspace oracle.  Every disagreement lands in its own
 list of the returned report, and none raises; every list but the
 search's keeps its first 1 000 entries next to an exact count.
 The report also carries the size of the relation and the seconds of
@@ -33,6 +35,7 @@ import random
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from .elements import OneLine, enumerate_elements, parse_one_line
@@ -76,8 +79,9 @@ class HasseDiagram:
 
 
 def build_hasse(n: int) -> HasseDiagram:
-    """Diagram of all of R_n, for n in 1..MAX_N."""
-    if not 1 <= n <= MAX_N:
+    """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
+    a bool included, raises ValueError."""
+    if type(n) is not int or not 1 <= n <= MAX_N:
         raise ValueError(f"supported sizes are 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
@@ -233,8 +237,10 @@ class VerificationReport:
     phases splits elapsed into the seconds of enumerate (argument checks
     and elements), closure (kernel, closure rows and cover audit),
     containment (the threshold rows, each compared with its closure row
-    as it is built), pairs (reading the differences), spot_checks (the
-    per-pair tests) and oracle (lengths and oracle).
+    as it is built), pairs (the spot pairs, and reading the differences:
+    on every pair, or, when sampled, on every drawn pair only if some
+    difference is nonzero), spot_checks (the per-pair tests) and oracle
+    (lengths and oracle).
     """
 
     n: int
@@ -291,21 +297,30 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     that of y) is XORed with its closure row as it is built; only the
     differences are kept.  With sample_count None the campaign walks
     every bit of every nonzero difference, so it checks every ordered
-    pair.  Otherwise it reads the differences on sample_count pairs
-    drawn from a generator seeded with seed, each pair as one index t
-    into the count * count ordered pairs read as (i, j) = divmod(t,
-    count).  Either way the per-pair containment test and the per-pair
-    move search are spot-checked against the closure on about 200 evenly
-    spaced pairs of the stream (all of a shorter one), and both the
-    covers (in the pass that builds the closure) and the oracle are
-    audited on every element.
+    pair.  Otherwise it reads the differences on the first sample_count
+    draws of a generator seeded with seed, each draw one index t into
+    the count * count ordered pairs read as (i, j) = divmod(t, count).
+    Draws are with replacement, so a pair drawn twice is checked, and a
+    mismatch on it counted and listed, twice.  The per-pair containment
+    test and the per-pair move search are spot-checked against the
+    closure on S = len(range(0, pairs_checked, stride)) pairs, where
+    stride = max(1, pairs_checked // 200): about 200, or all of fewer
+    than 400.  They are every stride-th ordered pair, or the first S
+    draws.  Those draws are made first; the rest are drawn, and every
+    drawn pair read in stream order, only when some difference is
+    nonzero, since a zero difference holds no mismatch.  Both the covers
+    (in the pass that builds the closure) and the oracle are audited on
+    every element.
+
+    n must be an int in 1..MAX_N and sample_count None or an int >= 1;
+    anything else, a bool included, raises ValueError.
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
-    if not 1 <= n <= MAX_N:
+    if type(n) is not int or not 1 <= n <= MAX_N:
         raise ValueError(f"verify supports n in 1..{MAX_N}")
-    if not exhaustive and sample_count < 1:
-        raise ValueError("sample_count must be positive")
+    if not exhaustive and (type(sample_count) is not int or sample_count < 1):
+        raise ValueError("sample_count must be a positive integer")
 
     elements = list(enumerate_elements(n))
     count = len(elements)
@@ -340,15 +355,15 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
                 note(i, j)
                 bits &= bits - 1
     else:
-        spot = []
+        # Spot pairs first; the rest of the stream only if some row differs.
         draw, space = random.Random(seed).randrange, count * count
-        for t in range(sample_count):
-            i, j = divmod(draw(space), count)
-            if t % stride == 0:
-                spot.append((i, j))
-            if diff[i] >> j & 1:
-                mismatch_count += 1
-                note(i, j)
+        spot = [divmod(draw(space), count) for _ in range(0, pairs_checked, stride)]
+        if any(diff):
+            rest = (divmod(draw(space), count) for _ in range(pairs_checked - len(spot)))
+            for i, j in chain(spot, rest):
+                if diff[i] >> j & 1:
+                    mismatch_count += 1
+                    note(i, j)
     marks.append(time.perf_counter())
 
     search_mismatches = []

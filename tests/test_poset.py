@@ -56,10 +56,10 @@ def test_hasse_node_ids_and_lengths():
 
 
 def test_hasse_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        build_hasse(0)
-    with pytest.raises(ValueError):
-        build_hasse(7)
+    # Only a true int is a size: a bool, float or string is refused too.
+    for n in (0, 7, True, 2.0, "3", None):
+        with pytest.raises(ValueError):
+            build_hasse(n)
 
 
 def test_hasse_deterministic():
@@ -476,7 +476,8 @@ def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypa
     monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: not real(x, y))
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
-    # the per-pair test runs on every stride-th pair of the stream, and only there
+    # the per-pair test runs on the spot pairs, and only there: every
+    # stride-th ordered pair, or as many of the first sampled draws
     stride = report["pairs_checked"] // 200
     spot_checks = len(range(0, report["pairs_checked"], stride))
     assert report["mismatch_count"] == len(report["mismatches"]) == spot_checks
@@ -493,6 +494,58 @@ def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, sample_coun
     assert [key for key in MISMATCH_LISTS if report[key]] == ["oracle_mismatches"]
     assert report["oracle_mismatches"][0] == ["0,0,0", 10, 0]
     assert report["relation_size"] == 441
+
+
+@pytest.mark.parametrize("sample_count", [150, 5000])
+@pytest.mark.parametrize(("n", "flips"), [(3, 60), (4, 2000)])
+def test_sampled_mismatches_are_those_of_the_first_draws_of_the_seed(
+    monkeypatch, n, flips, sample_count,
+):
+    # A multi-bit containment fault: seeded bit flips in the rows.  The
+    # sampled pairs are the first sample_count draws of the seeded stream,
+    # in order and with replacement, whichever of them are also spot-checked.
+    truth, els = deodhar_matrix(n), elements_of(n)
+    count = len(els)
+    rows = list(truth)
+    rng = random.Random(n)
+    for _ in range(flips):
+        i, j = rng.randrange(count), rng.randrange(count)
+        rows[i] ^= 1 << j
+    monkeypatch.setattr(poset, "_containment_rows", lambda els: iter(rows))
+    draw = random.Random(3).randrange
+    expected = []
+    for _ in range(sample_count):
+        i, j = divmod(draw(count * count), count)
+        if (rows[i] ^ truth[i]) >> j & 1:
+            p = bool(truth[i] >> j & 1)
+            expected.append([str(els[i]), str(els[j]), not p, p])
+    report = verify(n, sample_count, seed=3).to_dict()
+    assert expected
+    assert report["mismatch_count"] == len(expected)
+    assert report["mismatches"] == expected
+
+
+@pytest.mark.parametrize("sample_count", [150, 5000])
+def test_a_healthy_sampled_campaign_draws_only_its_spot_pairs(monkeypatch, sample_count):
+    draws, searched = [], []
+
+    class Spy(random.Random):
+        def randrange(self, *args):
+            t = super().randrange(*args)
+            draws.append(t)
+            return t
+
+    reference = random.Random(5).randrange
+    real = poset.ppr_leq
+    monkeypatch.setattr(poset.random, "Random", Spy)
+    monkeypatch.setattr(poset, "ppr_leq", lambda x, y: searched.append((x, y)) or real(x, y))
+    assert verify(4, sample_count, seed=5).passed
+    els = elements_of(4)
+    count = len(els)
+    stride = max(1, sample_count // 200)
+    assert len(draws) == len(range(0, sample_count, stride))
+    assert draws == [reference(count * count) for _ in draws]
+    assert searched == [(els[t // count], els[t % count]) for t in draws]
 
 
 def test_verify_reports_relation_size_and_phases():
@@ -572,14 +625,12 @@ def test_containment_rows_of_r5_hold_the_relation():
 
 
 def test_verify_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        verify(7)
-    with pytest.raises(ValueError):
-        verify(7, sample_count=1)
-    with pytest.raises(ValueError):
-        verify(0)
-    with pytest.raises(ValueError):
-        verify(2, sample_count=0)
+    for n in (7, 0, True, 2.0, "3", None):
+        with pytest.raises(ValueError):
+            verify(n)
+    for n, sample_count in [(7, 1), (2, 0), (2, -1), (3, True), (3, False), (3, 2.5), (3, "5")]:
+        with pytest.raises(ValueError):
+            verify(n, sample_count)
 
 
 def test_report_shape():
