@@ -24,7 +24,7 @@ from .length import (
     length,
     length_breakdown,
 )
-from .oracle import MatrixSpan, left_span, meet_dim, oracle_length, right_span
+from .oracle import left_span, oracle_length, right_span
 from .order import (
     covers_of,
     deodhar_leq,

@@ -11,7 +11,7 @@ import sys
 
 from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
-from .oracle import left_span, meet_dim, oracle_length, right_span
+from .oracle import left_span, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
 from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
 
@@ -153,9 +153,9 @@ def _cmd_oracle(args) -> int:
     left = left_span(x)
     right = right_span(x)
     print(f"element: {x}")
-    print(f"left_rank: {left.rank}")
-    print(f"right_rank: {right.rank}")
-    print(f"meet_dim: {meet_dim(left, right)}")
+    print(f"left_rank: {len(left)}")
+    print(f"right_rank: {len(right)}")
+    print(f"meet_dim: {len(left & right)}")
     print(f"oracle_length: {oracle_length(x)}")
     return 0
 

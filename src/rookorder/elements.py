@@ -65,7 +65,8 @@ def parse_one_line(text: str) -> OneLine:
 
     The canonical form is comma separated ("3,0,4,0").  Single digits may
     also be packed together without commas ("3040", surrounding parens
-    allowed), which is unambiguous only while n <= 9.
+    allowed), which is unambiguous only while n <= 9.  Entries are ASCII
+    digits only.
     """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -76,7 +77,7 @@ def parse_one_line(text: str) -> OneLine:
         if len(s) > 9:
             raise ValueError("digit-packed form is limited to n <= 9; use commas")
         tokens = list(s)
-    if not tokens or any(not t.isdigit() for t in tokens):
+    if not tokens or any(not (t.isascii() and t.isdigit()) for t in tokens):
         raise ValueError(f"malformed element text: {text!r}")
     return OneLine(tuple(int(t) for t in tokens))
 

@@ -34,7 +34,7 @@ import json
 import random
 import time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -222,18 +222,21 @@ def hasse_from_json(text: str) -> HasseDiagram:
 class VerificationReport:
     """Outcome of one cross-checking campaign over R_n.
 
-    mismatches holds (x, y, containment verdict, move-closure verdict)
+    Every field is required, and every entry of a mismatch list is a
+    JSON-ready list, so to_dict is the fields as they are plus passed.
+    mismatches holds [x, y, containment verdict, move-closure verdict]
     for the first 1 000 pairs where the containment rows, then the
     spot-checked per-pair containment test, differ from the closure,
     each in pair order (so the two verdicts of an entry are opposite);
     mismatch_count counts all such disagreements.
-    search_mismatches holds (x, y, move-closure verdict, per-pair search
-    verdict) wherever the two ways of evaluating move reachability
-    differ; cover_mismatches holds (x, predicate covers, brute-force
-    covers) and oracle_mismatches (x, formula length, oracle length) for
+    search_mismatches holds [x, y, move-closure verdict, per-pair search
+    verdict] wherever the two ways of evaluating move reachability
+    differ; cover_mismatches holds [x, predicate covers, brute-force
+    covers] and oracle_mismatches [x, formula length, oracle length] for
     the first 1 000 failing elements, each counted by its _count field.
-    All elements are reported in canonical text form.  relation_size is
-    the number of pairs, reflexive ones included, in the move closure.
+    All elements are reported in canonical text form.  seed is None for
+    an exhaustive campaign.  relation_size is the number of pairs,
+    reflexive ones included, in the move closure.
     phases splits elapsed into the seconds of enumerate (argument checks
     and elements), closure (kernel, closure rows and cover audit),
     containment (the threshold rows, each compared with its closure row
@@ -245,18 +248,18 @@ class VerificationReport:
 
     n: int
     mode: str
+    seed: int | None
     pairs_checked: int
-    mismatches: list[tuple[str, str, bool, bool]]
-    cover_mismatches: list[tuple[str, list[str], list[str]]]
-    oracle_mismatches: list[tuple[str, int, int]]
+    mismatches: list[list]
+    mismatch_count: int
+    search_mismatches: list[list]
+    cover_mismatches: list[list]
+    cover_mismatch_count: int
+    oracle_mismatches: list[list]
+    oracle_mismatch_count: int
+    relation_size: int
+    phases: dict[str, float]
     elapsed: float
-    seed: int | None = None
-    search_mismatches: list[tuple[str, str, bool, bool]] = field(default_factory=list)
-    relation_size: int = 0
-    phases: dict[str, float] = field(default_factory=dict)
-    mismatch_count: int = 0
-    cover_mismatch_count: int = 0
-    oracle_mismatch_count: int = 0
 
     @property
     def passed(self) -> bool:
@@ -266,26 +269,7 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "seed": self.seed,
-            "pairs_checked": self.pairs_checked,
-            "mismatches": [list(entry) for entry in self.mismatches],
-            "mismatch_count": self.mismatch_count,
-            "search_mismatches": [list(entry) for entry in self.search_mismatches],
-            "cover_mismatches": [
-                [x, list(predicate), list(brute)]
-                for x, predicate, brute in self.cover_mismatches
-            ],
-            "cover_mismatch_count": self.cover_mismatch_count,
-            "oracle_mismatches": [list(entry) for entry in self.oracle_mismatches],
-            "oracle_mismatch_count": self.oracle_mismatch_count,
-            "relation_size": self.relation_size,
-            "phases": self.phases,
-            "elapsed": self.elapsed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:
@@ -312,8 +296,8 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     (in the pass that builds the closure) and the oracle are audited on
     every element.
 
-    n must be an int in 1..MAX_N and sample_count None or an int >= 1;
-    anything else, a bool included, raises ValueError.
+    n must be an int in 1..MAX_N, sample_count None or an int >= 1, and
+    seed an int; anything else, a bool included, raises ValueError.
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
@@ -321,14 +305,16 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         raise ValueError(f"verify supports n in 1..{MAX_N}")
     if not exhaustive and (type(sample_count) is not int or sample_count < 1):
         raise ValueError("sample_count must be a positive integer")
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
 
     elements = list(enumerate_elements(n))
     count = len(elements)
     marks.append(time.perf_counter())
     closure, cover_failures = _close_moves(elements)
     cover_mismatches = [
-        (str(elements[i]), [str(elements[s]) for s in sorted(flagged)],
-         [str(elements[s]) for s in sorted(brute)])
+        [str(elements[i]), [str(elements[s]) for s in sorted(flagged)],
+         [str(elements[s]) for s in sorted(brute)]]
         for i, flagged, brute in cover_failures[:_MISMATCH_LIMIT]
     ]
     marks.append(time.perf_counter())
@@ -342,7 +328,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     def note(i, j):
         if len(mismatches) < _MISMATCH_LIMIT:
             p = bool(closure[i] >> j & 1)
-            mismatches.append((str(elements[i]), str(elements[j]), not p, p))
+            mismatches.append([str(elements[i]), str(elements[j]), not p, p])
 
     pairs_checked = count * count if exhaustive else sample_count
     stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
@@ -375,22 +361,25 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
             note(i, j)
         s = ppr_leq(x, y)
         if s != p:
-            search_mismatches.append((str(x), str(y), p, s))
+            search_mismatches.append([str(x), str(y), p, s])
     marks.append(time.perf_counter())
 
-    oracle_mismatches = _audit_oracle(elements)
+    oracle_failures = _audit_oracle(elements)
+    oracle_mismatches = [
+        [str(elements[i]), ln, computed]
+        for i, ln, computed in oracle_failures[:_MISMATCH_LIMIT]
+    ]
     marks.append(time.perf_counter())
     return VerificationReport(
-        n, "exhaustive" if exhaustive else "sampled", pairs_checked,
-        mismatches, cover_mismatches, oracle_mismatches[:_MISMATCH_LIMIT],
-        marks[-1] - marks[0],
-        seed=None if exhaustive else seed,
+        n=n, mode="exhaustive" if exhaustive else "sampled",
+        seed=None if exhaustive else seed, pairs_checked=pairs_checked,
+        mismatches=mismatches, mismatch_count=mismatch_count,
         search_mismatches=search_mismatches,
+        cover_mismatches=cover_mismatches, cover_mismatch_count=len(cover_failures),
+        oracle_mismatches=oracle_mismatches, oracle_mismatch_count=len(oracle_failures),
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
-        mismatch_count=mismatch_count,
-        cover_mismatch_count=len(cover_failures),
-        oracle_mismatch_count=len(oracle_mismatches),
+        elapsed=marks[-1] - marks[0],
     )
 
 
@@ -482,11 +471,10 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
     return closure, failures
 
 
-def _audit_oracle(elements) -> list[tuple[str, int, int]]:
-    out = []
-    for x in elements:
-        ln = length(x)
-        computed = oracle_length(x)
-        if computed != ln:
-            out.append((str(x), ln, computed))
-    return out
+def _audit_oracle(elements: list[OneLine]) -> list[tuple[int, int, int]]:
+    """(index, formula length, oracle length) of every element where the
+    two differ, in element order; verify formats only those it lists."""
+    return [
+        (i, ln, computed) for i, x in enumerate(elements)
+        if (ln := length(x)) != (computed := oracle_length(x))
+    ]

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rookorder import VerificationReport, cli, parse_one_line, poset
+from rookorder import cli, parse_one_line, poset
 
 
 def run(capsys, *argv):
@@ -84,7 +85,7 @@ def _work(*args):
 @pytest.mark.parametrize("command, cap, workers", [
     ("len", cli.LEN_MAX_N, ("length_breakdown", "coinversions")),
     ("covers", cli.COVERS_MAX_N, ("covers_of",)),
-    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span", "meet_dim", "oracle_length")),
+    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span", "oracle_length")),
     ("enum", cli.ENUM_MAX_N, ("enumerate_elements",)),
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, command, cap, workers):
@@ -231,15 +232,8 @@ def test_verify_json(capsys):
 
 
 def test_verify_exits_two_on_failure(capsys, monkeypatch):
-    failing = VerificationReport(
-        n=2,
-        mode="exhaustive",
-        pairs_checked=49,
-        mismatches=[("0,0", "1,0", True, False)],
-        cover_mismatches=[],
-        oracle_mismatches=[],
-        elapsed=0.01,
-        mismatch_count=1,
+    failing = replace(
+        poset.verify(2), mismatches=[["0,0", "1,0", True, False]], mismatch_count=1
     )
     monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "2")

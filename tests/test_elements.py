@@ -39,6 +39,13 @@ def test_parse_rejects_garbage():
             parse_one_line(bad)
 
 
+def test_parse_accepts_ascii_digits_only():
+    # fullwidth 2, Arabic-Indic 3 and 0, superscript 2: all str.isdigit()
+    for bad in ["1,\uff12", "\u0663,\u0660", "\u00b2"]:
+        with pytest.raises(ValueError, match="malformed element text"):
+            parse_one_line(bad)
+
+
 def test_parse_digit_packed_is_bounded():
     with pytest.raises(ValueError):
         parse_one_line("0" * 10)

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from rookorder import (
     HasseDiagram,
     OneLine,
     poset,
-    VerificationReport,
     build_hasse,
     covers_of,
     deodhar_leq,
@@ -576,7 +576,7 @@ def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch
     report = verify(4)
     assert not report.passed
     assert (report.mismatch_count, len(report.mismatches)) == (12092, 1000)
-    assert report.mismatches[0] == ("0,0,0,0", "0,0,0,1", False, True)
+    assert report.mismatches[0] == ["0,0,0,0", "0,0,0,1", False, True]
     index = {str(e): i for i, e in enumerate(elements_of(4))}
     pairs = [(index[x], index[y]) for x, y, _, _ in report.mismatches]
     assert pairs == sorted(pairs)
@@ -631,6 +631,12 @@ def test_verify_rejects_bad_arguments():
     for n, sample_count in [(7, 1), (2, 0), (2, -1), (3, True), (3, False), (3, 2.5), (3, "5")]:
         with pytest.raises(ValueError):
             verify(n, sample_count)
+    # An unseeded campaign could not be reproduced, and a report's seed
+    # of None marks an exhaustive one.
+    for sample_count in (5, None):
+        for seed in (None, True, 2.5, "x"):
+            with pytest.raises(ValueError, match="seed"):
+                verify(3, sample_count, seed=seed)
 
 
 def test_report_shape():
@@ -639,14 +645,13 @@ def test_report_shape():
     assert d["n"] == 2
     assert d["passed"] is True
     assert set(d) >= {"n", "mode", "pairs_checked", "mismatches", "elapsed", "passed"}
-    failing = VerificationReport(
-        n=2,
-        mode="exhaustive",
-        pairs_checked=49,
-        mismatches=[("0,0", "1,0", True, False)],
-        cover_mismatches=[],
-        oracle_mismatches=[],
-        elapsed=0.0,
-    )
+    # Every field reaches --json, next to passed.
+    assert set(d) == {
+        "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
+        "search_mismatches", "cover_mismatches", "cover_mismatch_count",
+        "oracle_mismatches", "oracle_mismatch_count", "relation_size",
+        "phases", "elapsed", "passed",
+    }
+    failing = replace(r, mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
     assert failing.to_dict()["passed"] is False
