@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--sampled", type=int, metavar="K",
                    help="check K seeded random pairs instead of all pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the --sampled pairs (default 0)")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     p.set_defaults(handler=_cmd_verify)
 
@@ -180,9 +180,11 @@ def _rank_table(h) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.sampled is None and args.seed is not None:
+        raise ValueError("--seed needs --sampled: an exhaustive campaign draws no pairs")
     if args.sampled is not None and args.sampled > SAMPLED_MAX_K:
         raise ValueError(f"verify supports --sampled K <= {SAMPLED_MAX_K}")
-    report = verify(args.n, args.sampled, args.seed)
+    report = verify(args.n, args.sampled, 0 if args.seed is None else args.seed)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

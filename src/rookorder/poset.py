@@ -2,29 +2,35 @@
 
 Each whole-monoid pass reads the order module's move kernel once per
 element, in its one walk over the elements, and keeps no moves after.
-build_hasse takes the kernel's cover flags as the diagram edges, and
-hasse_from_json rejects edges that differ from them.
+build_hasse takes the kernel's cover flags as the diagram edges.
+
+The other route is the threshold lemma, which reads no move code: x <= y
+exactly when, for every prefix length k and every threshold a, the first
+k entries of y hold at least as many values >= a as those of x do.
+_threshold_tables counts those thresholds, bit-sliced, over any list of
+elements, and _containment_row ANDs one element's up-set out of them.
+hasse_from_json takes the covers of each loaded node from its row over
+the nodes one length above it, since the length is the rank function of
+the order, and rejects edges that differ from them; so an edge error of
+the kernel that build_hasse wrote is caught on reload.
 
 verify compares two relations, one bitset row per element, and holds
 only the move closure, whose pass also audits the kernel's cover flags
 against brute-force covers on every element.  _containment_rows yields
-the other, the containment relation, from the threshold lemma alone and
-without any move code: x <= y exactly when, for every prefix length k
-and every threshold a, the first k entries of y hold at least as many
-values >= a as those of x do.  Each row is XORed with its closure row as
-it arrives, and the bits of a difference are walked only where it is
-nonzero, so a campaign covers every ordered pair; given a sample_count,
-it reads the differences on that many seeded random pairs instead, and
-draws the pairs beyond its spot pairs only when some difference is
-nonzero.  Either way verify also checks the per-pair containment test
-and the per-pair move search against the closure on about 200 spot
-pairs (evenly spaced over all pairs, or the first draws of the sample),
-and, on every element, the combinatorial length against the exact
-coordinate-subspace oracle.  Every disagreement lands in its own
-list of the returned report, and none raises; every list but the
-search's keeps its first 1 000 entries next to an exact count.
-The report also carries the size of the relation and the seconds of
-each phase.
+the other, the containment relation, as full rows over all of R_n.
+Each row is XORed with its closure row as it arrives, and the bits of a
+difference are walked only where it is nonzero, so a campaign covers
+every ordered pair; given a sample_count, it reads the differences on
+that many seeded random pairs instead, and draws the pairs beyond its
+spot pairs only when some difference is nonzero.  Either way verify
+also checks the per-pair containment test and the per-pair move search
+against the closure on about 200 spot pairs (evenly spaced over all
+pairs, or the first draws of the sample), and, on every element, the
+combinatorial length against the exact coordinate-subspace oracle.
+Every disagreement lands in its own list of the returned report, and
+none raises; every list but the search's keeps its first 1 000 entries
+next to an exact count.  The report also carries the size of the
+relation and the seconds of each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.
@@ -33,12 +39,13 @@ monoid, share one size bound: n in 1..MAX_N.
 import json
 import random
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import ne
 from typing import Iterator
 
-from .elements import OneLine, enumerate_elements, parse_one_line
+from .elements import OneLine, enumerate_elements
 from .length import length
 from .oracle import oracle_length
 from .order import _moves, deodhar_leq, ppr_leq
@@ -170,52 +177,90 @@ def hasse_from_json(text: str) -> HasseDiagram:
     Raises ValueError unless the text is JSON that nests within the
     interpreter's recursion limit, the document has exactly the keys n,
     nodes and edges, node ids run densely from 0 in order, every element
-    is in canonical text, has size n and carries its own length, the
-    elements strictly increase in lexicographic order, every edge is a
-    pair of node ids, and the edges, in sorted order, are exactly the
-    covering pairs of R_n between nodes.  build_hasse and interval write
-    edges that way: a full diagram and an interval are both convex.
+    is the canonical text of an element of R_n and carries its own
+    length, the elements strictly increase in lexicographic order, every
+    edge is a pair of node ids, and the edges, in sorted order, are
+    exactly the covering pairs of R_n between nodes.  build_hasse and
+    interval write edges that way: a full diagram and an interval are
+    both convex.
+
+    The edges are checked against the containment order, not against
+    the move kernel that build_hasse takes them from (see
+    _containment_covers), so an edge error of the kernel is caught here.
+    Node text is looked up in a map from the canonical text of every
+    element of R_n, so no text is parsed.
     """
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("diagram JSON is nested too deeply") from None
-    if not isinstance(doc, dict) or set(doc) != {"n", "nodes", "edges"}:
+    if not isinstance(doc, dict) or doc.keys() != {"n", "nodes", "edges"}:
         raise ValueError("diagram must be an object with exactly the keys n, nodes, edges")
     n, raw_nodes, raw_edges = doc["n"], doc["nodes"], doc["edges"]
     if type(n) is not int or not 1 <= n <= MAX_N:
         raise ValueError(f"diagram size must be an integer in 1..{MAX_N}")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
+    canonical = {str(e): e for e in enumerate_elements(n)}
     nodes = []
     for ident, node in enumerate(raw_nodes):
-        if not isinstance(node, dict) or set(node) != {"id", "oneline", "length"}:
+        if not isinstance(node, dict) or node.keys() != {"id", "oneline", "length"}:
             raise ValueError(f"node {ident} must have exactly the keys id, oneline, length")
-        if type(node["id"]) is not int or node["id"] != ident:
-            raise ValueError(f"node ids must run 0, 1, ... in order; got {node['id']!r}")
-        if not isinstance(node["oneline"], str):
+        i, text, ln = node["id"], node["oneline"], node["length"]
+        if type(i) is not int or i != ident:
+            raise ValueError(f"node ids must run 0, 1, ... in order; got {i!r}")
+        if not isinstance(text, str):
             raise ValueError(f"node {ident}: oneline must be a string")
-        e = parse_one_line(node["oneline"])
-        if node["oneline"] != str(e) or e.n != n:
-            raise ValueError(f"node {ident}: {node['oneline']!r} is not canonical text of size {n}")
+        e = canonical.get(text)
+        if e is None:
+            raise ValueError(f"node {ident}: {text!r} is not the canonical text of an element of R_{n}")
         if nodes and e.entries <= nodes[-1][1].entries:
             raise ValueError(f"node {ident}: element {e} does not follow {nodes[-1][1]}")
-        ln = node["length"]
         if type(ln) is not int or ln != length(e):
             raise ValueError(f"node {ident}: length {ln!r} is not the length of {e}")
         nodes.append((ident, e, ln))
-    edges = []
     count = len(nodes)
     for edge in raw_edges:
         if isinstance(edge, list) and len(edge) == 2:
             lo, hi = edge
             if type(lo) is int and type(hi) is int and 0 <= lo < count and 0 <= hi < count:
-                edges.append((lo, hi))
                 continue
         raise ValueError(f"edge {edge!r} is not a pair of node ids")
-    if tuple(edges) != _cover_edges([e for _, e, _ in nodes]):
+    edges = _containment_covers(nodes)
+    # Edge by edge, so that no second copy of the document's edges is held.
+    if len(raw_edges) != len(edges) or any(map(ne, raw_edges, map(list, edges))):
         raise ValueError("edges must be exactly the sorted covering pairs between the nodes")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
+
+
+def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int, int]]:
+    """The covering pairs (i, j) between nodes (id, element, length),
+    sorted, from the containment order and the node lengths alone.
+
+    The length is the rank function of the order, so y covers x exactly
+    when x <= y and length(y) = length(x) + 1, in R_n and so between any
+    set of its elements.  The candidates above a node of length L are the
+    nodes of length L + 1, so each level gets threshold tables of its own,
+    over the level above it only, and each node's covers are the bits of
+    its containment row over those tables.  Reads no move code."""
+    levels: dict[int, list[tuple[int, OneLine]]] = {}
+    for i, e, ln in nodes:
+        levels.setdefault(ln, []).append((i, e))
+    covers: list[list[int]] = [[] for _ in nodes]
+    for ln, lower in levels.items():
+        upper = levels.get(ln + 1)
+        if not upper:
+            continue
+        at_least = _threshold_tables([e for _, e in upper])
+        everything = (1 << len(upper)) - 1
+        for i, e in lower:
+            row = _containment_row(at_least, everything, e.entries)
+            # upper is in id order, so its bits give ascending ids.
+            while row:
+                low = row & -row
+                covers[i].append(upper[low.bit_length() - 1][0])
+                row ^= low
+    return [(i, j) for i, above in enumerate(covers) for j in above]
 
 
 @dataclass
@@ -385,7 +430,23 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
 
 def _containment_rows(elements: list[OneLine]) -> Iterator[int]:
     """Up-set bitsets of the containment order, yielded in element order:
-    bit j of row i says elements[i] <= elements[j].  Reads no move code.
+    bit j of row i says elements[i] <= elements[j].  Reads no move code."""
+    at_least = _threshold_tables(elements)
+    everything = (1 << len(elements)) - 1
+    for x in elements:
+        yield _containment_row(at_least, everything, x.entries)
+
+
+# _THRESHOLD_DIGITS[a] translates each entry byte to "1" when it is >= a
+# and to "0" otherwise, for every threshold a of R_1..R_MAX_N.
+_THRESHOLD_DIGITS = tuple(b"0" * a + b"1" * (256 - a) for a in range(MAX_N + 1))
+
+
+def _threshold_tables(elements: list[OneLine]) -> list[list]:
+    """Bit-sliced threshold counts over a nonempty list of elements of one
+    size n: at_least[k][a][v], for k in 0..n-1 and a in 1..n, is the
+    bitset of the indices of elements with at least v values >= a among
+    their first k + 1 entries.
 
     Threshold lemma (the principle of deodhar_leq_gamma): x <= y exactly
     when, for every prefix length k and every nonzero entry a among the
@@ -394,44 +455,52 @@ def _containment_rows(elements: list[OneLine]) -> Iterator[int]:
     there x's count equals its count over the first k - 1 entries, which
     is checked already, and y's count cannot shrink as k grows.
 
-    at_least[k][a][v] is the bitset of elements with at least v values
-    >= a among their first k + 1 entries.  It is built one position at a
-    time by bit-sliced counting: the elements whose entry at the position
-    is >= a form one bitset, read off the column of entries with a byte
-    translation, and adding it to the counts is one AND and one OR per v.
-    The row of x is then the AND of one such bitset per (k, a) it needs,
-    at most n(n + 1)/2 of them.
+    The tables are built one position at a time by bit-sliced counting:
+    the elements whose entry at the position is >= a form one bitset,
+    read off the column of entries with a byte translation, and adding
+    it to the counts is one AND and one OR per v.
     """
     n = elements[0].n
-    everything = (1 << len(elements)) - 1
     # Reversed, so that element j lands on bit j of int(..., 2).
-    columns = [bytes(e.entries[i] for e in reversed(elements)) for i in range(n)]
-    at_least = [[None] * (n + 1) for _ in range(n)]
+    columns = [bytes(column[::-1]) for column in zip(*(e.entries for e in elements))]
+    at_least: list[list] = [[None] * (n + 1) for _ in range(n)]
     for a in range(1, n + 1):
-        digits = bytes(ord("1") if v >= a else ord("0") for v in range(256))
-        counts = [everything] + [0] * n
+        digits = _THRESHOLD_DIGITS[a]
+        counts = [(1 << len(elements)) - 1] + [0] * n
         for k, column in enumerate(columns):
             hits = int(column.translate(digits), 2)
             for v in range(k + 1, 0, -1):
                 counts[v] |= counts[v - 1] & hits
             at_least[k][a] = counts[:]
-    for x in elements:
-        row = everything
-        seen = []  # nonzero entries so far, ascending
-        for k, b in enumerate(x.entries):
-            if b:
-                insort(seen, b)
-                # seen[q] has len(seen) - q values >= it among the first k + 1
-                for q in range(seen.index(b) + 1):
-                    row &= at_least[k][seen[q]][len(seen) - q]
-        yield row
+    return at_least
+
+
+def _containment_row(at_least: list, everything: int, entries: tuple[int, ...]) -> int:
+    """Bitset of the indices of the elements of at_least's list that lie
+    at or above the element with these entries, out of everything, the
+    bitset of all of them: the AND of one table per (k, a) that the
+    threshold lemma needs, at most n(n + 1)/2 of them."""
+    row = everything
+    seen = []  # nonzero entries so far, ascending
+    for k, b in enumerate(entries):
+        if b:
+            q = bisect_left(seen, b)
+            seen.insert(q, b)
+            # Each a in seen[:q + 1] has v values >= it among the first
+            # k + 1 entries, v falling from len(seen) by one per a.
+            v = len(seen)
+            tables = at_least[k]
+            for a in seen[:q + 1]:
+                row &= tables[a][v]
+                v -= 1
+    return row
 
 
 def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:
     """The covering pairs (i, j) between elements, sorted: for each
     element in index order, the ascending indices of its flagged moves.
-    Moves leaving elements are skipped, since a loaded interval is a
-    subset of R_n."""
+    Moves leaving elements are skipped, so any set of elements of R_n
+    in lexicographic order will do."""
     index = {e.entries: i for i, e in enumerate(elements)}
     return tuple(
         (i, j)

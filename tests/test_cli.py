@@ -223,6 +223,14 @@ def test_verify_sampled_flags(capsys):
     assert "pairs_checked: 300" in out
 
 
+def test_verify_refuses_a_seed_without_sampled(capsys):
+    # An exhaustive campaign draws no pairs, so a seed there would be ignored.
+    code, out, err = run(capsys, "verify", "2", "--seed", "7")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--sampled" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "2", "--json")
     assert code == 0

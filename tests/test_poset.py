@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rookorder import (
     HasseDiagram,
     OneLine,
+    order,
     poset,
     build_hasse,
     covers_of,
@@ -278,6 +279,11 @@ def _with_onelines_swapped(a, b):
     _with_node(0, oneline="00"),  # parse_one_line reads these three as 0,0,
     _with_node(0, oneline="(0,0)"),  # but export_json writes none of them
     _with_node(0, oneline=" 0, 0 "),
+    _with_node(1, oneline="0,\u0661"),  # a non-ASCII digit one
+    _with_node(1, oneline="+0,1"),
+    _with_node(1, oneline="0,1,"),
+    _edited(edges=[[0, True]] + R2_DOC["edges"][1:]),  # equal to the covers,
+    _edited(edges=[[0, 1.0]] + R2_DOC["edges"][1:]),  # but not a pair of ints
 ])
 def test_hasse_from_json_rejects_bad_documents(doc):
     with pytest.raises(ValueError):
@@ -310,6 +316,98 @@ def test_hasse_from_json_raises_only_value_error(text):
         hasse_from_json(text)
     except ValueError:
         pass
+
+
+def _loaded_covers(nodes):
+    """The covers the reload checks edges against: containment rows cut
+    at the next length."""
+    return poset._containment_covers(list(nodes))
+
+
+def _kernel_covers(nodes):
+    """The covers build_hasse writes: the move kernel's flags."""
+    return list(poset._cover_edges([e for _, e, _ in nodes]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_level_sliced_covers_are_the_kernel_covers_of_r_n(n):
+    h = build_hasse(n)
+    assert _loaded_covers(h.nodes) == _kernel_covers(h.nodes) == list(h.edges)
+
+
+def test_level_sliced_covers_are_the_kernel_covers_of_every_r3_interval():
+    h, els, rows = build_hasse(3), elements_of(3), deodhar_matrix(3)
+    checked = 0
+    for x, row in zip(els, rows):
+        for j, y in enumerate(els):
+            if row >> j & 1:
+                sub = interval(h, x, y)
+                assert _loaded_covers(sub.nodes) == _kernel_covers(sub.nodes) == list(sub.edges)
+                checked += 1
+    assert checked == 441
+
+
+def test_level_sliced_covers_are_the_kernel_covers_of_r5_intervals():
+    h, els, rows = build_hasse(5), elements_of(5), deodhar_matrix(5)
+    rng = random.Random(21)
+    checked = 0
+    while checked < 200:
+        i, j = rng.randrange(len(els)), rng.randrange(len(els))
+        if rows[i] >> j & 1:
+            sub = interval(h, els[i], els[j])
+            assert _loaded_covers(sub.nodes) == _kernel_covers(sub.nodes) == list(sub.edges)
+            checked += 1
+
+
+def test_level_sliced_covers_are_the_kernel_covers_of_non_convex_node_sets():
+    # The two ends of R_2, the node set of
+    # test_interval_of_a_loaded_diagram_follows_its_edges, then seeded
+    # random subsets of R_4, which are rarely convex.
+    ends = ((0, OneLine((0, 0)), 0), (1, OneLine((2, 1)), 4))
+    assert _loaded_covers(ends) == _kernel_covers(ends) == []
+    nodes = build_hasse(4).nodes
+    rng = random.Random(4)
+    for size in (2, 10, 50, 100, 150, 200):
+        for _ in range(5):
+            kept = sorted(rng.sample(range(len(nodes)), size))
+            sub = tuple((new, nodes[old][1], nodes[old][2]) for new, old in enumerate(kept))
+            assert _loaded_covers(sub) == _kernel_covers(sub)
+
+
+COVER_FLAG_FAULTS = {
+    # The cover 0,0,0,0 < 0,0,0,1 flagged as no cover.
+    "dropped": lambda a, y, cover: cover and (a, y) != ((0, 0, 0, 0), (0, 0, 0, 1)),
+    # The move 0,0,0,0 -> 0,0,0,2, below 0,0,0,1, flagged as a cover.
+    "flipped": lambda a, y, cover: cover or (a, y) == ((0, 0, 0, 0), (0, 0, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
+def test_reload_catches_a_kernel_cover_error_that_is_consistent_with_itself(monkeypatch, fault):
+    flag = COVER_FLAG_FAULTS[fault]
+    real = poset._moves
+    good = build_hasse(4)
+    monkeypatch.setattr(poset, "_moves", lambda a: [(y, flag(a, y, c)) for y, c in real(a)])
+    h = build_hasse(4)
+    assert len(set(h.edges) ^ set(good.edges)) == 1
+    with pytest.raises(ValueError, match="covering pairs"):
+        hasse_from_json(export_json(h))
+
+
+def test_reload_reads_no_move_code(monkeypatch):
+    h = build_hasse(5)
+    text = export_json(h)
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("the reload may read no move code")
+
+    for name in ("_moves", "_cover_edges", "_close_moves", "ppr_leq"):
+        monkeypatch.setattr(poset, name, refuse)
+    monkeypatch.setattr(order, "_moves", refuse)
+    assert hasse_from_json(text) == h
+    assert calls == []
 
 
 def test_json_round_trip_of_an_r4_interval():
