@@ -27,14 +27,15 @@ CMP_MAX_N = 7
 COVERS_MAX_N = 200
 # len of the identity (n(n-1)/2 coinversion pairs): 0.7 s and 111 MB at n = 1000.
 LEN_MAX_N = 1000
-# oracle of the identity: 0.25 s and 92 MB at n = 700, 171 MB at n = 1000.
+# oracle of the identity: 0.04-0.06 s and 16 MB at n = 700, 0.13 s and 16 MB
+# at n = 1000.
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
-# verify 6 --sampled K at the cap: 0.9-1.0 s and 43 MB when the relations
+# verify 6 --sampled K at the cap: 0.6-0.8 s and 43 MB when the relations
 # agree, since only the spot pairs are drawn; the cap bounds a run where
-# they differ, which draws and reads every pair: 1.8-2.0 s and 43 MB
-# (0.85-0.95 s at n = 5).
+# they differ, which draws and reads every pair: 1.3-1.7 s and 43 MB
+# (0.55-0.9 s at n = 5).
 SAMPLED_MAX_K = 1_000_000
 
 
@@ -153,9 +154,9 @@ def _cmd_oracle(args) -> int:
     left = left_span(x)
     right = right_span(x)
     print(f"element: {x}")
-    print(f"left_rank: {len(left)}")
-    print(f"right_rank: {len(right)}")
-    print(f"meet_dim: {len(left & right)}")
+    print(f"left_rank: {left.bit_count()}")
+    print(f"right_rank: {right.bit_count()}")
+    print(f"meet_dim: {(left & right).bit_count()}")
     print(f"oracle_length: {oracle_length(x)}")
     return 0
 

@@ -116,24 +116,31 @@ def _moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
     i by d adds d to S_k for every k >= i; swapping i < j with a_i < a_j
     adds a_j - a_i to S_k for i <= k < j and leaves the others alone.  So
     x <= y needs every prefix sum of x to be at most that of y.
+
+    Each result is written into one working list of the entries, copied
+    out by tuple(), and undone before the next.
     """
     n = len(a)
     free = [b for b in range(1, n + 1) if b not in a]
     raises = []
     swaps = []
+    work = list(a)
     for i, u in enumerate(a):
-        head, tail = a[:i], a[i + 1:]
         low = n + 1
         for j in range(i + 1, n):
             v = a[j]
             if v > u:
-                swaps.append((head + (v,) + a[i + 1:j] + (u,) + a[j + 1:], v < low))
+                work[i], work[j] = v, u
+                swaps.append((tuple(work), v < low))
+                work[j] = v
             if u <= v < low:
                 low = v
         for b in free:
             if b > u:
-                raises.append((head + (b,) + tail, b < low))
+                work[i] = b
+                raises.append((tuple(work), b < low))
                 low = 0
+        work[i] = u
     return raises + swaps
 
 

@@ -519,23 +519,31 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
     move climbs in lexicographic order, so filling rows in descending
     index order has every move's row ready.  Everything strictly above x
     is at or above a move of x, so the brute-force covers of x are its
-    moves in no strict up-set of a move: they read no cover flag.  Both
-    they and the flagged moves list distinct moves in kernel order, so
-    list equality is set equality.  Failures come in element order."""
+    moves in no strict up-set of a move: they read no cover flag.  Each
+    move's row holds its own bit, so those covers are the bitset
+    reach & ~beyond, which is compared with the bitset of the flagged
+    moves; the two index lists are built only for an element that
+    fails.  Failures come in element order."""
     index = {e.entries: i for i, e in enumerate(elements)}
     closure = [0] * len(elements)
     failures = []
     for i in reversed(range(len(elements))):
-        moves = [(index[y], cover) for y, cover in _moves(elements[i].entries)]
-        reach = beyond = 0
-        for s, _ in moves:
-            reach |= closure[s]
-            beyond |= closure[s] ^ (1 << s)
+        moves = _moves(elements[i].entries)
+        reach = beyond = flagged = 0
+        for y, cover in moves:
+            s = index[y]
+            row, bit = closure[s], 1 << s
+            reach |= row
+            beyond |= row ^ bit
+            if cover:
+                flagged |= bit
         closure[i] = reach | 1 << i
-        flagged = [s for s, cover in moves if cover]
-        brute = [s for s, _ in moves if not beyond >> s & 1]
-        if flagged != brute:
-            failures.append((i, flagged, brute))
+        if flagged != reach & ~beyond:
+            moved = [(index[y], cover) for y, cover in moves]
+            failures.append((
+                i, [s for s, cover in moved if cover],
+                [s for s, _ in moved if not beyond >> s & 1],
+            ))
     failures.reverse()
     return closure, failures
 

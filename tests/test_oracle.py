@@ -11,14 +11,17 @@ from rookorder import (
     parse_one_line,
     rank,
     right_span,
+    to_matrix,
 )
 
 from helpers import (
     dense_oracle,
     elements_of,
     identity_el,
+    matrix_product_01,
     reversal_el,
     rook_elements,
+    unit_matrix,
     zero_el,
 )
 
@@ -27,38 +30,38 @@ def test_span_example():
     x = parse_one_line("4,0,2,3")
     left = left_span(x)
     right = right_span(x)
-    assert left | right <= set(range(16))
-    assert len(left) == 9
-    assert len(right) == 7
-    assert len(left & right) == 4
+    assert (left | right) >> 16 == 0
+    assert left.bit_count() == 9
+    assert right.bit_count() == 7
+    assert (left & right).bit_count() == 4
     assert oracle_length(x) == 12
 
 
 def test_span_of_zero_and_identity():
     z = zero_el(3)
-    assert len(left_span(z)) == 0
-    assert len(right_span(z)) == 0
+    assert left_span(z).bit_count() == 0
+    assert right_span(z).bit_count() == 0
     assert oracle_length(z) == 0
     for n in (1, 2, 3, 4):
         e = identity_el(n)
         expected = n * (n + 1) // 2
-        assert len(left_span(e)) == expected
-        assert len(right_span(e)) == expected
+        assert left_span(e).bit_count() == expected
+        assert right_span(e).bit_count() == expected
         assert oracle_length(e) == expected
 
 
 def test_span_coordinates_lie_in_ambient_space():
     x = parse_one_line("2,0,3")
     for span in (left_span(x), right_span(x)):
-        assert type(span) is frozenset
-        assert all(type(c) is int and c in range(9) for c in span)
+        assert type(span) is int
+        assert span >= 0 and span >> 9 == 0
     # rows 0..1 of column 0 and rows 0..2 of column 2
-    assert left_span(x) == {0, 3, 2, 5, 8}
+    assert left_span(x) == sum(1 << c for c in (0, 3, 2, 5, 8))
 
 
 def test_meet_with_self_is_rank():
     span = left_span(parse_one_line("4,0,2,3"))
-    assert len(span & span) == len(span)
+    assert (span & span).bit_count() == span.bit_count()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -66,12 +69,29 @@ def test_rank_closed_forms_exhaustive(n):
     for x in elements_of(n):
         left = left_span(x)
         right = right_span(x)
-        assert len(left) == sum(x.entries)
-        assert len(right) == sum(n - i for i, a in enumerate(x.entries) if a)
-        meet = len(left & right)
-        assert 0 <= meet <= min(len(left), len(right))
+        assert left.bit_count() == sum(x.entries)
+        assert right.bit_count() == sum(n - i for i, a in enumerate(x.entries) if a)
+        meet = (left & right).bit_count()
+        assert 0 <= meet <= min(left.bit_count(), right.bit_count())
         for span in (left, right):
-            assert span <= set(range(n * n))
+            assert span >> n * n == 0
+
+
+def _flat_positions(products, n):
+    """Bitmask of the flat positions r*n + c of the nonzero entries of
+    the given n-by-n matrices."""
+    positions = {r * n + c for m in products for r in range(n) for c in range(n) if m[r][c]}
+    return sum(1 << p for p in positions)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_span_bits_are_the_positions_of_the_nonzero_unit_products(n):
+    units = [unit_matrix(n, i, j) for i in range(n) for j in range(i, n)]
+    for x in elements_of(n):
+        m = to_matrix(x)
+        left = _flat_positions((matrix_product_01(u, m) for u in units), n)
+        right = _flat_positions((matrix_product_01(m, u) for u in units), n)
+        assert (left_span(x), right_span(x)) == (left, right), str(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -85,7 +105,7 @@ def test_oracle_matches_dense_reference_exhaustive(n):
     for x in elements_of(n):
         left = left_span(x)
         right = right_span(x)
-        got = (len(left), len(right), len(left & right), oracle_length(x))
+        got = (left.bit_count(), right.bit_count(), (left & right).bit_count(), oracle_length(x))
         assert got == dense_oracle(x), str(x)
 
 
@@ -112,6 +132,6 @@ def test_oracle_matches_formula_sampled_r5(x):
 def test_meet_bounded_by_rank_plus(x):
     left = left_span(x)
     right = right_span(x)
-    meet = len(left & right)
+    meet = (left & right).bit_count()
     assert meet >= rank(x)  # the ones of x lie in both closures
-    assert meet <= min(len(left), len(right))
+    assert meet <= min(left.bit_count(), right.bit_count())

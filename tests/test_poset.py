@@ -394,6 +394,25 @@ def test_reload_catches_a_kernel_cover_error_that_is_consistent_with_itself(monk
         hasse_from_json(export_json(h))
 
 
+COVER_FLAG_ENTRIES = {
+    "dropped": ["0,0,0,0", [], ["0,0,0,1"]],
+    "flipped": ["0,0,0,0", ["0,0,0,1", "0,0,0,2"], ["0,0,0,1"]],
+}
+
+
+@pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
+def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
+    # The flagged and brute covers are compared as bitsets and listed only
+    # for an element that fails: here one, with both sides in kernel order.
+    flag = COVER_FLAG_FAULTS[fault]
+    real = poset._moves
+    monkeypatch.setattr(poset, "_moves", lambda a: [(y, flag(a, y, c)) for y, c in real(a)])
+    report = verify(4)
+    assert report.cover_mismatch_count == 1
+    assert report.cover_mismatches == [COVER_FLAG_ENTRIES[fault]]
+    assert [key for key in MISMATCH_LISTS if getattr(report, key)] == ["cover_mismatches"]
+
+
 def test_reload_reads_no_move_code(monkeypatch):
     h = build_hasse(5)
     text = export_json(h)
