@@ -11,7 +11,7 @@ import sys
 
 from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
-from .oracle import left_span, oracle_length, right_span
+from .oracle import left_span, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
 from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
 
@@ -19,16 +19,17 @@ USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 # Size caps, each checked before any work runs; above one the command
 # exits 1.  The per-pair move search in cmp is slowest at n = 7 on false
-# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.9-2.2 s and 41 MB.
-# The slowest true pair found, 0,0,0,0,0,3,0 against 7,0,6,1,5,3,4, takes
-# 1.0-1.3 s.
+# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.3-1.5 s and 38 MB
+# for the whole command.  The slowest true pair found, 0,0,0,0,0,3,0
+# against 7,0,6,1,5,3,4, takes 0.5-0.7 s and 29 MB.
 CMP_MAX_N = 7
-# covers of the zero element (n*n raises): 0.3 s and 81 MB at n = 200.
+# covers of the zero element (n*n raises, each one key): 0.14 s and 29 MB
+# at n = 200.
 COVERS_MAX_N = 200
 # len of the identity (n(n-1)/2 coinversion pairs): 0.7 s and 111 MB at n = 1000.
 LEN_MAX_N = 1000
-# oracle of the identity: 0.04-0.06 s and 16 MB at n = 700, 0.13 s and 16 MB
-# at n = 1000.
+# oracle of the identity, both spans built once: 0.02-0.03 s and 16 MB at
+# n = 700, 0.08 s and 16 MB at n = 1000.
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
@@ -153,11 +154,14 @@ def _cmd_oracle(args) -> int:
     _check_size("oracle", x.n, ORACLE_MAX_N)
     left = left_span(x)
     right = right_span(x)
+    left_rank, right_rank = left.bit_count(), right.bit_count()
+    meet_dim = (left & right).bit_count()
     print(f"element: {x}")
-    print(f"left_rank: {left.bit_count()}")
-    print(f"right_rank: {right.bit_count()}")
-    print(f"meet_dim: {(left & right).bit_count()}")
-    print(f"oracle_length: {oracle_length(x)}")
+    print(f"left_rank: {left_rank}")
+    print(f"right_rank: {right_rank}")
+    print(f"meet_dim: {meet_dim}")
+    # oracle_length's orbit dimension, from the spans built once above.
+    print(f"oracle_length: {left_rank + right_rank - meet_dim}")
     return 0
 
 

@@ -48,7 +48,7 @@ from typing import Iterator
 from .elements import OneLine, enumerate_elements
 from .length import length
 from .oracle import oracle_length
-from .order import _moves, deodhar_leq, ppr_leq
+from .order import _key, _moves, deodhar_leq, ppr_leq
 
 __all__ = [
     "HasseDiagram",
@@ -499,13 +499,15 @@ def _containment_row(at_least: list, everything: int, entries: tuple[int, ...]) 
 def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:
     """The covering pairs (i, j) between elements, sorted: for each
     element in index order, the ascending indices of its flagged moves.
-    Moves leaving elements are skipped, so any set of elements of R_n
-    in lexicographic order will do."""
-    index = {e.entries: i for i, e in enumerate(elements)}
+    Elements are indexed by key, each packed once.  Moves leaving
+    elements are skipped, so any set of elements of R_n in lexicographic
+    order will do."""
+    keys = [_key(e.entries) for e in elements]
+    index = {k: i for i, k in enumerate(keys)}
     return tuple(
         (i, j)
-        for i, e in enumerate(elements)
-        for j in sorted(index[y] for y, cover in _moves(e.entries) if cover and y in index)
+        for i, (e, k) in enumerate(zip(elements, keys))
+        for j in sorted(index[y] for y, cover in _moves(e.entries, k) if cover and y in index)
     )
 
 
@@ -523,12 +525,14 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
     move's row holds its own bit, so those covers are the bitset
     reach & ~beyond, which is compared with the bitset of the flagged
     moves; the two index lists are built only for an element that
-    fails.  Failures come in element order."""
-    index = {e.entries: i for i, e in enumerate(elements)}
+    fails.  Failures come in element order.  Elements are indexed by
+    key, each packed once."""
+    keys = [_key(e.entries) for e in elements]
+    index = {k: i for i, k in enumerate(keys)}
     closure = [0] * len(elements)
     failures = []
     for i in reversed(range(len(elements))):
-        moves = _moves(elements[i].entries)
+        moves = _moves(elements[i].entries, keys[i])
         reach = beyond = flagged = 0
         for y, cover in moves:
             s = index[y]

@@ -12,6 +12,7 @@ from math import comb, factorial
 from hypothesis import strategies as st
 
 from rookorder import HasseDiagram, OneLine, enumerate_elements, length, to_matrix
+from rookorder.order import _key, _moves
 
 
 def closed_form_count(n: int) -> int:
@@ -220,6 +221,32 @@ def reference_moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
                 swapped = a[:i] + (a[j],) + a[i + 1:j] + (a[i],) + a[j + 1:]
                 out.append((swapped, _swap_is_cover(a, i, j)))
     return out
+
+
+def key_entries(key: int, n: int) -> tuple[int, ...]:
+    """The entries of the element of R_n whose move-kernel key is key,
+    read off the documented layout: prefix sums S_1..S_n in fields of
+    bit_length(n(n + 1)/2) + 1 bits each, S_1 most significant."""
+    w = (n * (n + 1) // 2).bit_length() + 1
+    sums = [key >> w * (n - 1 - k) & (1 << w) - 1 for k in range(n)]
+    assert key >> w * n == 0 and all(s >> w - 1 == 0 for s in sums), "guard bit set"
+    return tuple(b - a for a, b in zip([0] + sums, sums))
+
+
+def kernel_moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """The move kernel's moves of the entries a, each result decoded to
+    its entries by key_entries, with its cover flag."""
+    n = len(a)
+    return [(key_entries(z, n), cover) for z, cover in _moves(a, _key(a))]
+
+
+def reflagged(real, flag):
+    """A stand-in for the move kernel real with the same moves, each
+    cover flag replaced by flag(entries, result entries, real flag)."""
+    def moves(a, key):
+        n = len(a)
+        return [(z, flag(a, key_entries(z, n), cover)) for z, cover in real(a, key)]
+    return moves
 
 
 def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:

@@ -85,7 +85,7 @@ def _work(*args):
 @pytest.mark.parametrize("command, cap, workers", [
     ("len", cli.LEN_MAX_N, ("length_breakdown", "coinversions")),
     ("covers", cli.COVERS_MAX_N, ("covers_of",)),
-    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span", "oracle_length")),
+    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span")),
     ("enum", cli.ENUM_MAX_N, ("enumerate_elements",)),
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, command, cap, workers):
@@ -295,7 +295,7 @@ def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(caps
     # no moves, and a wrong oracle fails all 34 elements.
     real = poset._moves
     monkeypatch.setattr(poset, "_MISMATCH_LIMIT", 2)
-    monkeypatch.setattr(poset, "_moves", lambda a: [(y, False) for y, _ in real(a)])
+    monkeypatch.setattr(poset, "_moves", lambda a, key: [(y, False) for y, _ in real(a, key)])
     monkeypatch.setattr(poset, "oracle_length", lambda x: -1)
     code, out, _ = run(capsys, "verify", "3")
     lines = out.splitlines()

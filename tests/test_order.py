@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import accumulate, permutations
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from rookorder import (
     ppr_raises,
 )
 from rookorder import order
-from rookorder.order import _moves
+from rookorder.order import _entries, _key, _layout
 
 from helpers import (
     brute_cover_sets,
@@ -24,6 +25,8 @@ from helpers import (
     deodhar_matrix,
     element_pairs,
     elements_of,
+    kernel_moves,
+    key_entries,
     lengths_of,
     reference_moves,
     rook_elements,
@@ -123,6 +126,80 @@ def test_ppr_agrees_with_deodhar_exhaustively(n):
             assert ppr_leq(x, y) == deodhar_leq(x, y) == bool(rows[i] >> j & 1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_keys_decode_and_increase_in_enumeration_order(n):
+    # the key is a bijection, read back by the library and by the layout
+    # the helper restates, and key order is lexicographic order
+    keys = []
+    for x in elements_of(n):
+        key = _key(x.entries)
+        assert _entries(key, n) == key_entries(key, n) == x.entries
+        keys.append(key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _guard_test(z, y):
+    """The search's prefix-sum test on keys: every prefix sum of z is at
+    most the same prefix sum of y."""
+    guard = _layout(len(y))[1]
+    return ((_key(y) | guard) - _key(z)) & guard == guard
+
+
+def test_guard_test_is_the_prefix_sum_test_on_every_pair_of_r4():
+    els = [x.entries for x in elements_of(4)]
+    held = 0
+    for z in els:
+        for y in els:
+            expected = all(map(le, accumulate(z), accumulate(y)))
+            assert _guard_test(z, y) == expected, (z, y)
+            held += expected
+    assert 0 < held < len(els) ** 2
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_guard_test_is_the_prefix_sum_test_where_the_field_width_changes(n):
+    # n(n + 1)/2 is 28, 36, 120 and 136: the field width is 6, 7, 8 and 9
+    # bits.  The reversal has the largest prefix sums, and the zero the
+    # smallest, so the pairs reach both ends of every field.
+    assert _layout(n)[0] == (n * (n + 1) // 2).bit_length() + 1
+    rng = random.Random(n)
+
+    def draw():
+        values = rng.sample(range(1, n + 1), rng.randrange(n + 1))
+        entries = values + [0] * (n - len(values))
+        rng.shuffle(entries)
+        return tuple(entries)
+
+    ends = [(0,) * n, tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    drawn = ends + [draw() for _ in range(300)]
+    held = 0
+    for z in drawn:
+        assert key_entries(_key(z), n) == z
+        for y in ends + drawn[len(ends):len(ends) + 40]:
+            expected = all(map(le, accumulate(z), accumulate(y)))
+            assert _guard_test(z, y) == expected, (z, y)
+            held += expected
+    assert held and not all(_guard_test(z, ends[0]) for z in drawn)
+
+
+def test_keys_of_different_sizes_collide_and_the_caches_tell_them_apart():
+    # the zeros of R_1 and R_2 both pack to 0, and 0,1 packs as 1 does;
+    # ppr_leq and covers_of interleaved over R_1..R_3 in one process must
+    # still answer for the size they are asked about
+    assert _key((0,)) == _key((0, 0)) == 0
+    assert _key((1,)) == _key((0, 1)) == 1
+    order._successors.cache_clear()
+    order._layout.cache_clear()
+    sizes = [(elements_of(n), deodhar_matrix(n), brute_cover_sets(n)) for n in (1, 2, 3)]
+    for t in range(len(elements_of(3))):
+        for els, rows, covers in sizes:
+            i = t % len(els)
+            x = els[i]
+            assert {c.entries for c in covers_of(x)} == covers[i], x
+            for j, y in enumerate(els):
+                assert ppr_leq(x, y) == bool(rows[i] >> j & 1), (x, y)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_moves_never_lower_the_entry_sum(n):
     # the prefix-sum potential of the search: a swap keeps the entry sum,
@@ -131,7 +208,7 @@ def test_moves_never_lower_the_entry_sum(n):
     # hold the change
     for x in elements_of(n):
         a = x.entries
-        for b, _ in _moves(a):
+        for b, _ in kernel_moves(a):
             diff = [p for p in range(n) if a[p] != b[p]]
             changed = len(diff)
             assert changed in (1, 2)
@@ -151,7 +228,7 @@ def test_moves_never_lower_the_entry_sum(n):
 def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
     # lexicographically below and with the smaller entry sum, but the
     # second prefix sum of x is 3 against 1: the search may not expand x
-    def expand(entries):
+    def expand(key, n):
         raise AssertionError("the search expanded a node")
 
     monkeypatch.setattr(order, "_successors", expand)
@@ -171,9 +248,9 @@ def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
     # so the search ends after expanding x and nothing else
     successors = order._successors
 
-    def expand(entries):
-        assert entries == x, f"the search expanded {entries}"
-        return successors(entries)
+    def expand(key, n):
+        assert key_entries(key, n) == x, f"the search expanded {key_entries(key, n)}"
+        return successors(key, n)
 
     monkeypatch.setattr(order, "_successors", expand)
     assert not ppr_leq(OneLine(x), OneLine(y))
@@ -185,9 +262,9 @@ def test_search_visits_successors_in_kernel_order(monkeypatch):
     successors = order._successors
     expanded = []
 
-    def expand(entries):
-        expanded.append(entries)
-        return successors(entries)
+    def expand(key, n):
+        expanded.append(key)
+        return successors(key, n)
 
     monkeypatch.setattr(order, "_successors", expand)
     assert ppr_leq(OneLine((0,) * 7), OneLine((4, 5, 3, 2, 6, 1, 0)))
@@ -197,14 +274,21 @@ def test_search_visits_successors_in_kernel_order(monkeypatch):
 def test_search_tests_each_node_once(monkeypatch):
     # a node refused by its prefix sums is remembered too, so no node is
     # prefix-tested twice however many nodes generate it; on this false
-    # pair a search that remembers only kept nodes tests one node 14 times
+    # pair a search that remembers only kept nodes tests one node 14 times.
+    # The prefix test of a node z is ceiling - z, the one subtraction with
+    # a node on its right, so successors that count their reflected
+    # subtractions count the tests.
     tested = Counter()
 
-    def counting(entries):
-        tested[entries] += 1
-        return accumulate(entries)
+    class Node(int):
+        def __rsub__(self, other):
+            tested[int(self)] += 1
+            return other - int(self)
 
-    monkeypatch.setattr(order, "accumulate", counting)
+    successors = order._successors
+    monkeypatch.setattr(
+        order, "_successors", lambda key, n: tuple(map(Node, successors(int(key), n)))
+    )
     assert not ppr_leq(OneLine((0, 0, 0, 0, 6, 0)), OneLine((5, 4, 3, 2, 1, 6)))
     assert len(tested) > 1000
     assert max(tested.values()) == 1
@@ -296,7 +380,7 @@ def test_cover_predicates_match_length_jump(x, data):
 def test_move_kernel_cover_flags_match_the_public_predicates(n):
     brute = brute_cover_sets(n)
     for i, x in enumerate(elements_of(n)):
-        for entries, cover in _moves(x.entries):
+        for entries, cover in kernel_moves(x.entries):
             assert entries > x.entries
             assert cover == (entries in brute[i])
 
@@ -305,7 +389,7 @@ def test_move_kernel_cover_flags_match_the_public_predicates(n):
 def test_move_kernel_equals_the_definitional_reference(n):
     # same moves, same order, same cover flags
     for x in elements_of(n):
-        assert _moves(x.entries) == reference_moves(x.entries), x
+        assert kernel_moves(x.entries) == reference_moves(x.entries), x
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -27,8 +27,10 @@ from helpers import (
     brute_cover_sets,
     deodhar_matrix,
     elements_of,
+    kernel_moves,
     reference_export_json,
     reference_interval,
+    reflagged,
 )
 
 R2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
@@ -387,7 +389,7 @@ def test_reload_catches_a_kernel_cover_error_that_is_consistent_with_itself(monk
     flag = COVER_FLAG_FAULTS[fault]
     real = poset._moves
     good = build_hasse(4)
-    monkeypatch.setattr(poset, "_moves", lambda a: [(y, flag(a, y, c)) for y, c in real(a)])
+    monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
     h = build_hasse(4)
     assert len(set(h.edges) ^ set(good.edges)) == 1
     with pytest.raises(ValueError, match="covering pairs"):
@@ -406,7 +408,7 @@ def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
     # for an element that fails: here one, with both sides in kernel order.
     flag = COVER_FLAG_FAULTS[fault]
     real = poset._moves
-    monkeypatch.setattr(poset, "_moves", lambda a: [(y, flag(a, y, c)) for y, c in real(a)])
+    monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
     report = verify(4)
     assert report.cover_mismatch_count == 1
     assert report.cover_mismatches == [COVER_FLAG_ENTRIES[fault]]
@@ -422,7 +424,7 @@ def test_reload_reads_no_move_code(monkeypatch):
         calls.append(args)
         raise AssertionError("the reload may read no move code")
 
-    for name in ("_moves", "_cover_edges", "_close_moves", "ppr_leq"):
+    for name in ("_key", "_moves", "_cover_edges", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
     monkeypatch.setattr(order, "_moves", refuse)
     assert hasse_from_json(text) == h
@@ -508,7 +510,7 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     calls = []
     real = poset._moves
     monkeypatch.setattr(
-        poset, "_moves", lambda a: calls.append(a) or [(y, False) for y, _ in real(a)]
+        poset, "_moves", lambda a, key: calls.append(a) or [(y, False) for y, _ in real(a, key)]
     )
     report = verify(6, sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
@@ -538,9 +540,9 @@ FAULTS = {
         row & ~(1 << len(els) - 1) if i == 0 else row for i, row in enumerate(real(els))
     ]),
     "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
-    "cover_mismatches": ("_moves", lambda real: lambda a: [
-        (y, cover and a != ZERO3.entries) for y, cover in real(a)
-    ]),
+    "cover_mismatches": ("_moves", lambda real: reflagged(
+        real, lambda a, y, cover: cover and a != ZERO3.entries
+    )),
     "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
 }
 # Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
@@ -704,7 +706,7 @@ def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the containment rows may read no move code")
 
-    for name in ("_moves", "_close_moves", "ppr_leq"):
+    for name in ("_key", "_moves", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
     assert list(poset._containment_rows(list(elements_of(n)))) == list(deodhar_matrix(n))
 
@@ -724,11 +726,11 @@ def test_brute_covers_read_no_cover_flag(monkeypatch, n):
     # Every move flagged a cover: each element with a non-cover move fails,
     # and its brute side is still the transitive reduction of the order.
     real = poset._moves
-    monkeypatch.setattr(poset, "_moves", lambda a: [(y, True) for y, _ in real(a)])
+    monkeypatch.setattr(poset, "_moves", lambda a, key: [(y, True) for y, _ in real(a, key)])
     report = verify(n)
     els = elements_of(n)
     covers = brute_cover_sets(n)
-    with_non_cover = [i for i, e in enumerate(els) if len(real(e.entries)) > len(covers[i])]
+    with_non_cover = [i for i, e in enumerate(els) if len(kernel_moves(e.entries)) > len(covers[i])]
     assert with_non_cover or n == 1
     assert report.cover_mismatch_count == len(with_non_cover)
     assert [x for x, _, _ in report.cover_mismatches] == [str(els[i]) for i in with_non_cover]
