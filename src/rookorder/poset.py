@@ -6,31 +6,34 @@ build_hasse takes the kernel's cover flags as the diagram edges.
 
 The other route is the threshold lemma, which reads no move code: x <= y
 exactly when, for every prefix length k and every threshold a, the first
-k entries of y hold at least as many values >= a as those of x do.
-_threshold_tables counts those thresholds, bit-sliced, over any list of
-elements, and _containment_row ANDs one element's up-set out of them.
-hasse_from_json takes the covers of each loaded node from its row over
-the nodes one length above it, since the length is the rank function of
-the order, and rejects edges that differ from them; so an edge error of
-the kernel that build_hasse wrote is caught on reload.
+k entries of y hold at least as many values >= a as those of x do.  One
+generator evaluates it over whole lists: _containment_rows(lower, upper)
+counts those thresholds, bit-sliced, over upper once, and yields for
+each element of lower, in order, the bitset of the elements of upper at
+or above it.  It has two callers.  hasse_from_json calls it once per
+length level, lower the nodes of one length and upper those one length
+above, since the length is the rank function of the order: each row
+holds exactly the node's covers.  Edges that differ from them are
+rejected, so an edge error of the kernel that build_hasse wrote is
+caught on reload.
 
 verify compares two relations, one bitset row per element, and holds
 only the move closure, whose pass also audits the kernel's cover flags
-against brute-force covers on every element.  _containment_rows yields
-the other, the containment relation, as full rows over all of R_n.
-Each row is XORed with its closure row as it arrives, and the bits of a
-difference are walked only where it is nonzero, so a campaign covers
-every ordered pair; given a sample_count, it reads the differences on
-that many seeded random pairs instead, and draws the pairs beyond its
-spot pairs only when some difference is nonzero.  Either way verify
-also checks the per-pair containment test and the per-pair move search
-against the closure on about 200 spot pairs (evenly spaced over all
-pairs, or the first draws of the sample), and, on every element, the
-combinatorial length against the exact coordinate-subspace oracle.
-Every disagreement lands in its own list of the returned report, and
-none raises; every list but the search's keeps its first 1 000 entries
-next to an exact count.  The report also carries the size of the
-relation and the seconds of each phase.
+against brute-force covers on every element.  The other, the
+containment relation, is _containment_rows(elements, elements), full
+rows over all of R_n.  Each row is XORed with its closure row as it
+arrives, and the bits of a difference are walked only where it is
+nonzero, so a campaign covers every ordered pair; given a sample_count,
+it reads the differences on that many seeded random pairs instead, and
+draws the pairs beyond its spot pairs only when some difference is
+nonzero.  Either way verify also checks the per-pair containment test
+and the per-pair move search against the closure on about 200 spot
+pairs (evenly spaced over all pairs, or the first draws of the sample),
+and, on every element, the combinatorial length against the exact
+coordinate-subspace oracle.  Every disagreement lands in its own list
+of the returned report, and none raises; every list but the search's
+keeps its first 1 000 entries next to an exact count.  The report also
+carries the size of the relation and the seconds of each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.
@@ -240,9 +243,9 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
     The length is the rank function of the order, so y covers x exactly
     when x <= y and length(y) = length(x) + 1, in R_n and so between any
     set of its elements.  The candidates above a node of length L are the
-    nodes of length L + 1, so each level gets threshold tables of its own,
-    over the level above it only, and each node's covers are the bits of
-    its containment row over those tables.  Reads no move code."""
+    nodes of length L + 1, so each length level L with a level above it
+    is one call _containment_rows(level L, level L + 1), whose row for a
+    node has exactly its covers as bits.  Reads no move code."""
     levels: dict[int, list[tuple[int, OneLine]]] = {}
     for i, e, ln in nodes:
         levels.setdefault(ln, []).append((i, e))
@@ -251,10 +254,8 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
         upper = levels.get(ln + 1)
         if not upper:
             continue
-        at_least = _threshold_tables([e for _, e in upper])
-        everything = (1 << len(upper)) - 1
-        for i, e in lower:
-            row = _containment_row(at_least, everything, e.entries)
+        rows = _containment_rows([e for _, e in lower], [e for _, e in upper])
+        for (i, _), row in zip(lower, rows):
             # upper is in id order, so its bits give ascending ids.
             while row:
                 low = row & -row
@@ -364,7 +365,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     ]
     marks.append(time.perf_counter())
     # Bit j of diff[i] says the two relations disagree on the pair (i, j).
-    diff = [row ^ reach for row, reach in zip(_containment_rows(elements), closure)]
+    diff = [row ^ reach for row, reach in zip(_containment_rows(elements, elements), closure)]
     marks.append(time.perf_counter())
 
     mismatches = []
@@ -428,25 +429,15 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     )
 
 
-def _containment_rows(elements: list[OneLine]) -> Iterator[int]:
-    """Up-set bitsets of the containment order, yielded in element order:
-    bit j of row i says elements[i] <= elements[j].  Reads no move code."""
-    at_least = _threshold_tables(elements)
-    everything = (1 << len(elements)) - 1
-    for x in elements:
-        yield _containment_row(at_least, everything, x.entries)
-
-
 # _THRESHOLD_DIGITS[a] translates each entry byte to "1" when it is >= a
 # and to "0" otherwise, for every threshold a of R_1..R_MAX_N.
 _THRESHOLD_DIGITS = tuple(b"0" * a + b"1" * (256 - a) for a in range(MAX_N + 1))
 
 
-def _threshold_tables(elements: list[OneLine]) -> list[list]:
-    """Bit-sliced threshold counts over a nonempty list of elements of one
-    size n: at_least[k][a][v], for k in 0..n-1 and a in 1..n, is the
-    bitset of the indices of elements with at least v values >= a among
-    their first k + 1 entries.
+def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[int]:
+    """Up-set bitsets of the containment order of lower over upper, both
+    of one size n and upper nonempty, yielded in the order of lower: bit
+    j of row i says lower[i] <= upper[j].  Reads no move code.
 
     Threshold lemma (the principle of deodhar_leq_gamma): x <= y exactly
     when, for every prefix length k and every nonzero entry a among the
@@ -455,45 +446,43 @@ def _threshold_tables(elements: list[OneLine]) -> list[list]:
     there x's count equals its count over the first k - 1 entries, which
     is checked already, and y's count cannot shrink as k grows.
 
-    The tables are built one position at a time by bit-sliced counting:
-    the elements whose entry at the position is >= a form one bitset,
+    The tables are built once, over upper, one position at a time by
+    bit-sliced counting: at_least[k][a][v] is the bitset of the j with
+    at least v values >= a among the first k + 1 entries of upper[j].
+    The elements whose entry at the position is >= a form one bitset,
     read off the column of entries with a byte translation, and adding
-    it to the counts is one AND and one OR per v.
+    it to the counts is one AND and one OR per v.  Each row is then the
+    AND of one table per (k, a) that the lemma needs, at most n(n + 1)/2
+    of them.
     """
-    n = elements[0].n
-    # Reversed, so that element j lands on bit j of int(..., 2).
-    columns = [bytes(column[::-1]) for column in zip(*(e.entries for e in elements))]
+    n = upper[0].n
+    everything = (1 << len(upper)) - 1
+    # Reversed, so that upper[j] lands on bit j of int(..., 2).
+    columns = [bytes(column[::-1]) for column in zip(*(e.entries for e in upper))]
     at_least: list[list] = [[None] * (n + 1) for _ in range(n)]
     for a in range(1, n + 1):
         digits = _THRESHOLD_DIGITS[a]
-        counts = [(1 << len(elements)) - 1] + [0] * n
+        counts = [everything] + [0] * n
         for k, column in enumerate(columns):
             hits = int(column.translate(digits), 2)
             for v in range(k + 1, 0, -1):
                 counts[v] |= counts[v - 1] & hits
             at_least[k][a] = counts[:]
-    return at_least
-
-
-def _containment_row(at_least: list, everything: int, entries: tuple[int, ...]) -> int:
-    """Bitset of the indices of the elements of at_least's list that lie
-    at or above the element with these entries, out of everything, the
-    bitset of all of them: the AND of one table per (k, a) that the
-    threshold lemma needs, at most n(n + 1)/2 of them."""
-    row = everything
-    seen = []  # nonzero entries so far, ascending
-    for k, b in enumerate(entries):
-        if b:
-            q = bisect_left(seen, b)
-            seen.insert(q, b)
-            # Each a in seen[:q + 1] has v values >= it among the first
-            # k + 1 entries, v falling from len(seen) by one per a.
-            v = len(seen)
-            tables = at_least[k]
-            for a in seen[:q + 1]:
-                row &= tables[a][v]
-                v -= 1
-    return row
+    for x in lower:
+        row = everything
+        seen = []  # nonzero entries so far, ascending
+        for k, b in enumerate(x.entries):
+            if b:
+                q = bisect_left(seen, b)
+                seen.insert(q, b)
+                # Each a in seen[:q + 1] has v values >= it among the first
+                # k + 1 entries, v falling from len(seen) by one per a.
+                v = len(seen)
+                tables = at_least[k]
+                for a in seen[:q + 1]:
+                    row &= tables[a][v]
+                    v -= 1
+        yield row
 
 
 def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:

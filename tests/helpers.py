@@ -331,14 +331,3 @@ def element_pairs(draw, max_n: int = 4, n: int | None = None):
     size = n if n is not None else draw(st.integers(1, max_n))
     return OneLine(draw(rook_entries(size))), OneLine(draw(rook_entries(size)))
 
-
-@st.composite
-def element_triples(draw, max_n: int = 3):
-    size = draw(st.integers(1, max_n))
-    return tuple(OneLine(draw(rook_entries(size))) for _ in range(3))
-
-
-@st.composite
-def permutation_elements(draw, max_n: int = 5) -> OneLine:
-    size = draw(st.integers(1, max_n))
-    return OneLine(draw(st.permutations(tuple(range(1, size + 1)))))

@@ -279,7 +279,9 @@ def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
 
 def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeypatch):
     # Rows holding only their own bit disagree on every strict pair of R_4.
-    monkeypatch.setattr(poset, "_containment_rows", lambda els: [1 << i for i in range(len(els))])
+    monkeypatch.setattr(
+        poset, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
+    )
     code, out, _ = run(capsys, "verify", "4")
     assert code == 2
     assert "order_mismatches: 12092 (first 1000 listed)" in out

@@ -405,7 +405,8 @@ COVER_FLAG_ENTRIES = {
 @pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
 def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
     # The flagged and brute covers are compared as bitsets and listed only
-    # for an element that fails: here one, with both sides in kernel order.
+    # for an element that fails: here one, with both sides sorted into
+    # element order.
     flag = COVER_FLAG_FAULTS[fault]
     real = poset._moves
     monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
@@ -536,8 +537,8 @@ MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle
 # one containment bit on a non-cover pair whose upper end is the top, every
 # per-pair search verdict, the covers of one element, one oracle value.
 FAULTS = {
-    "mismatches": ("_containment_rows", lambda real: lambda els: [
-        row & ~(1 << len(els) - 1) if i == 0 else row for i, row in enumerate(real(els))
+    "mismatches": ("_containment_rows", lambda real: lambda lower, upper: [
+        row & ~(1 << len(upper) - 1) if i == 0 else row for i, row in enumerate(real(lower, upper))
     ]),
     "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
     "cover_mismatches": ("_moves", lambda real: reflagged(
@@ -581,7 +582,7 @@ def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_
     listed = fault(getattr(poset, name))
     monkeypatch.setattr(poset, name, listed)
     expected = verify(3, sample_count, seed=0).to_dict()
-    monkeypatch.setattr(poset, name, lambda els: (row for row in listed(els)))
+    monkeypatch.setattr(poset, name, lambda lower, upper: (row for row in listed(lower, upper)))
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
     assert report["mismatches"][0] == expected["mismatches"][0] == FIRST_ENTRY["mismatches"]
@@ -630,7 +631,7 @@ def test_sampled_mismatches_are_those_of_the_first_draws_of_the_seed(
     for _ in range(flips):
         i, j = rng.randrange(count), rng.randrange(count)
         rows[i] ^= 1 << j
-    monkeypatch.setattr(poset, "_containment_rows", lambda els: iter(rows))
+    monkeypatch.setattr(poset, "_containment_rows", lambda lower, upper: iter(rows))
     draw = random.Random(3).randrange
     expected = []
     for _ in range(sample_count):
@@ -691,7 +692,9 @@ def test_verify_r5_is_exhaustive():
 
 def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch):
     # Rows holding only their own bit disagree on every strict pair of R_4.
-    monkeypatch.setattr(poset, "_containment_rows", lambda els: [1 << i for i in range(len(els))])
+    monkeypatch.setattr(
+        poset, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
+    )
     report = verify(4)
     assert not report.passed
     assert (report.mismatch_count, len(report.mismatches)) == (12092, 1000)
@@ -708,7 +711,37 @@ def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
 
     for name in ("_key", "_moves", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
-    assert list(poset._containment_rows(list(elements_of(n)))) == list(deodhar_matrix(n))
+    els = list(elements_of(n))
+    assert list(poset._containment_rows(els, els)) == list(deodhar_matrix(n))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(monkeypatch, n):
+    # Rows follow lower and bit b follows upper[b]: seeded sublists in
+    # random order and of different lengths, lower and upper swapped, a
+    # one-element upper, and an empty lower.
+    def refuse(*args):
+        raise AssertionError("the containment rows may read no move code")
+
+    for name in ("_key", "_moves", "_close_moves", "ppr_leq"):
+        monkeypatch.setattr(poset, name, refuse)
+    els, truth = elements_of(n), deodhar_matrix(n)
+    rng = random.Random(n)
+    picks = [rng.sample(range(len(els)), size) for size in (40, 90)]
+    middle = [rng.randrange(len(els))]
+    everything, top = range(len(els)), len(els) - 1
+    cases = [
+        (picks[0], picks[1]), (picks[1], picks[0]), (sorted(picks[1]), picks[0]),
+        (everything, middle), (everything, [0]), (picks[1], [top]), ([], picks[0]),
+    ]
+    for lower, upper in cases:
+        expected = [sum((truth[i] >> j & 1) << b for b, j in enumerate(upper)) for i in lower]
+        rows = poset._containment_rows([els[i] for i in lower], [els[j] for j in upper])
+        assert list(rows) == expected
+    # The one-element upper in the middle splits R_n, so its bit 0 is
+    # set on some rows and clear on others.
+    below = sum(row >> middle[0] & 1 for row in truth)
+    assert 1 < below < len(els)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -739,7 +772,8 @@ def test_brute_covers_read_no_cover_flag(monkeypatch, n):
 
 
 def test_containment_rows_of_r5_hold_the_relation():
-    rows = poset._containment_rows(list(elements_of(5)))
+    els = list(elements_of(5))
+    rows = poset._containment_rows(els, els)
     assert sum(row.bit_count() for row in rows) == 509662
 
 
