@@ -45,7 +45,6 @@ import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import chain
-from operator import ne
 from typing import Iterator
 
 from .elements import OneLine, enumerate_elements
@@ -179,19 +178,23 @@ def hasse_from_json(text: str) -> HasseDiagram:
 
     Raises ValueError unless the text is JSON that nests within the
     interpreter's recursion limit, the document has exactly the keys n,
-    nodes and edges, node ids run densely from 0 in order, every element
-    is the canonical text of an element of R_n and carries its own
-    length, the elements strictly increase in lexicographic order, every
-    edge is a pair of node ids, and the edges, in sorted order, are
-    exactly the covering pairs of R_n between nodes.  build_hasse and
-    interval write edges that way: a full diagram and an interval are
-    both convex.
+    nodes and edges, n is an int in 1..MAX_N, and nodes and edges are
+    lists that hold exactly the diagram the node texts determine.  Node k
+    must be {"id": k, "oneline": str(e), "length": length(e)}, its id and
+    length of type int (True and 1.0 are refused), for an element e of
+    R_n after the previous node's.  The nodes are matched in one walk of
+    enumerate_elements(n), in lexicographic order, so no text is parsed
+    and the walk stops at the last node's element.  Edge k must
+    be the list [i, j] of the k-th covering pair (i, j) of R_n between
+    the nodes, in sorted order, and there must be no more edges and no
+    fewer.  build_hasse and interval write edges that way: a full diagram
+    and an interval are both convex.  A refusal names the first
+    difference: node k and what it must be, edge k and the pair it must
+    be, or the two edge counts.
 
     The edges are checked against the containment order, not against
     the move kernel that build_hasse takes them from (see
     _containment_covers), so an edge error of the kernel is caught here.
-    Node text is looked up in a map from the canonical text of every
-    element of R_n, so no text is parsed.
     """
     try:
         doc = json.loads(text)
@@ -204,35 +207,29 @@ def hasse_from_json(text: str) -> HasseDiagram:
         raise ValueError(f"diagram size must be an integer in 1..{MAX_N}")
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
-    canonical = {str(e): e for e in enumerate_elements(n)}
+    walk = ((str(e), e) for e in enumerate_elements(n))
     nodes = []
     for ident, node in enumerate(raw_nodes):
-        if not isinstance(node, dict) or node.keys() != {"id", "oneline", "length"}:
-            raise ValueError(f"node {ident} must have exactly the keys id, oneline, length")
-        i, text, ln = node["id"], node["oneline"], node["length"]
-        if type(i) is not int or i != ident:
-            raise ValueError(f"node ids must run 0, 1, ... in order; got {i!r}")
-        if not isinstance(text, str):
-            raise ValueError(f"node {ident}: oneline must be a string")
-        e = canonical.get(text)
-        if e is None:
-            raise ValueError(f"node {ident}: {text!r} is not the canonical text of an element of R_{n}")
-        if nodes and e.entries <= nodes[-1][1].entries:
-            raise ValueError(f"node {ident}: element {e} does not follow {nodes[-1][1]}")
-        if type(ln) is not int or ln != length(e):
-            raise ValueError(f"node {ident}: length {ln!r} is not the length of {e}")
-        nodes.append((ident, e, ln))
-    count = len(nodes)
-    for edge in raw_edges:
-        if isinstance(edge, list) and len(edge) == 2:
-            lo, hi = edge
-            if type(lo) is int and type(hi) is int and 0 <= lo < count and 0 <= hi < count:
-                continue
-        raise ValueError(f"edge {edge!r} is not a pair of node ids")
+        oneline = node.get("oneline") if isinstance(node, dict) else None
+        for canonical, e in walk:
+            if canonical == oneline:
+                break
+        else:
+            after = f" after {nodes[-1][1]}" if nodes else ""
+            raise ValueError(f"node {ident}: oneline must be the canonical text of an element of R_{n}{after}")
+        want = {"id": ident, "oneline": canonical, "length": length(e)}
+        # True and 1.0 compare equal to 1, so the ints are tested by type.
+        if node != want or type(node["id"]) is not int or type(node["length"]) is not int:
+            raise ValueError(f"node {ident} must be {json.dumps(want)}")
+        nodes.append((ident, e, want["length"]))
     edges = _containment_covers(nodes)
     # Edge by edge, so that no second copy of the document's edges is held.
-    if len(raw_edges) != len(edges) or any(map(ne, raw_edges, map(list, edges))):
-        raise ValueError("edges must be exactly the sorted covering pairs between the nodes")
+    for k, (edge, (lo, hi)) in enumerate(zip(raw_edges, edges)):
+        if (type(edge) is not list or edge != [lo, hi]
+                or type(edge[0]) is not int or type(edge[1]) is not int):
+            raise ValueError(f"edge {k} must be [{lo}, {hi}], the next of the covering pairs between the nodes")
+    if len(raw_edges) != len(edges):
+        raise ValueError(f"{len(raw_edges)} edges, but the nodes have {len(edges)} covering pairs")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
 
 
@@ -429,11 +426,6 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     )
 
 
-# _THRESHOLD_DIGITS[a] translates each entry byte to "1" when it is >= a
-# and to "0" otherwise, for every threshold a of R_1..R_MAX_N.
-_THRESHOLD_DIGITS = tuple(b"0" * a + b"1" * (256 - a) for a in range(MAX_N + 1))
-
-
 def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[int]:
     """Up-set bitsets of the containment order of lower over upper, both
     of one size n and upper nonempty, yielded in the order of lower: bit
@@ -461,7 +453,8 @@ def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[in
     columns = [bytes(column[::-1]) for column in zip(*(e.entries for e in upper))]
     at_least: list[list] = [[None] * (n + 1) for _ in range(n)]
     for a in range(1, n + 1):
-        digits = _THRESHOLD_DIGITS[a]
+        # Translates each entry byte to "1" when it is >= a, else to "0".
+        digits = b"0" * a + b"1" * (256 - a)
         counts = [everything] + [0] * n
         for k, column in enumerate(columns):
             hits = int(column.translate(digits), 2)

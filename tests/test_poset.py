@@ -284,6 +284,9 @@ def _with_onelines_swapped(a, b):
     _with_node(1, oneline="0,\u0661"),  # a non-ASCII digit one
     _with_node(1, oneline="+0,1"),
     _with_node(1, oneline="0,1,"),
+    _with_node(1, id=True),  # equal to the right id and length of node 1,
+    _with_node(1, length=True),  # but not of type int
+    _with_node(1, oneline=[0, 1]),  # unhashable
     _edited(edges=[[0, True]] + R2_DOC["edges"][1:]),  # equal to the covers,
     _edited(edges=[[0, 1.0]] + R2_DOC["edges"][1:]),  # but not a pair of ints
 ])
@@ -438,10 +441,9 @@ def test_json_round_trip_of_an_r4_interval():
     assert hasse_from_json(export_json(sub)) == sub
 
 
-def test_json_round_trip_of_an_r6_interval():
-    # The interval is grown from x along covers that stay below y, so the
-    # test builds no full R_6 diagram.
-    x, y = OneLine((0, 0, 1, 0, 0, 2)), OneLine((2, 3, 0, 1, 0, 4))
+def _grown_interval(x, y):
+    """The diagram of the interval [x, y], grown from x along covers that
+    stay below y, so that no full diagram of R_n is built."""
     members, todo = {x.entries}, [x]
     while todo:
         for z in covers_of(todo.pop()):
@@ -453,10 +455,49 @@ def test_json_round_trip_of_an_r6_interval():
     edges = tuple(sorted(
         (i, ids[z.entries]) for i, e, _ in nodes for z in covers_of(e) if z.entries in ids
     ))
-    sub = HasseDiagram(6, nodes, edges)
-    assert len(nodes) == 250 and edges
+    return HasseDiagram(x.n, nodes, edges)
+
+
+def test_json_round_trip_of_an_r6_interval():
+    x, y = OneLine((0, 0, 1, 0, 0, 2)), OneLine((2, 3, 0, 1, 0, 4))
+    sub = _grown_interval(x, y)
+    assert len(sub.nodes) == 250 and sub.edges
     assert hasse_from_json(export_json(sub)) == sub
     assert interval(sub, x, y) == sub
+
+
+def test_reload_walks_r_n_only_up_to_its_last_node(monkeypatch):
+    # 0,0,3,2,1,4 is element 559 of R_6, so the walk pulls 560 of the
+    # 13 327 elements.
+    x, y = OneLine((0,) * 6), OneLine((0, 0, 3, 2, 1, 4))
+    sub = _grown_interval(x, y)
+    last = [e.entries for e in elements_of(6)].index(y.entries)
+    assert sub.nodes[-1][1] == y and last == 559
+    pulled = []
+    real = poset.enumerate_elements
+
+    def counted(n):
+        for e in real(n):
+            pulled.append(e)
+            yield e
+
+    monkeypatch.setattr(poset, "enumerate_elements", counted)
+    assert hasse_from_json(export_json(sub)) == sub
+    assert len(pulled) == last + 1
+
+
+def test_reload_names_the_first_difference():
+    # Node 3 of R_2 is 1,0, of length 2, and edge 5 is its cover 1,2.
+    doc = _with_node(3, length=3)
+    with pytest.raises(ValueError, match=r'^node 3 must be \{"id": 3, "oneline": "1,0", "length": 2\}$'):
+        hasse_from_json(json.dumps(doc))
+    assert R2_DOC["edges"][5] == [3, 4]
+    doc = _edited(edges=R2_DOC["edges"][:5] + R2_DOC["edges"][6:])
+    with pytest.raises(ValueError, match=r"^edge 5 must be \[3, 4\], .*covering pairs"):
+        hasse_from_json(json.dumps(doc))
+    doc = _edited(edges=R2_DOC["edges"] + [[0, 6]])
+    with pytest.raises(ValueError, match="^10 edges, but the nodes have 9 covering pairs$"):
+        hasse_from_json(json.dumps(doc))
 
 
 def test_dot_output_shape():
@@ -742,6 +783,23 @@ def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(monke
     # set on some rows and clear on others.
     below = sum(row >> middle[0] & 1 for row in truth)
     assert 1 < below < len(els)
+
+
+def test_containment_rows_of_r7_sublists_hold_deodhar_leq():
+    # Past MAX_N: each row is checked pair by pair against deodhar_leq on
+    # seeded elements of R_7, a random permutation with a random set of
+    # entries cleared, lower ones sparser so that both verdicts occur.
+    rng = random.Random(7)
+
+    def draw(keep):
+        return OneLine(tuple(a if rng.random() < keep else 0 for a in rng.sample(range(1, 8), 7)))
+
+    lower = [draw(0.4) for _ in range(80)]
+    upper = [draw(0.7) for _ in range(120)]
+    rows = list(poset._containment_rows(lower, upper))
+    expected = [sum(deodhar_leq(x, y) << j for j, y in enumerate(upper)) for x in lower]
+    assert rows == expected
+    assert 0 < sum(row.bit_count() for row in rows) < len(lower) * len(upper)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
