@@ -2,11 +2,13 @@
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
 comparison or verification run uncovers a disagreement between the
-independent implementations.
+independent implementations.  Output cut short by a closed pipe, as by
+`| head`, exits 1 without a traceback.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .elements import enumerate_elements, parse_one_line, rank
@@ -91,10 +93,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does.  Point stdout at
+        # the null device so that the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _check_size(command: str, n: int, cap: int) -> None:

@@ -1,8 +1,10 @@
 """Hasse diagram, rank statistics, exports, and the verification campaign.
 
-Each whole-monoid pass reads the order module's move kernel once per
-element, in its one walk over the elements, and keeps no moves after.
-build_hasse takes the kernel's cover flags as the diagram edges.
+One walk, _indexed_moves, reads the order module's move kernel over a
+whole monoid, once per element, and keeps no moves after: each element's
+moves come out as indices with their cover flags.  build_hasse takes the
+flagged ones as the diagram edges, and verify closes the moves and
+audits the flags in one pass of it.
 
 The other route is the threshold lemma, which reads no move code: x <= y
 exactly when, for every prefix length k and every threshold a, the first
@@ -94,7 +96,10 @@ def build_hasse(n: int) -> HasseDiagram:
         raise ValueError(f"supported sizes are 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    return HasseDiagram(n, nodes, _cover_edges(elements))
+    # The walk runs last to first; each element's covers, ascending.
+    covers = [sorted([j for j, cover in moves if cover]) for _, moves in _indexed_moves(elements)]
+    edges = tuple((i, j) for i, above in enumerate(reversed(covers)) for j in above)
+    return HasseDiagram(n, nodes, edges)
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -478,46 +483,36 @@ def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[in
         yield row
 
 
-def _cover_edges(elements: list[OneLine]) -> tuple[tuple[int, int], ...]:
-    """The covering pairs (i, j) between elements, sorted: for each
-    element in index order, the ascending indices of its flagged moves.
-    Elements are indexed by key, each packed once.  Moves leaving
-    elements are skipped, so any set of elements of R_n in lexicographic
-    order will do."""
-    keys = [_key(e.entries) for e in elements]
-    index = {k: i for i, k in enumerate(keys)}
-    return tuple(
-        (i, j)
-        for i, (e, k) in enumerate(zip(elements, keys))
-        for j in sorted(index[y] for y, cover in _moves(e.entries, k) if cover and y in index)
-    )
+def _indexed_moves(elements: list[OneLine]) -> Iterator[tuple[int, list[tuple[int, bool]]]]:
+    """The one walk that reads the move kernel over all of R_n: for each
+    element, last to first, (its index, [(index of a move, is a cover),
+    ...]) in kernel order.  Elements are indexed by key, each packed
+    once.  Every move climbs in lexicographic order, so each move's index
+    comes out before its source's."""
+    index = {_key(e.entries): i for i, e in enumerate(elements)}
+    for k, i in reversed(index.items()):
+        yield i, [(index[y], cover) for y, cover in _moves(elements[i].entries, k)]
 
 
 def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, list[int], list[int]]]]:
     """Move closure rows and cover audit failures of all of R_n, from
-    one pass that reads each element's moves once.  A failure is the
-    index triple (i, flagged moves, brute-force covers), both sides in
-    kernel order; verify formats only the failures it lists.
+    one pass of _indexed_moves.  A failure is the index triple (i,
+    flagged moves, brute-force covers), both sides in kernel order;
+    verify formats only the failures it lists.
 
-    Bit j of row i says element j is reachable from element i.  Every
-    move climbs in lexicographic order, so filling rows in descending
-    index order has every move's row ready.  Everything strictly above x
-    is at or above a move of x, so the brute-force covers of x are its
-    moves in no strict up-set of a move: they read no cover flag.  Each
-    move's row holds its own bit, so those covers are the bitset
-    reach & ~beyond, which is compared with the bitset of the flagged
-    moves; the two index lists are built only for an element that
-    fails.  Failures come in element order.  Elements are indexed by
-    key, each packed once."""
-    keys = [_key(e.entries) for e in elements]
-    index = {k: i for i, k in enumerate(keys)}
+    Bit j of row i says element j is reachable from element i.  The walk
+    runs in descending index order, so every move's row is ready.
+    Everything strictly above x is at or above a move of x, so the
+    brute-force covers of x are its moves in no strict up-set of a move:
+    they read no cover flag.  Each move's row holds its own bit, so
+    those covers are the bitset reach & ~beyond, which is compared with
+    the bitset of the flagged moves; the two index lists are built only
+    for an element that fails.  Failures come in element order."""
     closure = [0] * len(elements)
     failures = []
-    for i in reversed(range(len(elements))):
-        moves = _moves(elements[i].entries, keys[i])
+    for i, moves in _indexed_moves(elements):
         reach = beyond = flagged = 0
-        for y, cover in moves:
-            s = index[y]
+        for s, cover in moves:
             row, bit = closure[s], 1 << s
             reach |= row
             beyond |= row ^ bit
@@ -525,10 +520,9 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
                 flagged |= bit
         closure[i] = reach | 1 << i
         if flagged != reach & ~beyond:
-            moved = [(index[y], cover) for y, cover in moves]
             failures.append((
-                i, [s for s, cover in moved if cover],
-                [s for s, _ in moved if not beyond >> s & 1],
+                i, [s for s, cover in moves if cover],
+                [s for s, _ in moves if not beyond >> s & 1],
             ))
     failures.reverse()
     return closure, failures

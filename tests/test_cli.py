@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -157,6 +161,21 @@ def test_enum(capsys):
     code, out, _ = run(capsys, "enum", "2")
     assert code == 0
     assert out.splitlines() == ["0,0", "0,1", "0,2", "1,0", "1,2", "2,0", "2,1"]
+
+
+def test_enum_into_a_closed_pipe_exits_1_without_a_traceback():
+    # R_7's 130 922 lines overflow the pipe, so writing goes on after the
+    # reader has closed it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "rookorder", "enum", "7"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"0,0,0,0,0,0,0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_enum_rejects_zero(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -329,9 +330,22 @@ def _loaded_covers(nodes):
     return poset._containment_covers(list(nodes))
 
 
+@lru_cache(maxsize=None)
+def _full_diagram(n):
+    """build_hasse(n)'s edges, and the node id of each element."""
+    h = build_hasse(n)
+    return h.edges, {e: i for i, e, _ in h.nodes}
+
+
 def _kernel_covers(nodes):
-    """The covers build_hasse writes: the move kernel's flags."""
-    return list(poset._cover_edges([e for _, e, _ in nodes]))
+    """The covers build_hasse writes, the move kernel's flags, between
+    the nodes' elements, relabelled to the nodes' positions.  The nodes
+    are in element order, so the relabelled edges stay sorted."""
+    if not nodes:
+        return []
+    edges, ids = _full_diagram(nodes[0][1].n)
+    position = {ids[e]: k for k, (_, e, _) in enumerate(nodes)}
+    return [(position[lo], position[hi]) for lo, hi in edges if lo in position and hi in position]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -428,7 +442,7 @@ def test_reload_reads_no_move_code(monkeypatch):
         calls.append(args)
         raise AssertionError("the reload may read no move code")
 
-    for name in ("_key", "_moves", "_cover_edges", "_close_moves", "ppr_leq"):
+    for name in ("_key", "_moves", "_indexed_moves", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
     monkeypatch.setattr(order, "_moves", refuse)
     assert hasse_from_json(text) == h
@@ -561,6 +575,16 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     assert report.cover_mismatch_count == 13326
     assert len(report.cover_mismatches) == 1000
     assert [x for x, _, _ in report.cover_mismatches] == [str(e) for e in elements_of(6)[:1000]]
+
+
+@pytest.mark.parametrize("run", [build_hasse, verify])
+def test_each_whole_monoid_pass_reads_the_kernel_once_per_element(monkeypatch, run):
+    calls = []
+    real = poset._moves
+    monkeypatch.setattr(poset, "_moves", lambda a, key: calls.append(a) or real(a, key))
+    run(5)
+    assert len(calls) == len(set(calls)) == 1546
+    assert set(calls) == {e.entries for e in elements_of(5)}
 
 
 def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
