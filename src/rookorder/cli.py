@@ -21,9 +21,10 @@ USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 # Size caps, each checked before any work runs; above one the command
 # exits 1.  The per-pair move search in cmp is slowest at n = 7 on false
-# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.3-1.5 s and 38 MB
-# for the whole command.  The slowest true pair found, 0,0,0,0,0,3,0
-# against 7,0,6,1,5,3,4, takes 0.5-0.7 s and 29 MB.
+# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.3-1.7 s and 38 MB
+# for the whole command.  The slowest true pair found in 24 000 seeded
+# true pairs of R_7, 0,1,0,2,3,5,0 against 7,0,4,6,0,5,0, expands 8 147
+# nodes: 0.3-0.5 s and 24 MB.
 CMP_MAX_N = 7
 # covers of the zero element (n*n raises, each one key): 0.14 s and 29 MB
 # at n = 200.

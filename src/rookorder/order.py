@@ -15,14 +15,17 @@ computed from the key of x (_key, _entries).  covers_of, ppr_raises, the
 search's successor cache and the diagram and verify code in poset all
 read _moves.  Entries and OneLine are decoded only for values returned.
 
-ppr_leq searches depth first from x by the moves (_successors), on keys.
-Every move climbs in lexicographic order and lowers no prefix sum (see
-_moves), so each of the two potentials prunes twice.  Lexicographic: x
-after y is refused, and the search keeps only nodes strictly below y.
-Prefix sums: a pair with some prefix sum of x above the same prefix sum
-of y is refused before the search, and the search keeps only nodes with
-no prefix sum above y's.  Key order is lexicographic order, and one
-subtraction tests every prefix sum at once.  The search reads no length.
+ppr_leq searches depth first from x by the moves (_successors), on keys,
+lexicographically largest successor first.  Every move climbs in
+lexicographic order and lowers no prefix sum (see _moves), so each of
+the two potentials prunes twice.  Lexicographic: x after y is refused,
+and the search keeps only nodes strictly below y.  Prefix sums: a pair
+with some prefix sum of x above the same prefix sum of y is refused
+before the search, and the search keeps only nodes with no prefix sum
+above y's.  Key order is lexicographic order, and one subtraction tests
+every prefix sum at once.  A node's successors are kept ascending, so
+its scan stops at the first key not below y's.  The search reads no
+length.
 """
 
 from bisect import insort
@@ -192,10 +195,12 @@ _shared: dict[int, int] = {}
 
 @lru_cache(maxsize=None)
 def _successors(key: int, n: int) -> tuple[int, ...]:
-    """Keys of the single moves of the element of R_n with this key, in
-    kernel order.  Cached per (key, n): keys of different sizes can be
-    equal, as 0 is the zero element of every R_n."""
+    """Keys of the single moves of the element of R_n with this key,
+    ascending, so lexicographically smallest first: ppr_leq stops each
+    scan at the first key not below y's.  Cached per (key, n): keys of
+    different sizes can be equal, as 0 is the zero element of every R_n."""
     keys = [z for z, _ in _moves(_entries(key, n), key)]
+    keys.sort()
     return tuple(map(_shared.setdefault, keys, keys))
 
 
@@ -203,11 +208,14 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by reachability of y from x under generator moves.
 
     Depth-first search from x by the moves (_successors), on keys: ints
-    that pack the prefix sums (see _key).  The successors of a node are
-    visited in kernel order, first raise first, so pushed onto the stack
-    reversed: from 0,0,0,0,0,0,0 to 4,5,3,2,6,1,0 that expands 14 nodes,
-    and the reverse order 28 625.  The answer is True as soon as the
-    search generates y, and False once no node is left.
+    that pack the prefix sums (see _key).  A node's successors come in
+    ascending key order and are pushed in that order, so the
+    lexicographically largest, the nearest to y in that order, is
+    expanded first.  The order only ranks nodes and refuses none: every
+    verdict is the same in any order.  The scan of a node's successors
+    stops at the first key not below y's, since every later key is
+    larger.  The answer is True as soon as the search generates y, and
+    False once no node is left.
 
     Two potentials, both read off the moves (see _moves), prune every
     node that cannot lie on a path from x to y.  Every move yields a
@@ -237,10 +245,12 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     seen = {source}
     stack = [source]
     while stack:
-        for z in reversed(_successors(stack.pop(), n)):
-            if z == target:
-                return True
-            if z < target and z not in seen:
+        for z in _successors(stack.pop(), n):
+            if z >= target:
+                if z == target:
+                    return True
+                break
+            if z not in seen:
                 seen.add(z)
                 if (ceiling - z) & guard == guard:
                     stack.append(z)

@@ -17,7 +17,7 @@ from rookorder import (
     ppr_raises,
 )
 from rookorder import order
-from rookorder.order import _entries, _key, _layout
+from rookorder.order import _entries, _key, _layout, _moves
 
 from helpers import (
     brute_cover_sets,
@@ -256,19 +256,58 @@ def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
     assert not ppr_leq(OneLine(x), OneLine(y))
 
 
-def test_search_visits_successors_in_kernel_order(monkeypatch):
-    # first raise first reaches this y, far above the zero element of R_7,
-    # in 14 expansions; visiting the successors last first takes 28 625
+@pytest.fixture
+def expanded(monkeypatch):
+    """The keys the search expands, appended as it expands them."""
     successors = order._successors
-    expanded = []
+    keys = []
 
     def expand(key, n):
-        expanded.append(key)
+        keys.append(key)
         return successors(key, n)
 
     monkeypatch.setattr(order, "_successors", expand)
-    assert ppr_leq(OneLine((0,) * 7), OneLine((4, 5, 3, 2, 6, 1, 0)))
-    assert len(expanded) <= 50
+    return keys
+
+
+@pytest.mark.parametrize("x, y, bound", [
+    # far above the zero element of R_7: 6 expansions, against 14 with
+    # the first raise first and 28 625 with the last swap first
+    ((0,) * 7, (4, 5, 3, 2, 6, 1, 0), 10),
+    # the slowest true pairs of the first-raise-first order, which
+    # expanded 18 385 and 11 602 nodes: 5 and 46
+    ((0, 0, 0, 0, 0, 3, 0), (7, 0, 6, 1, 5, 3, 4), 10),
+    ((0, 0, 0, 3, 0, 0, 5), (7, 0, 6, 2, 1, 3, 5), 60),
+])
+def test_search_visits_the_largest_successor_first(expanded, x, y, bound):
+    assert ppr_leq(OneLine(x), OneLine(y))
+    assert len(expanded) <= bound
+
+
+def test_search_finds_every_true_pair_of_r4_within_16_expansions(expanded):
+    # every comparable pair x < y passes both entry tests and reaches the
+    # search; the first raise first needed up to 54 expansions
+    els = elements_of(4)
+    rows = deodhar_matrix(4)
+    searched = 0
+    for i, x in enumerate(els):
+        for j, y in enumerate(els):
+            if i != j and rows[i] >> j & 1:
+                expanded.clear()
+                assert ppr_leq(x, y), (x, y)
+                assert len(expanded) <= 16, (x, y, len(expanded))
+                searched += 1
+    assert searched == 12092
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_successors_are_the_kernel_moves_ascending(n):
+    # the search stops scanning a node's successors at the first key not
+    # below y's, which skips nothing only if every later key is larger
+    for x in elements_of(n):
+        key = _key(x.entries)
+        moves = sorted(z for z, _ in _moves(x.entries, key))
+        assert order._successors(key, n) == tuple(moves), x
 
 
 def test_search_tests_each_node_once(monkeypatch):
