@@ -21,13 +21,14 @@ USAGE_ERROR = 1
 MISMATCH_ERROR = 2
 # Size caps, each checked before any work runs; above one the command
 # exits 1.  The per-pair move search in cmp is slowest at n = 7 on false
-# pairs such as 0,0,0,0,0,7,0 against 6,5,4,3,2,1,7: 1.3-1.7 s and 38 MB
-# for the whole command.  The slowest true pair found in 24 000 seeded
-# true pairs of R_7, 0,1,0,2,3,5,0 against 7,0,4,6,0,5,0, expands 8 147
-# nodes: 0.3-0.5 s and 24 MB.
+# pairs such as 0,0,0,0,7,0,0 against 6,5,4,3,2,7,1 (23 028 expansions):
+# 0.5-0.6 s and 32 MB for the whole command; 0,0,0,0,0,7,0 against
+# 6,5,4,3,2,1,7 expands 19 245 nodes, 0.4-0.5 s and 30 MB.  The slowest
+# true pair found in 24 000 seeded true pairs of R_7, 0,1,0,2,3,5,0
+# against 7,0,4,6,0,5,0, expands 8 147 nodes: 0.3 s and 24 MB.
 CMP_MAX_N = 7
-# covers of the zero element (n*n raises, each one key): 0.14 s and 29 MB
-# at n = 200.
+# covers of the zero element (n*n raises, each one key of about 1 KB):
+# 0.2 s and 82 MB at n = 200, half of it the key table (order._layout).
 COVERS_MAX_N = 200
 # len of the identity (n(n-1)/2 coinversion pairs): 0.7 s and 111 MB at n = 1000.
 LEN_MAX_N = 1000
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.set_defaults(handler=_cmd_cmp)
 
-    p = sub.add_parser("covers", help="list the elements covering one element")
+    p = sub.add_parser("covers", help="list the elements covering one element, in lexicographic order")
     p.add_argument("element")
     p.set_defaults(handler=_cmd_covers)
 

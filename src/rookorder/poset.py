@@ -2,9 +2,9 @@
 
 One walk, _indexed_moves, reads the order module's move kernel over a
 whole monoid, once per element, and keeps no moves after: each element's
-moves come out as indices with their cover flags.  build_hasse takes the
-flagged ones as the diagram edges, and verify closes the moves and
-audits the flags in one pass of it.
+moves and covers come out as indices, ascending.  build_hasse takes the
+covers as the diagram edges, and verify closes the moves and audits the
+covers in one pass of it.
 
 The other route is the threshold lemma, which reads no move code: x <= y
 exactly when, for every prefix length k and every threshold a, the first
@@ -20,7 +20,7 @@ rejected, so an edge error of the kernel that build_hasse wrote is
 caught on reload.
 
 verify compares two relations, one bitset row per element, and holds
-only the move closure, whose pass also audits the kernel's cover flags
+only the move closure, whose pass also audits the kernel's covers
 against brute-force covers on every element.  The other, the
 containment relation, is _containment_rows(elements, elements), full
 rows over all of R_n.  Each row is XORed with its closure row as it
@@ -96,8 +96,8 @@ def build_hasse(n: int) -> HasseDiagram:
         raise ValueError(f"supported sizes are 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    # The walk runs last to first; each element's covers, ascending.
-    covers = [sorted([j for j, cover in moves if cover]) for _, moves in _indexed_moves(elements)]
+    # The walk runs last to first; each element's covers come ascending.
+    covers = [above for _, _, above in _indexed_moves(elements)]
     edges = tuple((i, j) for i, above in enumerate(reversed(covers)) for j in above)
     return HasseDiagram(n, nodes, edges)
 
@@ -361,9 +361,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     marks.append(time.perf_counter())
     closure, cover_failures = _close_moves(elements)
     cover_mismatches = [
-        [str(elements[i]), [str(elements[s]) for s in sorted(flagged)],
-         [str(elements[s]) for s in sorted(brute)]]
-        for i, flagged, brute in cover_failures[:_MISMATCH_LIMIT]
+        [str(elements[i]), [str(elements[s]) for s in claimed],
+         [str(elements[s]) for s in brute]]
+        for i, claimed, brute in cover_failures[:_MISMATCH_LIMIT]
     ]
     marks.append(time.perf_counter())
     # Bit j of diff[i] says the two relations disagree on the pair (i, j).
@@ -483,47 +483,47 @@ def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[in
         yield row
 
 
-def _indexed_moves(elements: list[OneLine]) -> Iterator[tuple[int, list[tuple[int, bool]]]]:
+def _indexed_moves(elements: list[OneLine]) -> Iterator[tuple[int, list[int], list[int]]]:
     """The one walk that reads the move kernel over all of R_n: for each
-    element, last to first, (its index, [(index of a move, is a cover),
-    ...]) in kernel order.  Elements are indexed by key, each packed
-    once.  Every move climbs in lexicographic order, so each move's index
-    comes out before its source's."""
+    element, last to first, (its index, indices of its moves, indices of
+    its covers), both ascending as the kernel's keys are.  Elements are
+    indexed by key, each packed once.  Every move climbs in
+    lexicographic order, so each move's index comes out before its
+    source's."""
     index = {_key(e.entries): i for i, e in enumerate(elements)}
+    at = index.__getitem__
     for k, i in reversed(index.items()):
-        yield i, [(index[y], cover) for y, cover in _moves(elements[i].entries, k)]
+        moves, covers = _moves(elements[i].entries, k)
+        yield i, list(map(at, moves)), list(map(at, covers))
 
 
 def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, list[int], list[int]]]]:
     """Move closure rows and cover audit failures of all of R_n, from
     one pass of _indexed_moves.  A failure is the index triple (i,
-    flagged moves, brute-force covers), both sides in kernel order;
-    verify formats only the failures it lists.
+    kernel covers, brute-force covers), both sides ascending; verify
+    formats only the failures it lists.
 
     Bit j of row i says element j is reachable from element i.  The walk
     runs in descending index order, so every move's row is ready.
     Everything strictly above x is at or above a move of x, so the
     brute-force covers of x are its moves in no strict up-set of a move:
-    they read no cover flag.  Each move's row holds its own bit, so
+    they read no kernel cover.  Each move's row holds its own bit, so
     those covers are the bitset reach & ~beyond, which is compared with
-    the bitset of the flagged moves; the two index lists are built only
-    for an element that fails.  Failures come in element order."""
+    the bitset of the kernel's covers; the two index lists are built
+    only for an element that fails.  Failures come in element order."""
     closure = [0] * len(elements)
     failures = []
-    for i, moves in _indexed_moves(elements):
-        reach = beyond = flagged = 0
-        for s, cover in moves:
-            row, bit = closure[s], 1 << s
+    for i, moves, covers in _indexed_moves(elements):
+        reach = beyond = claimed = 0
+        for s in moves:
+            row = closure[s]
             reach |= row
-            beyond |= row ^ bit
-            if cover:
-                flagged |= bit
+            beyond |= row ^ 1 << s
+        for s in covers:
+            claimed |= 1 << s
         closure[i] = reach | 1 << i
-        if flagged != reach & ~beyond:
-            failures.append((
-                i, [s for s, cover in moves if cover],
-                [s for s, _ in moves if not beyond >> s & 1],
-            ))
+        if claimed != reach & ~beyond:
+            failures.append((i, covers, [s for s in moves if not beyond >> s & 1]))
     failures.reverse()
     return closure, failures
 

@@ -7,6 +7,7 @@ code paths they are used to check.
 import json
 from collections import deque
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from hypothesis import strategies as st
@@ -226,26 +227,42 @@ def reference_moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
 def key_entries(key: int, n: int) -> tuple[int, ...]:
     """The entries of the element of R_n whose move-kernel key is key,
     read off the documented layout: prefix sums S_1..S_n in fields of
-    bit_length(n(n + 1)/2) + 1 bits each, S_1 most significant."""
+    w = bit_length(n(n + 1)/2) + 1 bits each, S_1 most significant,
+    above prefix square sums Q_1..Q_n in fields of q =
+    bit_length(n(n + 1)(2n + 1)/6) + 1 bits each, Q_1 most significant.
+    The square fields must hold the prefix square sums of the entries
+    the sum fields give, and no guard bit may be set."""
     w = (n * (n + 1) // 2).bit_length() + 1
-    sums = [key >> w * (n - 1 - k) & (1 << w) - 1 for k in range(n)]
-    assert key >> w * n == 0 and all(s >> w - 1 == 0 for s in sums), "guard bit set"
-    return tuple(b - a for a, b in zip([0] + sums, sums))
+    q = (n * (n + 1) * (2 * n + 1) // 6).bit_length() + 1
+    squares = [key >> q * (n - 1 - k) & (1 << q) - 1 for k in range(n)]
+    sums = [key >> q * n + w * (n - 1 - k) & (1 << w) - 1 for k in range(n)]
+    assert key >> (w + q) * n == 0, "bits above the fields"
+    assert all(s >> w - 1 == 0 for s in sums), "sum guard bit set"
+    assert all(s >> q - 1 == 0 for s in squares), "square guard bit set"
+    entries = tuple(b - a for a, b in zip([0] + sums, sums))
+    assert squares == list(accumulate(v * v for v in entries)), "square fields"
+    return entries
 
 
 def kernel_moves(a: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
-    """The move kernel's moves of the entries a, each result decoded to
-    its entries by key_entries, with its cover flag."""
+    """The move kernel's moves of the entries a, in kernel order, each
+    result decoded to its entries by key_entries, with whether the
+    kernel lists it among the covers."""
     n = len(a)
-    return [(key_entries(z, n), cover) for z, cover in _moves(a, _key(a))]
+    moves, covers = _moves(a, _key(a))
+    covers = set(covers)
+    return [(key_entries(z, n), z in covers) for z in moves]
 
 
 def reflagged(real, flag):
-    """A stand-in for the move kernel real with the same moves, each
-    cover flag replaced by flag(entries, result entries, real flag)."""
+    """A stand-in for the move kernel real with the same moves, whose
+    covers are the moves z, in kernel order, for which flag(entries,
+    result entries, whether real lists z as a cover) holds."""
     def moves(a, key):
         n = len(a)
-        return [(z, flag(a, key_entries(z, n), cover)) for z, cover in real(a, key)]
+        keys, covers = real(a, key)
+        covers = set(covers)
+        return keys, [z for z in keys if flag(a, key_entries(z, n), z in covers)]
     return moves
 
 

@@ -139,29 +139,51 @@ def test_keys_decode_and_increase_in_enumeration_order(n):
 
 
 def _guard_test(z, y):
-    """The search's prefix-sum test on keys: every prefix sum of z is at
-    most the same prefix sum of y."""
-    guard = _layout(len(y))[1]
+    """The search's test on keys: every prefix sum and every prefix
+    square sum of z is at most the same one of y."""
+    guard = _layout(len(y))[2]
     return ((_key(y) | guard) - _key(z)) & guard == guard
 
 
+def _square_sums(a):
+    return accumulate(v * v for v in a)
+
+
+def _sums_test(z, y):
+    """The same test on entries."""
+    return (all(map(le, accumulate(z), accumulate(y)))
+            and all(map(le, _square_sums(z), _square_sums(y))))
+
+
 def test_guard_test_is_the_prefix_sum_test_on_every_pair_of_r4():
+    # both potentials at once: prefix sums and prefix square sums, each of
+    # which refuses pairs that the other admits
     els = [x.entries for x in elements_of(4)]
-    held = 0
+    held = sums_only = squares_only = 0
     for z in els:
         for y in els:
-            expected = all(map(le, accumulate(z), accumulate(y)))
+            expected = _sums_test(z, y)
             assert _guard_test(z, y) == expected, (z, y)
             held += expected
+            sums = all(map(le, accumulate(z), accumulate(y)))
+            squares = all(map(le, _square_sums(z), _square_sums(y)))
+            sums_only += sums and not squares
+            squares_only += squares and not sums
     assert 0 < held < len(els) ** 2
+    assert sums_only and squares_only
 
 
 @pytest.mark.parametrize("n", [7, 8, 15, 16])
 def test_guard_test_is_the_prefix_sum_test_where_the_field_width_changes(n):
-    # n(n + 1)/2 is 28, 36, 120 and 136: the field width is 6, 7, 8 and 9
-    # bits.  The reversal has the largest prefix sums, and the zero the
+    # n(n + 1)/2 is 28, 36, 120 and 136: the sum field width is 6, 7, 8
+    # and 9 bits; n(n + 1)(2n + 1)/6 is 140, 204, 1 240 and 1 496, so the
+    # square fields are 9, 9, 12 and 12 bits.  The reversal has the
+    # largest prefix sums and prefix square sums, and the zero the
     # smallest, so the pairs reach both ends of every field.
-    assert _layout(n)[0] == (n * (n + 1) // 2).bit_length() + 1
+    assert _layout(n)[:2] == (
+        (n * (n + 1) // 2).bit_length() + 1,
+        (n * (n + 1) * (2 * n + 1) // 6).bit_length() + 1,
+    )
     rng = random.Random(n)
 
     def draw():
@@ -176,20 +198,21 @@ def test_guard_test_is_the_prefix_sum_test_where_the_field_width_changes(n):
     for z in drawn:
         assert key_entries(_key(z), n) == z
         for y in ends + drawn[len(ends):len(ends) + 40]:
-            expected = all(map(le, accumulate(z), accumulate(y)))
+            expected = _sums_test(z, y)
             assert _guard_test(z, y) == expected, (z, y)
             held += expected
     assert held and not all(_guard_test(z, ends[0]) for z in drawn)
 
 
 def test_keys_of_different_sizes_collide_and_the_caches_tell_them_apart():
-    # the zeros of R_1 and R_2 both pack to 0, and 0,1 packs as 1 does;
-    # ppr_leq and covers_of interleaved over R_1..R_3 in one process must
-    # still answer for the size they are asked about
+    # the zeros of R_1 and R_2 both pack to 0, and the successor cache
+    # holds a different entry for each; ppr_leq and covers_of interleaved
+    # over R_1..R_3 in one process must still answer for the size they are
+    # asked about
     assert _key((0,)) == _key((0, 0)) == 0
-    assert _key((1,)) == _key((0, 1)) == 1
     order._successors.cache_clear()
     order._layout.cache_clear()
+    assert order._successors(0, 1) != order._successors(0, 2)
     sizes = [(elements_of(n), deodhar_matrix(n), brute_cover_sets(n)) for n in (1, 2, 3)]
     for t in range(len(elements_of(3))):
         for els, rows, covers in sizes:
@@ -225,6 +248,36 @@ def test_moves_never_lower_the_entry_sum(n):
                 assert t - s == (step if k in rises else 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moves_never_lower_a_prefix_square_sum(n):
+    # the second potential: a raise of u to b adds b^2 - u^2 to every
+    # prefix square sum from its position on, and a swap of u < v adds
+    # v^2 - u^2 to those between its two positions
+    for x in elements_of(n):
+        a = x.entries
+        for b, _ in kernel_moves(a):
+            diff = [p for p in range(n) if a[p] != b[p]]
+            i = diff[0]
+            rises = range(i, n) if len(diff) == 1 else range(i, diff[1])
+            step = b[i] ** 2 - a[i] ** 2
+            assert step > 0
+            for k, (s, t) in enumerate(zip(_square_sums(a), _square_sums(b))):
+                assert t - s == (step if k in rises else 0)
+
+
+def test_prefix_square_sums_refuse_a_pair_before_the_search(monkeypatch):
+    # lexicographically below, and every prefix sum of x, 0, 0, 3, is at
+    # most y's, 0, 1, 3; but the third prefix square sum is 9 against 5
+    def expand(key, n):
+        raise AssertionError("the search expanded a node")
+
+    x, y = (0, 0, 3), (0, 1, 2)
+    assert all(map(le, accumulate(x), accumulate(y)))
+    assert list(_square_sums(x))[-1] == 9 and list(_square_sums(y))[-1] == 5
+    monkeypatch.setattr(order, "_successors", expand)
+    assert not ppr_leq(OneLine(x), OneLine(y))
+
+
 def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
     # lexicographically below and with the smaller entry sum, but the
     # second prefix sum of x is 3 against 1: the search may not expand x
@@ -236,24 +289,28 @@ def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
 
 
 @pytest.mark.parametrize("x, y", [
-    # x's one successor below y, 0,3,0, has entry sum 3 = sum(y) but
-    # second prefix sum 3 against 1
-    ((0, 0, 3), (1, 0, 2)),
-    # x's five successors below y each have entry sum at most 6 = sum(y),
-    # but a second or third prefix sum above y's 2 or 3
-    ((0, 0, 3, 2), (2, 0, 1, 3)),
+    # x's successors below y are 2,1,3, whose entry sum 6 is above
+    # sum(y) = 5, and 2,3,0, whose entry sum is 5 but whose second prefix
+    # sum is 5 against 3
+    ((2, 1, 0), (3, 0, 2)),
+    # x's two successors below y with entry sum at most 5 = sum(y),
+    # 0,2,3,0 and 0,3,0,2, have second prefix sums 2 and 3 against 1
+    ((0, 0, 3, 2), (1, 0, 4, 0)),
 ])
 def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
-    # every node the entry sum alone would keep is refused by a prefix sum,
-    # so the search ends after expanding x and nothing else
+    # x passes every test on its own sums, so the search expands it; every
+    # node the entry sum alone would keep is refused by a prefix sum, so
+    # the search ends after expanding x and nothing else
     successors = order._successors
+    expanded = []
 
     def expand(key, n):
-        assert key_entries(key, n) == x, f"the search expanded {key_entries(key, n)}"
+        expanded.append(key_entries(key, n))
         return successors(key, n)
 
     monkeypatch.setattr(order, "_successors", expand)
     assert not ppr_leq(OneLine(x), OneLine(y))
+    assert expanded == [x]
 
 
 @pytest.fixture
@@ -306,7 +363,8 @@ def test_successors_are_the_kernel_moves_ascending(n):
     # below y's, which skips nothing only if every later key is larger
     for x in elements_of(n):
         key = _key(x.entries)
-        moves = sorted(z for z, _ in _moves(x.entries, key))
+        moves = _moves(x.entries, key)[0]
+        assert all(a < b for a, b in zip(moves, moves[1:])), x
         assert order._successors(key, n) == tuple(moves), x
 
 
@@ -333,12 +391,14 @@ def test_search_tests_each_node_once(monkeypatch):
     assert max(tested.values()) == 1
 
 
-def test_search_refuses_the_false_pairs_that_pass_both_entry_tests():
-    # the pairs the entry tests cannot refute still reach the search, so
-    # its own False path is exercised on each of them
+def test_search_refuses_the_false_pairs_that_pass_both_entry_tests(expanded):
+    # the pairs that neither the entry tests nor the prefix square sums of
+    # x refute still reach the search, so its own False path is exercised
+    # on each of them; of the 1 792 false pairs that pass the entry tests,
+    # the square sums refuse 1 000 before the search
     els = elements_of(4)
     rows = deodhar_matrix(4)
-    admitted = 0
+    admitted = searched = 0
     for i, x in enumerate(els):
         for j, y in enumerate(els):
             a, b = x.entries, y.entries
@@ -346,8 +406,11 @@ def test_search_refuses_the_false_pairs_that_pass_both_entry_tests():
                 continue
             if all(s <= t for s, t in zip(accumulate(a), accumulate(b))):
                 admitted += 1
+                searched += _sums_test(a, b)
+                expanded.clear()
                 assert not ppr_leq(x, y), (x, y)
-    assert admitted == 1792
+                assert bool(expanded) == _sums_test(a, b), (x, y)
+    assert (admitted, searched) == (1792, 792)
 
 
 def test_ppr_agrees_with_deodhar_on_length_stratified_r6_pairs():
@@ -426,9 +489,14 @@ def test_move_kernel_cover_flags_match_the_public_predicates(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_move_kernel_equals_the_definitional_reference(n):
-    # same moves, same order, same cover flags
+    # same moves, same cover flags, in lexicographic order: both key lists
+    # strictly ascending and the covers a subset of the moves
     for x in elements_of(n):
-        assert kernel_moves(x.entries) == reference_moves(x.entries), x
+        moves, covers = _moves(x.entries, _key(x.entries))
+        assert all(a < b for a, b in zip(moves, moves[1:])), x
+        assert all(a < b for a, b in zip(covers, covers[1:])), x
+        assert set(covers) <= set(moves), x
+        assert kernel_moves(x.entries) == sorted(reference_moves(x.entries)), x
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

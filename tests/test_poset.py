@@ -338,7 +338,7 @@ def _full_diagram(n):
 
 
 def _kernel_covers(nodes):
-    """The covers build_hasse writes, the move kernel's flags, between
+    """The covers build_hasse writes, the move kernel's covers, between
     the nodes' elements, relabelled to the nodes' positions.  The nodes
     are in element order, so the relabelled edges stay sorted."""
     if not nodes:
@@ -394,9 +394,9 @@ def test_level_sliced_covers_are_the_kernel_covers_of_non_convex_node_sets():
 
 
 COVER_FLAG_FAULTS = {
-    # The cover 0,0,0,0 < 0,0,0,1 flagged as no cover.
+    # The cover 0,0,0,0 < 0,0,0,1 left out of the covers.
     "dropped": lambda a, y, cover: cover and (a, y) != ((0, 0, 0, 0), (0, 0, 0, 1)),
-    # The move 0,0,0,0 -> 0,0,0,2, below 0,0,0,1, flagged as a cover.
+    # The move 0,0,0,0 -> 0,0,0,2, below 0,0,0,1, listed as a cover.
     "flipped": lambda a, y, cover: cover or (a, y) == ((0, 0, 0, 0), (0, 0, 0, 2)),
 }
 
@@ -421,9 +421,9 @@ COVER_FLAG_ENTRIES = {
 
 @pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
 def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
-    # The flagged and brute covers are compared as bitsets and listed only
-    # for an element that fails: here one, with both sides sorted into
-    # element order.
+    # The kernel's and the brute covers are compared as bitsets and listed
+    # only for an element that fails: here one, with both sides in element
+    # order, as the kernel's ascending keys give them.
     flag = COVER_FLAG_FAULTS[fault]
     real = poset._moves
     monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
@@ -566,11 +566,11 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     calls = []
     real = poset._moves
     monkeypatch.setattr(
-        poset, "_moves", lambda a, key: calls.append(a) or [(y, False) for y, _ in real(a, key)]
+        poset, "_moves", lambda a, key: calls.append(a) or (real(a, key)[0], [])
     )
     report = verify(6, sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
-    # every element but the top has a cover whose flag the stub clears;
+    # every element but the top has a cover that the stub leaves out;
     # the report counts them all and lists the first 1 000 in element order
     assert report.cover_mismatch_count == 13326
     assert len(report.cover_mismatches) == 1000
@@ -838,10 +838,10 @@ def test_closure_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_brute_covers_read_no_cover_flag(monkeypatch, n):
-    # Every move flagged a cover: each element with a non-cover move fails,
+    # Every move listed as a cover: each element with a non-cover move fails,
     # and its brute side is still the transitive reduction of the order.
     real = poset._moves
-    monkeypatch.setattr(poset, "_moves", lambda a, key: [(y, True) for y, _ in real(a, key)])
+    monkeypatch.setattr(poset, "_moves", lambda a, key: (real(a, key)[0],) * 2)
     report = verify(n)
     els = elements_of(n)
     covers = brute_cover_sets(n)
