@@ -30,7 +30,7 @@ CMP_MAX_N = 7
 # covers of the zero element (n*n raises, each one key of about 1 KB):
 # 0.2 s and 82 MB at n = 200, half of it the key table (order._layout).
 COVERS_MAX_N = 200
-# len of the identity (n(n-1)/2 coinversion pairs): 0.7 s and 111 MB at n = 1000.
+# len of the identity (n(n-1)/2 coinversion pairs): 0.6-0.7 s and 112 MB at n = 1000.
 LEN_MAX_N = 1000
 # oracle of the identity, both spans built once: 0.02-0.03 s and 16 MB at
 # n = 700, 0.08 s and 16 MB at n = 1000.
@@ -201,36 +201,8 @@ def _cmd_verify(args) -> int:
     if args.sampled is not None and args.sampled > SAMPLED_MAX_K:
         raise ValueError(f"verify supports --sampled K <= {SAMPLED_MAX_K}")
     report = verify(args.n, args.sampled, 0 if args.seed is None else args.seed)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"n: {report.n}")
-        print(f"mode: {report.mode}")
-        if report.mode == "sampled":
-            print(f"seed: {report.seed}")
-        print(f"pairs_checked: {report.pairs_checked}")
-        print(f"relation_size: {report.relation_size}")
-        _print_count("order_mismatches", report.mismatches, report.mismatch_count)
-        for x, y, d, p in report.mismatches:
-            print(f"  pair {x} vs {y}: containment={_verdict(d)} moves={_verdict(p)}")
-        print(f"search_mismatches: {len(report.search_mismatches)}")
-        for x, y, p, s in report.search_mismatches:
-            print(f"  pair {x} vs {y}: closure={_verdict(p)} search={_verdict(s)}")
-        _print_count("cover_mismatches", report.cover_mismatches, report.cover_mismatch_count)
-        for x, predicate, brute in report.cover_mismatches:
-            print(f"  element {x}: predicate={predicate} brute={brute}")
-        _print_count("oracle_mismatches", report.oracle_mismatches, report.oracle_mismatch_count)
-        for x, formula, oracle in report.oracle_mismatches:
-            print(f"  element {x}: formula={formula} oracle={oracle}")
-        print("phases_s: " + " ".join(f"{k}={v:.3f}" for k, v in report.phases.items()))
-        print(f"elapsed_s: {report.elapsed:.3f}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'}")
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.to_text())
     return 0 if report.passed else MISMATCH_ERROR
-
-
-def _print_count(label: str, listed: list, count: int) -> None:
-    more = f" (first {len(listed)} listed)" if len(listed) < count else ""
-    print(f"{label}: {count}{more}")
 
 
 def _cmd_enum(args) -> int:

@@ -17,9 +17,9 @@ else:
 with star weight a_i + n - i at occupied columns and 0 elsewhere.
 `length` evaluates it in one pass over the entries, counting the
 coinversions at each occupied column without listing them.
-`coinversions`, `_star_weights` and `length_breakdown` keep the
-definitional form: `length_breakdown` reports every one of these
-quantities, and `rookorder len` prints it.
+`length_breakdown` reports every one of these quantities, from
+`_star_weights` and a coinversion count that lists no pair, and
+`rookorder len` prints it with the pairs that `coinversions` lists.
 """
 
 from dataclasses import dataclass
@@ -79,17 +79,17 @@ class LengthBreakdown:
 
 
 def length_breakdown(x: OneLine) -> LengthBreakdown:
-    """The star weights, the coinversion count and the three orbit
-    dimensions of x, with the length they all give."""
+    """The star weights, the count (not the list) of coinversions and
+    the three orbit dimensions of x, with the length they all give."""
     stars = tuple(_star_weights(x))
-    coinv = len(coinversions(x))
-    n = x.n
+    a, n = x.entries, x.n
+    coinv = sum(1 for i, ai in enumerate(a) if ai for b in a[i + 1:] if b > ai)
     return LengthBreakdown(
         star_weights=stars,
         star_sum=sum(stars),
         coinv=coinv,
         length=sum(stars) - coinv,
-        dim_bx=sum(x.entries),
-        dim_xb=sum(n - i for i, a in enumerate(x.entries) if a),
+        dim_bx=sum(a),
+        dim_xb=sum(n - i for i, ai in enumerate(a) if ai),
         dim_meet=rank(x) + coinv,
     )

@@ -34,8 +34,11 @@ pairs (evenly spaced over all pairs, or the first draws of the sample),
 and, on every element, the combinatorial length against the exact
 coordinate-subspace oracle.  Every disagreement lands in its own list
 of the returned report, and none raises; every list but the search's
-keeps its first 1 000 entries next to an exact count.  The report also
-carries the size of the relation and the seconds of each phase.
+keeps its first 1 000 entries next to an exact count.  _FAILURE_LISTS is
+the one list of those failure kinds: the report's passed reads it, and
+its text form prints the same lists as its JSON form, in that order.
+The report also carries the size of the relation and the seconds of
+each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.
@@ -75,6 +78,15 @@ _SPOT_CHECK_PAIRS = 200
 # first order, cover and oracle mismatches in order and counts them all.
 _MISMATCH_LIMIT = 1000
 _PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "oracle")
+# The failure lists of a VerificationReport, in order: field, count field
+# (None for a list never cut), text label and entry text, whose booleans
+# print as true and false.  A report passes when every list is empty.
+_FAILURE_LISTS = (
+    ("mismatches", "mismatch_count", "order_mismatches", "pair {} vs {}: containment={} moves={}"),
+    ("search_mismatches", None, "search_mismatches", "pair {} vs {}: closure={} search={}"),
+    ("cover_mismatches", "cover_mismatch_count", "cover_mismatches", "element {}: predicate={} brute={}"),
+    ("oracle_mismatches", "oracle_mismatch_count", "oracle_mismatches", "element {}: formula={} oracle={}"),
+)
 
 
 @dataclass(frozen=True)
@@ -270,8 +282,10 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
 class VerificationReport:
     """Outcome of one cross-checking campaign over R_n.
 
-    Every field is required, and every entry of a mismatch list is a
+    Every field is required, and every entry of a failure list is a
     JSON-ready list, so to_dict is the fields as they are plus passed.
+    _FAILURE_LISTS is the one list of failure kinds: to_text renders the
+    same lists as to_dict, in its order, and passed reads it.
     mismatches holds [x, y, containment verdict, move-closure verdict]
     for the first 1 000 pairs where the containment rows, then the
     spot-checked per-pair containment test, differ from the closure,
@@ -311,13 +325,27 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.mismatches or self.search_mismatches
-            or self.cover_mismatches or self.oracle_mismatches
-        )
+        return not any(getattr(self, field) for field, *_ in _FAILURE_LISTS)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
+
+    def to_text(self) -> str:
+        """The lines that rookorder verify prints, without the last newline."""
+        seed = [f"seed: {self.seed}"] if self.mode == "sampled" else []
+        lines = [f"n: {self.n}", f"mode: {self.mode}", *seed,
+                 f"pairs_checked: {self.pairs_checked}", f"relation_size: {self.relation_size}"]
+        for field, count_field, label, entry in _FAILURE_LISTS:
+            listed = getattr(self, field)
+            count = len(listed) if count_field is None else getattr(self, count_field)
+            more = f" (first {len(listed)} listed)" if len(listed) < count else ""
+            lines.append(f"{label}: {count}{more}")
+            for values in listed:
+                lines.append("  " + entry.format(*(str(v).lower() if type(v) is bool else v for v in values)))
+        return "\n".join([
+            *lines, "phases_s: " + " ".join(f"{k}={v:.3f}" for k, v in self.phases.items()),
+            f"elapsed_s: {self.elapsed:.3f}", f"result: {'PASS' if self.passed else 'FAIL'}",
+        ])
 
 
 def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:

@@ -266,6 +266,24 @@ def reflagged(real, flag):
     return moves
 
 
+ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
+# One injected fault per failure list of a verify report, by list, as the
+# poset name it replaces and a function of the real one to its stand-in.
+# Each is wrong in a way that no other check sees: one containment bit on
+# a non-cover pair whose upper end is the top, every per-pair search
+# verdict, the covers of one element, one oracle value.
+FAULTS = {
+    "mismatches": ("_containment_rows", lambda real: lambda lower, upper: [
+        row & ~(1 << len(upper) - 1) if i == 0 else row for i, row in enumerate(real(lower, upper))
+    ]),
+    "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
+    "cover_mismatches": ("_moves", lambda real: reflagged(
+        real, lambda a, y, cover: cover and a != ZERO3.entries
+    )),
+    "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
+}
+
+
 def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
     """Type 1: raising position i of a to the unused value b > a[i] is a
     cover exactly when every value strictly between a[i] and b already

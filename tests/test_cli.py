@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookorder import cli, parse_one_line, poset
+
+from helpers import FAULTS
 
 
 def run(capsys, *argv):
@@ -336,6 +340,61 @@ def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(caps
     doc = json.loads(out)
     assert (code, doc["cover_mismatch_count"], len(doc["cover_mismatches"])) == (2, 33, 2)
     assert (doc["oracle_mismatch_count"], len(doc["oracle_mismatches"])) == (34, 2)
+
+
+# The text report of verify 3 with every fault of FAULTS at once and two
+# entries listed per cut list, timings masked: every line but the search
+# entries (232 exhaustive, 200 sampled; one per spot pair), and the sha256
+# of the whole text.
+FOUR_FAULTS_TEXT = {
+    (): ("""\
+n: 3
+mode: exhaustive
+pairs_checked: 1156
+relation_size: 441
+order_mismatches: 1
+  pair 0,0,0 vs 3,2,1: containment=false moves=true
+search_mismatches: 232
+cover_mismatches: 1
+  element 0,0,0: predicate=[] brute=['0,0,1']
+oracle_mismatches: 1
+  element 3,2,1: formula=9 oracle=10
+phases_s: -
+elapsed_s: -
+result: FAIL
+""", "d176a50104665f4a00041834edff793e41c5701fee7dc47848bf6f05f42c12a8"),
+    ("--sampled", "5000"): ("""\
+n: 3
+mode: sampled
+seed: 0
+pairs_checked: 5000
+relation_size: 441
+order_mismatches: 4 (first 2 listed)
+  pair 0,0,0 vs 3,2,1: containment=false moves=true
+  pair 0,0,0 vs 3,2,1: containment=false moves=true
+search_mismatches: 200
+cover_mismatches: 1
+  element 0,0,0: predicate=[] brute=['0,0,1']
+oracle_mismatches: 1
+  element 3,2,1: formula=9 oracle=10
+phases_s: -
+elapsed_s: -
+result: FAIL
+""", "ae0d8c39e4f613ac42d6a051cf3d795c65b26fd3418342046587c54fe5b6d879"),
+}
+
+
+@pytest.mark.parametrize("campaign", FOUR_FAULTS_TEXT, ids=["exhaustive", "sampled"])
+def test_the_text_report_of_every_fault_at_once(capsys, monkeypatch, campaign):
+    monkeypatch.setattr(poset, "_MISMATCH_LIMIT", 2)
+    for name, fault in FAULTS.values():
+        monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    code, out, err = run(capsys, "verify", "3", *campaign)
+    out = re.sub(r"(?m)^(phases_s|elapsed_s): .*$", r"\1: -", out)
+    text, digest = FOUR_FAULTS_TEXT[campaign]
+    assert (code, err) == (2, "")
+    assert "".join(line for line in out.splitlines(True) if "search=" not in line) == text
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])

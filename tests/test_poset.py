@@ -1,7 +1,9 @@
+import ast
 import json
 import random
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +27,8 @@ from rookorder import (
 )
 
 from helpers import (
+    FAULTS,
+    ZERO3,
     brute_cover_sets,
     deodhar_matrix,
     elements_of,
@@ -449,6 +453,83 @@ def test_reload_reads_no_move_code(monkeypatch):
     assert calls == []
 
 
+PACKAGE = Path(poset.__file__).parent
+
+
+@lru_cache(maxsize=None)
+def _bindings(module: str) -> dict:
+    """The module-level names of the package module: a def, class or
+    assignment maps to its node, a name imported from a package module to
+    (that module, the name), or to (that module, None) for the module
+    itself, and a name imported from elsewhere to None.  The package
+    imports itself only relatively (a CI step refuses any other import)."""
+    bindings = {}
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bindings.update((alias.asname or alias.name, _imported(node, alias)) for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bindings[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bindings.update((t.id, node) for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name))
+    return bindings
+
+
+def _imported(node, alias):
+    if not isinstance(node, ast.ImportFrom) or node.level == 0:
+        return None
+    return (node.module, alias.name) if node.module else (alias.name, None)
+
+
+def _reached(module: str, name: str) -> set:
+    """Every (module, name) of the package that module.name refers to, by
+    name or by an import in its body, through any chain of module-level
+    names, itself included; (module, None) is a module object."""
+    seen, todo = set(), [(module, name)]
+    while todo:
+        where = todo.pop()
+        if where in seen:
+            continue
+        seen.add(where)
+        binding = _bindings(where[0]).get(where[1]) if where[1] else None
+        if isinstance(binding, tuple):
+            todo.append(binding)
+        elif binding is not None:
+            for node in ast.walk(binding):
+                if isinstance(node, ast.Name) and node.id in _bindings(where[0]):
+                    todo.append((where[0], node.id))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    todo += [i for alias in node.names if (i := _imported(node, alias))]
+    return seen
+
+
+@pytest.mark.parametrize("name", ["hasse_from_json", "_containment_covers", "_containment_rows"])
+def test_the_containment_route_reaches_no_order_code(name):
+    # Statically, so that no warm cache of the order module hides a read;
+    # test_reload_reads_no_move_code refuses the move names at run time.
+    assert {where for where in _reached("poset", name) if where[0] == "order"} == set()
+
+
+@pytest.mark.parametrize("name", ["_indexed_moves", "_close_moves"])
+def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
+    other_route = {
+        ("poset", "_containment_rows"), ("poset", "_containment_covers"),
+        ("order", "deodhar_leq"), ("order", "deodhar_leq_gamma"),
+        ("length", "length"), ("oracle", "oracle_length"), ("length", None), ("oracle", None),
+    }
+    assert _reached("poset", name) & other_route == set()
+
+
+def test_the_oracle_imports_only_from_elements():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(
+        isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "elements")
+        for node in imports
+    )
+
+
 def test_json_round_trip_of_an_r4_interval():
     sub = interval(build_hasse(4), OneLine((0, 1, 0, 0)), OneLine((3, 4, 0, 2)))
     assert len(sub.nodes) > 20 and sub.edges
@@ -596,21 +677,7 @@ def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
     assert len(set(calls)) > 1
 
 
-ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
 MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
-# One injected fault per check, each wrong in a way that no other check sees:
-# one containment bit on a non-cover pair whose upper end is the top, every
-# per-pair search verdict, the covers of one element, one oracle value.
-FAULTS = {
-    "mismatches": ("_containment_rows", lambda real: lambda lower, upper: [
-        row & ~(1 << len(upper) - 1) if i == 0 else row for i, row in enumerate(real(lower, upper))
-    ]),
-    "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
-    "cover_mismatches": ("_moves", lambda real: reflagged(
-        real, lambda a, y, cover: cover and a != ZERO3.entries
-    )),
-    "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
-}
 # Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
 CAMPAIGNS = [pytest.param(None, id="exhaustive"), pytest.param(5000, id="sampled")]
 COUNTS = {
