@@ -27,11 +27,11 @@ rows over all of R_n.  Each row is XORed with its closure row as it
 arrives, and the bits of a difference are walked only where it is
 nonzero, so a campaign covers every ordered pair; given a sample_count,
 it reads the differences on that many seeded random pairs instead, and
-draws the pairs beyond its spot pairs only when some difference is
-nonzero.  Either way verify also checks the per-pair containment test
-and the per-pair move search against the closure on about 200 spot
-pairs (evenly spaced over all pairs, or the first draws of the sample),
-and, on every element, the combinatorial length against the exact
+draws them only when some difference is nonzero.  Either way verify
+also checks the per-pair containment test and the per-pair move search
+against the closure on about 200 spot pairs, evenly spaced over all
+ordered pairs and the same in both campaigns, and, on every element,
+the combinatorial length against the exact
 coordinate-subspace oracle.  Every disagreement lands in its own list
 of the returned report, and none raises; every list but the search's
 keeps its first 1 000 entries next to an exact count.  _FAILURE_LISTS is
@@ -49,7 +49,6 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Iterator
 
 from .elements import OneLine, enumerate_elements
@@ -302,10 +301,10 @@ class VerificationReport:
     phases splits elapsed into the seconds of enumerate (argument checks
     and elements), closure (kernel, closure rows and cover audit),
     containment (the threshold rows, each compared with its closure row
-    as it is built), pairs (the spot pairs, and reading the differences:
-    on every pair, or, when sampled, on every drawn pair only if some
-    difference is nonzero), spot_checks (the per-pair tests) and oracle
-    (lengths and oracle).
+    as it is built), pairs (reading the differences: on every pair, or,
+    when sampled, on every drawn pair only if some difference is
+    nonzero), spot_checks (the per-pair tests on the spot pairs) and
+    oracle (lengths and oracle).
     """
 
     n: int
@@ -361,16 +360,14 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     draws of a generator seeded with seed, each draw one index t into
     the count * count ordered pairs read as (i, j) = divmod(t, count).
     Draws are with replacement, so a pair drawn twice is checked, and a
-    mismatch on it counted and listed, twice.  The per-pair containment
-    test and the per-pair move search are spot-checked against the
-    closure on S = len(range(0, pairs_checked, stride)) pairs, where
-    stride = max(1, pairs_checked // 200): about 200, or all of fewer
-    than 400.  They are every stride-th ordered pair, or the first S
-    draws.  Those draws are made first; the rest are drawn, and every
-    drawn pair read in stream order, only when some difference is
-    nonzero, since a zero difference holds no mismatch.  Both the covers
-    (in the pass that builds the closure) and the oracle are audited on
-    every element.
+    mismatch on it counted and listed, twice.  The pairs are drawn, and
+    read in stream order, only when some difference is nonzero, since a
+    zero difference holds no mismatch.  In both campaigns the per-pair
+    containment test and the per-pair move search are spot-checked
+    against the closure on every stride-th ordered pair, stride =
+    max(1, count * count // 200): about 200 pairs, or all of fewer than
+    400.  Both the covers (in the pass that builds the closure) and the
+    oracle are audited on every element.
 
     n must be an int in 1..MAX_N, sample_count None or an int >= 1, and
     seed an int; anything else, a bool included, raises ValueError.
@@ -406,30 +403,26 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
             p = bool(closure[i] >> j & 1)
             mismatches.append([str(elements[i]), str(elements[j]), not p, p])
 
-    pairs_checked = count * count if exhaustive else sample_count
-    stride = max(1, pairs_checked // _SPOT_CHECK_PAIRS)
+    space = count * count
     if exhaustive:
-        spot = [divmod(t, count) for t in range(0, pairs_checked, stride)]
         for i, bits in enumerate(diff):
             mismatch_count += bits.bit_count()
             while bits and len(mismatches) < _MISMATCH_LIMIT:
                 j = (bits & -bits).bit_length() - 1
                 note(i, j)
                 bits &= bits - 1
-    else:
-        # Spot pairs first; the rest of the stream only if some row differs.
-        draw, space = random.Random(seed).randrange, count * count
-        spot = [divmod(draw(space), count) for _ in range(0, pairs_checked, stride)]
-        if any(diff):
-            rest = (divmod(draw(space), count) for _ in range(pairs_checked - len(spot)))
-            for i, j in chain(spot, rest):
-                if diff[i] >> j & 1:
-                    mismatch_count += 1
-                    note(i, j)
+    elif any(diff):
+        draw = random.Random(seed).randrange
+        for _ in range(sample_count):
+            i, j = divmod(draw(space), count)
+            if diff[i] >> j & 1:
+                mismatch_count += 1
+                note(i, j)
     marks.append(time.perf_counter())
 
     search_mismatches = []
-    for i, j in spot:
+    for t in range(0, space, max(1, space // _SPOT_CHECK_PAIRS)):
+        i, j = divmod(t, count)
         x, y = elements[i], elements[j]
         p = bool(closure[i] >> j & 1)
         if deodhar_leq(x, y) != p:
@@ -448,7 +441,8 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     marks.append(time.perf_counter())
     return VerificationReport(
         n=n, mode="exhaustive" if exhaustive else "sampled",
-        seed=None if exhaustive else seed, pairs_checked=pairs_checked,
+        seed=None if exhaustive else seed,
+        pairs_checked=space if exhaustive else sample_count,
         mismatches=mismatches, mismatch_count=mismatch_count,
         search_mismatches=search_mismatches,
         cover_mismatches=cover_mismatches, cover_mismatch_count=len(cover_failures),

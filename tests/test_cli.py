@@ -323,28 +323,40 @@ def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeyp
     assert (code, doc["mismatch_count"], len(doc["mismatches"])) == (2, 12092, 1000)
 
 
-def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(capsys, monkeypatch):
+# The count lines of verify 3 with the two faults below, by listing limit.
+# At 33 the cover list is whole and the oracle list leaves out one entry.
+COVER_AND_ORACLE_LINES = {
+    2: ("cover_mismatches: 33 (first 2 listed)", "oracle_mismatches: 34 (first 2 listed)"),
+    33: ("cover_mismatches: 33", "oracle_mismatches: 34 (first 33 listed)"),
+}
+
+
+@pytest.mark.parametrize("limit", COVER_AND_ORACLE_LINES)
+def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(
+    capsys, monkeypatch, limit,
+):
     # A kernel that lists no cover fails every element of R_3 but the top, which has
     # no moves, and a wrong oracle fails all 34 elements.
     real = poset._moves
-    monkeypatch.setattr(poset, "_MISMATCH_LIMIT", 2)
+    monkeypatch.setattr(poset, "_MISMATCH_LIMIT", limit)
     monkeypatch.setattr(poset, "_moves", lambda a, key: (real(a, key)[0], []))
     monkeypatch.setattr(poset, "oracle_length", lambda x: -1)
     code, out, _ = run(capsys, "verify", "3")
     lines = out.splitlines()
     assert code == 2
-    assert "cover_mismatches: 33 (first 2 listed)" in lines
-    assert "oracle_mismatches: 34 (first 2 listed)" in lines
-    assert sum(line.startswith("  element ") for line in lines) == 4
+    cover_line, oracle_line = COVER_AND_ORACLE_LINES[limit]
+    assert cover_line in lines
+    assert oracle_line in lines
+    assert sum(line.startswith("  element ") for line in lines) == 2 * limit
     code, out, _ = run(capsys, "verify", "3", "--json")
     doc = json.loads(out)
-    assert (code, doc["cover_mismatch_count"], len(doc["cover_mismatches"])) == (2, 33, 2)
-    assert (doc["oracle_mismatch_count"], len(doc["oracle_mismatches"])) == (34, 2)
+    assert (code, doc["cover_mismatch_count"], len(doc["cover_mismatches"])) == (2, 33, limit)
+    assert (doc["oracle_mismatch_count"], len(doc["oracle_mismatches"])) == (34, limit)
 
 
 # The text report of verify 3 with every fault of FAULTS at once and two
 # entries listed per cut list, timings masked: every line but the search
-# entries (232 exhaustive, 200 sampled; one per spot pair), and the sha256
+# entries (232 in both campaigns; one per spot pair), and the sha256
 # of the whole text.
 FOUR_FAULTS_TEXT = {
     (): ("""\
@@ -372,7 +384,7 @@ relation_size: 441
 order_mismatches: 4 (first 2 listed)
   pair 0,0,0 vs 3,2,1: containment=false moves=true
   pair 0,0,0 vs 3,2,1: containment=false moves=true
-search_mismatches: 200
+search_mismatches: 232
 cover_mismatches: 1
   element 0,0,0: predicate=[] brute=['0,0,1']
 oracle_mismatches: 1
@@ -380,7 +392,7 @@ oracle_mismatches: 1
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "ae0d8c39e4f613ac42d6a051cf3d795c65b26fd3418342046587c54fe5b6d879"),
+""", "14d3678899eb18734767159ef6c72ebad715547e371291bcfc022547564d6b25"),
 }
 
 

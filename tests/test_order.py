@@ -600,3 +600,31 @@ def test_symmetric_group_restriction_sampled_s5(data):
     u = OneLine(tuple(data.draw(st.permutations(base))))
     w = OneLine(tuple(data.draw(st.permutations(base))))
     assert deodhar_leq(u, w) == classical_bruhat_leq(u, w)
+
+
+def transpose_by_reversal(x: OneLine) -> OneLine:
+    """sigma(x) = w0 x^T w0: each nonzero x_r = c (1-based) becomes the
+    value n + 1 - r at position n + 1 - c."""
+    n = x.n
+    entries = [0] * n
+    for r, c in enumerate(x.entries, 1):
+        if c:
+            entries[n - c] = n + 1 - r
+    return OneLine(tuple(entries))
+
+
+@pytest.mark.parametrize(("n", "fixed_points"), [(1, 2), (2, 5), (3, 14), (4, 43), (5, 142)])
+def test_transpose_by_reversal_is_an_order_automorphism(n, fixed_points):
+    # Renner's x <= y says B x B lies in the closure of B y B, B upper
+    # triangular.  Transposing maps B x B orbits to B- x B- orbits, and
+    # conjugating by w0 maps B- back to B, so sigma keeps the order and the
+    # orbit dimension, the length.  Its principle is neither the moves nor
+    # the threshold counts.
+    fixed = 0
+    for x in elements_of(n):
+        s = transpose_by_reversal(x)
+        assert transpose_by_reversal(s) == x
+        assert length(s) == length(x)
+        assert set(covers_of(s)) == set(map(transpose_by_reversal, covers_of(x)))
+        fixed += s == x
+    assert fixed == fixed_points

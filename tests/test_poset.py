@@ -729,12 +729,11 @@ def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypa
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
     # the per-pair test runs on the spot pairs, and only there: every
-    # stride-th ordered pair, or as many of the first sampled draws
-    stride = report["pairs_checked"] // 200
-    spot_checks = len(range(0, report["pairs_checked"], stride))
+    # stride-th ordered pair of R_3, in both campaigns
+    space = len(elements_of(3)) ** 2
+    spot_checks = len(range(0, space, space // 200))
     assert report["mismatch_count"] == len(report["mismatches"]) == spot_checks
-    if sample_count is None:
-        assert report["mismatches"][0] == ["0,0,0", "0,0,0", False, True]
+    assert report["mismatches"][0] == ["0,0,0", "0,0,0", False, True]
 
 
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
@@ -778,26 +777,25 @@ def test_sampled_mismatches_are_those_of_the_first_draws_of_the_seed(
 
 
 @pytest.mark.parametrize("sample_count", [150, 5000])
-def test_a_healthy_sampled_campaign_draws_only_its_spot_pairs(monkeypatch, sample_count):
+def test_a_healthy_sampled_campaign_draws_nothing_and_searches_the_exhaustive_spot_pairs(
+    monkeypatch, sample_count,
+):
     draws, searched = [], []
 
     class Spy(random.Random):
         def randrange(self, *args):
-            t = super().randrange(*args)
-            draws.append(t)
-            return t
+            draws.append(args)
+            return super().randrange(*args)
 
-    reference = random.Random(5).randrange
     real = poset.ppr_leq
     monkeypatch.setattr(poset.random, "Random", Spy)
     monkeypatch.setattr(poset, "ppr_leq", lambda x, y: searched.append((x, y)) or real(x, y))
+    assert verify(4).passed
+    exhaustive = searched[:]
+    searched.clear()
     assert verify(4, sample_count, seed=5).passed
-    els = elements_of(4)
-    count = len(els)
-    stride = max(1, sample_count // 200)
-    assert len(draws) == len(range(0, sample_count, stride))
-    assert draws == [reference(count * count) for _ in draws]
-    assert searched == [(els[t // count], els[t % count]) for t in draws]
+    assert draws == []
+    assert searched == exhaustive
 
 
 def test_verify_reports_relation_size_and_phases():
