@@ -777,9 +777,9 @@ def test_sampled_mismatches_are_those_of_the_first_draws_of_the_seed(
 
 
 @pytest.mark.parametrize("sample_count", [150, 5000])
-def test_a_healthy_sampled_campaign_draws_nothing_and_searches_the_exhaustive_spot_pairs(
-    monkeypatch, sample_count,
-):
+def test_a_healthy_sampled_campaign_draws_only_its_spot_pairs(monkeypatch, sample_count):
+    # The spot pairs of a sampled campaign are the exhaustive ones: a healthy
+    # run draws nothing from the seed and searches exactly those pairs.
     draws, searched = [], []
 
     class Spy(random.Random):
