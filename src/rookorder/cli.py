@@ -37,10 +37,10 @@ LEN_MAX_N = 1000
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
-# verify 6 --sampled K at the cap: 0.55-0.7 s and 42 MB when the relations
-# agree, since nothing is drawn; the cap bounds a run where they differ,
-# which draws and reads every pair: 1.2-1.5 s and 42 MB (0.65-0.85 s at
-# n = 5).
+# verify 6 --sampled K at the cap, in process: 0.4-0.5 s and 43 MB when
+# the relations agree, since nothing is drawn; the cap bounds a run where
+# they differ, which draws and reads every pair: 1.8-3.2 s and 66 MB when
+# every pair differs (0.6-0.75 s and 18 MB at n = 5).
 SAMPLED_MAX_K = 1_000_000
 
 
@@ -214,7 +214,3 @@ def _cmd_enum(args) -> int:
 
 def _verdict(flag: bool) -> str:
     return "true" if flag else "false"
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

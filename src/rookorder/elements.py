@@ -118,6 +118,5 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
                 used[v] = True
                 yield from fill(j + 1)
                 used[v] = False
-        entries[j] = 0
 
     return fill(0)

@@ -17,13 +17,12 @@ else:
 with star weight a_i + n - i at occupied columns and 0 elsewhere.
 `length` evaluates it in one pass over the entries, counting the
 coinversions at each occupied column without listing them.
-`length_breakdown` reports every one of these quantities, from
-`_star_weights` and a coinversion count that lists no pair, and
-`rookorder len` prints it with the pairs that `coinversions` lists.
+`length_breakdown` reports every one of these quantities, with a
+coinversion count that lists no pair, and `rookorder len` prints it
+with the pairs that `coinversions` lists.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .elements import OneLine, rank
 
@@ -39,12 +38,6 @@ def coinversions(x: OneLine) -> list[tuple[int, int]]:
         for j in range(i + 1, x.n)
         if 0 < a[i] < a[j]
     ]
-
-
-def _star_weights(x: OneLine) -> Iterator[int]:
-    """a_i + n - i at each occupied column i (1-based), 0 at empty ones."""
-    n = x.n
-    return (a + n - i if a else 0 for i, a in enumerate(x.entries, 1))
 
 
 def length(x: OneLine) -> int:
@@ -81,8 +74,8 @@ class LengthBreakdown:
 def length_breakdown(x: OneLine) -> LengthBreakdown:
     """The star weights, the count (not the list) of coinversions and
     the three orbit dimensions of x, with the length they all give."""
-    stars = tuple(_star_weights(x))
     a, n = x.entries, x.n
+    stars = tuple(ai + n - i if ai else 0 for i, ai in enumerate(a, 1))
     coinv = sum(1 for i, ai in enumerate(a) if ai for b in a[i + 1:] if b > ai)
     return LengthBreakdown(
         star_weights=stars,

@@ -28,9 +28,9 @@ arrives, and the bits of a difference are walked only where it is
 nonzero, so a campaign covers every ordered pair; given a sample_count,
 it reads the differences on that many seeded random pairs instead, and
 draws them only when some difference is nonzero.  Either way verify
-also checks the per-pair containment test and the per-pair move search
-against the closure on about 200 spot pairs, evenly spaced over all
-ordered pairs and the same in both campaigns, and, on every element,
+also checks the two per-pair containment tests and the per-pair move
+search against the closure on about 200 spot pairs, evenly spaced over
+all ordered pairs and the same in both campaigns, and, on every element,
 the combinatorial length against the exact
 coordinate-subspace oracle.  Every disagreement lands in its own list
 of the returned report, and none raises; every list but the search's
@@ -54,7 +54,7 @@ from typing import Iterator
 from .elements import OneLine, enumerate_elements
 from .length import length
 from .oracle import oracle_length
-from .order import _key, _moves, deodhar_leq, ppr_leq
+from .order import _key, _moves, deodhar_leq, deodhar_leq_gamma, ppr_leq
 
 __all__ = [
     "HasseDiagram",
@@ -287,9 +287,12 @@ class VerificationReport:
     same lists as to_dict, in its order, and passed reads it.
     mismatches holds [x, y, containment verdict, move-closure verdict]
     for the first 1 000 pairs where the containment rows, then the
-    spot-checked per-pair containment test, differ from the closure,
-    each in pair order (so the two verdicts of an entry are opposite);
-    mismatch_count counts all such disagreements.
+    spot-checked per-pair containment tests deodhar_leq and
+    deodhar_leq_gamma, differ from the closure, each in pair order (so
+    the two verdicts of an entry are opposite); mismatch_count counts all
+    such disagreements.  In a sampled campaign the containment rows'
+    disagreements come in draw order instead, and a pair drawn twice is
+    counted and listed twice.
     search_mismatches holds [x, y, move-closure verdict, per-pair search
     verdict] wherever the two ways of evaluating move reachability
     differ; cover_mismatches holds [x, predicate covers, brute-force
@@ -362,8 +365,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     Draws are with replacement, so a pair drawn twice is checked, and a
     mismatch on it counted and listed, twice.  The pairs are drawn, and
     read in stream order, only when some difference is nonzero, since a
-    zero difference holds no mismatch.  In both campaigns the per-pair
-    containment test and the per-pair move search are spot-checked
+    zero difference holds no mismatch.  In both campaigns the three
+    per-pair tests that rookorder cmp prints, deodhar_leq,
+    deodhar_leq_gamma and the move search ppr_leq, are spot-checked
     against the closure on every stride-th ordered pair, stride =
     max(1, count * count // 200): about 200 pairs, or all of fewer than
     400.  Both the covers (in the pass that builds the closure) and the
@@ -425,15 +429,19 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         i, j = divmod(t, count)
         x, y = elements[i], elements[j]
         p = bool(closure[i] >> j & 1)
-        if deodhar_leq(x, y) != p:
-            mismatch_count += 1
-            note(i, j)
+        for test in (deodhar_leq, deodhar_leq_gamma):
+            if test(x, y) != p:
+                mismatch_count += 1
+                note(i, j)
         s = ppr_leq(x, y)
         if s != p:
             search_mismatches.append([str(x), str(y), p, s])
     marks.append(time.perf_counter())
 
-    oracle_failures = _audit_oracle(elements)
+    oracle_failures = [
+        (i, ln, computed) for i, x in enumerate(elements)
+        if (ln := length(x)) != (computed := oracle_length(x))
+    ]
     oracle_mismatches = [
         [str(elements[i]), ln, computed]
         for i, ln, computed in oracle_failures[:_MISMATCH_LIMIT]
@@ -548,12 +556,3 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
             failures.append((i, covers, [s for s in moves if not beyond >> s & 1]))
     failures.reverse()
     return closure, failures
-
-
-def _audit_oracle(elements: list[OneLine]) -> list[tuple[int, int, int]]:
-    """(index, formula length, oracle length) of every element where the
-    two differ, in element order; verify formats only those it lists."""
-    return [
-        (i, ln, computed) for i, x in enumerate(elements)
-        if (ln := length(x)) != (computed := oracle_length(x))
-    ]

@@ -51,11 +51,6 @@ def exhaustive_report(n):
     return verify(n)
 
 
-@lru_cache(maxsize=None)
-def sampled_report_r5():
-    return verify(5, sample_count=100_000, seed=0)
-
-
 def announce(criterion, detail):
     print(f"[acceptance] {criterion}: PASS ({detail})")
 
@@ -94,25 +89,20 @@ def test_criterion_02_oracle_matches_formula_through_r6():
 
 
 def test_criterion_03_order_implementations_agree():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         report = exhaustive_report(n)
         assert report.mismatches == [], report.mismatches[:5]
-    sampled = sampled_report_r5()
-    assert sampled.mismatches == [], sampled.mismatches[:5]
-    pairs = sum(exhaustive_report(n).pairs_checked for n in (1, 2, 3, 4))
+    pairs = sum(exhaustive_report(n).pairs_checked for n in (1, 2, 3, 4, 5))
     announce(
         "containment order equals move-closure order",
-        f"{pairs} exhaustive pairs through R_4 "
-        f"plus {sampled.pairs_checked} sampled pairs in R_5",
+        f"all {pairs} ordered pairs through R_5",
     )
 
 
 def test_criterion_04_cover_predicates_match_brute_force():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         report = exhaustive_report(n)
         assert report.cover_mismatches == [], report.cover_mismatches[:5]
-    r5 = sampled_report_r5()
-    assert r5.cover_mismatches == []
     total = sum(len(elements_of(n)) for n in (1, 2, 3, 4, 5))
     announce(
         "covering predicates equal brute-force covers",

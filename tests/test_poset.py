@@ -723,12 +723,13 @@ def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_
 
 
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
-def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, sample_count):
-    real = poset.deodhar_leq
-    monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: not real(x, y))
+@pytest.mark.parametrize("name", ["deodhar_leq", "deodhar_leq_gamma"])
+def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, name, sample_count):
+    real = getattr(poset, name)
+    monkeypatch.setattr(poset, name, lambda x, y: not real(x, y))
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
-    # the per-pair test runs on the spot pairs, and only there: every
+    # each per-pair test runs on the spot pairs, and only there: every
     # stride-th ordered pair of R_3, in both campaigns
     space = len(elements_of(3)) ** 2
     spot_checks = len(range(0, space, space // 200))
