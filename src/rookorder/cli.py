@@ -13,7 +13,7 @@ import sys
 
 from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
-from .oracle import left_span, right_span
+from .oracle import left_span, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
 from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
 
@@ -32,8 +32,8 @@ CMP_MAX_N = 7
 COVERS_MAX_N = 200
 # len of the identity (n(n-1)/2 coinversion pairs): 0.6-0.7 s and 112 MB at n = 1000.
 LEN_MAX_N = 1000
-# oracle of the identity, both spans built once: 0.02-0.03 s and 16 MB at
-# n = 700, 0.08 s and 16 MB at n = 1000.
+# oracle of the identity, each span built twice (rank lines, oracle_length):
+# 0.04-0.06 s and 16 MB at n = 700, 0.14-0.17 s and 16 MB at n = 1000.
 ORACLE_MAX_N = 700
 # enum 8 prints 1 441 729 elements in 10.5 s; R_9 has 17 572 114.
 ENUM_MAX_N = 8
@@ -125,7 +125,7 @@ def _cmd_len(args) -> int:
     print(f"star_sum: {b.star_sum}")
     print(f"coinv: {b.coinv}")
     print(f"coinversion_pairs: {' '.join(f'({i},{j})' for i, j in pairs) or '-'}")
-    print(f"length: {b.length}")
+    print(f"length: {length(x)}")
     print(f"dim_bx: {b.dim_bx}")
     print(f"dim_xb: {b.dim_xb}")
     print(f"dim_meet: {b.dim_meet}")
@@ -163,16 +163,12 @@ def _cmd_covers(args) -> int:
 def _cmd_oracle(args) -> int:
     x = parse_one_line(args.element)
     _check_size("oracle", x.n, ORACLE_MAX_N)
-    left = left_span(x)
-    right = right_span(x)
-    left_rank, right_rank = left.bit_count(), right.bit_count()
-    meet_dim = (left & right).bit_count()
+    left, right = left_span(x), right_span(x)
     print(f"element: {x}")
-    print(f"left_rank: {left_rank}")
-    print(f"right_rank: {right_rank}")
-    print(f"meet_dim: {meet_dim}")
-    # oracle_length's orbit dimension, from the spans built once above.
-    print(f"oracle_length: {left_rank + right_rank - meet_dim}")
+    print(f"left_rank: {left.bit_count()}")
+    print(f"right_rank: {right.bit_count()}")
+    print(f"meet_dim: {(left & right).bit_count()}")
+    print(f"oracle_length: {oracle_length(x)}")
     return 0
 
 
@@ -198,8 +194,8 @@ def _rank_table(h) -> str:
 def _cmd_verify(args) -> int:
     if args.sampled is None and args.seed is not None:
         raise ValueError("--seed needs --sampled: an exhaustive campaign draws no pairs")
-    if args.sampled is not None and args.sampled > SAMPLED_MAX_K:
-        raise ValueError(f"verify supports --sampled K <= {SAMPLED_MAX_K}")
+    if args.sampled is not None and not 1 <= args.sampled <= SAMPLED_MAX_K:
+        raise ValueError(f"verify supports --sampled K in 1..{SAMPLED_MAX_K}")
     report = verify(args.n, args.sampled, 0 if args.seed is None else args.seed)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.to_text())
     return 0 if report.passed else MISMATCH_ERROR

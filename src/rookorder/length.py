@@ -17,9 +17,9 @@ else:
 with star weight a_i + n - i at occupied columns and 0 elsewhere.
 `length` evaluates it in one pass over the entries, counting the
 coinversions at each occupied column without listing them.
-`length_breakdown` reports every one of these quantities, with a
-coinversion count that lists no pair, and `rookorder len` prints it
-with the pairs that `coinversions` lists.
+`length_breakdown` reports every piece, with a coinversion count that
+lists no pair, but not the length they give: `rookorder len` prints
+`length` itself beside the pieces and the pairs `coinversions` lists.
 """
 
 from dataclasses import dataclass
@@ -65,7 +65,6 @@ class LengthBreakdown:
     star_weights: tuple[int, ...]
     star_sum: int
     coinv: int
-    length: int
     dim_bx: int
     dim_xb: int
     dim_meet: int
@@ -73,7 +72,7 @@ class LengthBreakdown:
 
 def length_breakdown(x: OneLine) -> LengthBreakdown:
     """The star weights, the count (not the list) of coinversions and
-    the three orbit dimensions of x, with the length they all give."""
+    the three orbit dimensions of x."""
     a, n = x.entries, x.n
     stars = tuple(ai + n - i if ai else 0 for i, ai in enumerate(a, 1))
     coinv = sum(1 for i, ai in enumerate(a) if ai for b in a[i + 1:] if b > ai)
@@ -81,7 +80,6 @@ def length_breakdown(x: OneLine) -> LengthBreakdown:
         star_weights=stars,
         star_sum=sum(stars),
         coinv=coinv,
-        length=sum(stars) - coinv,
         dim_bx=sum(a),
         dim_xb=sum(n - i for i, ai in enumerate(a) if ai),
         dim_meet=rank(x) + coinv,

@@ -104,7 +104,7 @@ def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
     a bool included, raises ValueError."""
     if type(n) is not int or not 1 <= n <= MAX_N:
-        raise ValueError(f"supported sizes are 1..{MAX_N}")
+        raise ValueError(f"hasse supports n in 1..{MAX_N}")
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
     # The walk runs last to first; each element's covers come ascending.
@@ -438,13 +438,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
             search_mismatches.append([str(x), str(y), p, s])
     marks.append(time.perf_counter())
 
-    oracle_failures = [
-        (i, ln, computed) for i, x in enumerate(elements)
-        if (ln := length(x)) != (computed := oracle_length(x))
-    ]
     oracle_mismatches = [
-        [str(elements[i]), ln, computed]
-        for i, ln, computed in oracle_failures[:_MISMATCH_LIMIT]
+        [str(x), ln, computed] for x in elements
+        if (ln := length(x)) != (computed := oracle_length(x))
     ]
     marks.append(time.perf_counter())
     return VerificationReport(
@@ -454,7 +450,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         mismatches=mismatches, mismatch_count=mismatch_count,
         search_mismatches=search_mismatches,
         cover_mismatches=cover_mismatches, cover_mismatch_count=len(cover_failures),
-        oracle_mismatches=oracle_mismatches, oracle_mismatch_count=len(oracle_failures),
+        oracle_mismatches=oracle_mismatches[:_MISMATCH_LIMIT], oracle_mismatch_count=len(oracle_mismatches),
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
         elapsed=marks[-1] - marks[0],

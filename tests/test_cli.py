@@ -43,6 +43,16 @@ def test_len_breakdown(capsys):
     ]
 
 
+def test_len_prints_the_audited_length(capsys, monkeypatch):
+    # The length line is length(x) itself, the function verify audits
+    # against the oracle, not a sum of the breakdown's pieces.
+    monkeypatch.setattr(cli, "length", lambda x: -7)
+    code, out, _ = run(capsys, "len", "4,0,2,3")
+    assert code == 0
+    assert "length: -7" in out.splitlines()
+    assert "star_sum: 13" in out.splitlines()
+
+
 def test_len_zero_element(capsys):
     code, out, _ = run(capsys, "len", "0,0")
     assert code == 0
@@ -91,9 +101,9 @@ def _work(*args):
 
 
 @pytest.mark.parametrize("command, cap, workers", [
-    ("len", cli.LEN_MAX_N, ("length_breakdown", "coinversions")),
+    ("len", cli.LEN_MAX_N, ("length_breakdown", "coinversions", "length")),
     ("covers", cli.COVERS_MAX_N, ("covers_of",)),
-    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span")),
+    ("oracle", cli.ORACLE_MAX_N, ("left_span", "right_span", "oracle_length")),
     ("enum", cli.ENUM_MAX_N, ("enumerate_elements",)),
 ])
 def test_size_caps_refuse_before_any_work(capsys, monkeypatch, command, cap, workers):
@@ -169,6 +179,15 @@ def test_oracle(capsys):
     ]
 
 
+def test_oracle_prints_the_audited_oracle_length(capsys, monkeypatch):
+    # The last line is oracle_length(x) itself, the function verify
+    # audits, not the rank lines recombined.
+    monkeypatch.setattr(cli, "oracle_length", lambda x: -7)
+    code, out, _ = run(capsys, "oracle", "6,0,5,0,3,1")
+    assert code == 0
+    assert out.splitlines()[1:] == ["left_rank: 15", "right_rank: 13", "meet_dim: 4", "oracle_length: -7"]
+
+
 def test_enum(capsys):
     code, out, _ = run(capsys, "enum", "2")
     assert code == 0
@@ -229,9 +248,9 @@ def test_hasse_ranks(capsys):
 
 
 def test_hasse_rejects_big_n(capsys):
-    code, _, err = run(capsys, "hasse", "9")
-    assert code == 1
-    assert "error:" in err
+    # The refusal names its command, as every other size refusal does.
+    for n in ("7", "9"):
+        assert run(capsys, "hasse", n) == (1, "", "error: hasse supports n in 1..6\n")
 
 
 def test_verify_small(capsys):
@@ -302,8 +321,9 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
 def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(poset, "enumerate_elements", _work)
     cap = cli.SAMPLED_MAX_K
-    expected = (1, "", f"error: verify supports --sampled K <= {cap}\n")
-    assert run(capsys, "verify", "6", "--sampled", str(cap + 1)) == expected
+    expected = (1, "", f"error: verify supports --sampled K in 1..{cap}\n")
+    for k in (0, cap + 1):
+        assert run(capsys, "verify", "6", "--sampled", str(k)) == expected
     with pytest.raises(WorkRan):  # at the cap the work starts
         cli.main(["verify", "6", "--sampled", str(cap)])
 

@@ -73,11 +73,12 @@ def test_dimension_pieces():
 
 
 def test_breakdown_fields():
-    b = length_breakdown(parse_one_line("4,0,2,3"))
+    x = parse_one_line("4,0,2,3")
+    b = length_breakdown(x)
     assert b.star_weights == (7, 0, 3, 3)
     assert b.star_sum == 13
     assert b.coinv == 1
-    assert b.length == 12
+    assert length(x) == 12
     assert (b.dim_bx, b.dim_xb, b.dim_meet) == (9, 7, 4)
 
 
@@ -85,9 +86,8 @@ def test_breakdown_fields():
 def test_decomposition_exhaustive(n):
     for x in elements_of(n):
         b = length_breakdown(x)
-        assert b.length == length(x)
-        assert b.length == b.star_sum - b.coinv
-        assert b.length == b.dim_bx + b.dim_xb - b.dim_meet
+        assert length(x) == b.star_sum - b.coinv
+        assert length(x) == b.dim_bx + b.dim_xb - b.dim_meet
         assert b.dim_meet == rank(x) + b.coinv
         assert len(b.star_weights) == n
 
@@ -108,7 +108,7 @@ def test_length_bounds_and_uniqueness(n):
 @given(rook_elements(max_n=6))
 def test_breakdown_consistency(x):
     b = length_breakdown(x)
-    assert b.length == length(x)
+    assert length(x) == b.star_sum - b.coinv
     assert b.coinv == len(coinversions(x))
     assert b.star_sum == sum(b.star_weights)
     assert all(w >= 0 for w in b.star_weights)
