@@ -100,23 +100,21 @@ def rank(x: OneLine) -> int:
 
 def enumerate_elements(n: int) -> Iterator[OneLine]:
     """Yield every element of R_n exactly once, in lexicographic order of
-    the entry vectors."""
+    the entry vectors.  Lazy: n < 1 raises at the call, and each element
+    is built when asked for.  A stack holds prefixes: a popped prefix is
+    yielded when full, else replaced by its extensions by 0 and by each
+    value it lacks, pushed largest first.  The smallest pops first, and
+    all under it pop before its next sibling: the order is lexicographic."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    entries = [0] * n
-    used = [False] * (n + 1)
 
-    def fill(j: int) -> Iterator[OneLine]:
-        if j == n:
-            yield OneLine(tuple(entries))
-            return
-        entries[j] = 0
-        yield from fill(j + 1)
-        for v in range(1, n + 1):
-            if not used[v]:
-                entries[j] = v
-                used[v] = True
-                yield from fill(j + 1)
-                used[v] = False
+    def walk() -> Iterator[OneLine]:
+        stack = [()]
+        while stack:
+            t = stack.pop()
+            if len(t) == n:
+                yield OneLine(t)
+            else:
+                stack += [t + (v,) for v in range(n, -1, -1) if not v or v not in t]
 
-    return fill(0)
+    return walk()

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import islice
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,8 +125,35 @@ def test_enumeration_small_listings():
 
 
 def test_enumeration_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        list(enumerate_elements(0))
+    # At the call, before any element is asked for.
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            enumerate_elements(n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_enumeration_streams_the_closed_form_count_ascending(n):
+    count = 0
+    last = ()
+    for x in enumerate_elements(n):
+        assert x.entries > last
+        last = x.entries
+        count += 1
+    assert count == closed_form_count(n)
+
+
+def test_enumeration_is_lazy():
+    # The first 1 000 of R_8's 1 441 729 elements, with only them built;
+    # building all of R_8 before the first yield peaks near 200 MB.
+    tracemalloc.start()
+    try:
+        first = [x.entries for x in islice(enumerate_elements(8), 1000)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[:2] == [(0,) * 8, (0,) * 7 + (1,)]
+    assert len(first) == 1000
+    assert peak < 1 << 20
 
 
 @given(rook_elements(max_n=5))
