@@ -526,29 +526,29 @@ def _indexed_moves(elements: list[OneLine]) -> Iterator[tuple[int, list[int], li
 def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, list[int], list[int]]]]:
     """Move closure rows and cover audit failures of all of R_n, from
     one pass of _indexed_moves.  A failure is the index triple (i,
-    kernel covers, brute-force covers), both sides ascending; verify
-    formats only the failures it lists.
+    kernel covers, brute-force covers); failures come in element order.
 
     Bit j of row i says element j is reachable from element i.  The walk
-    runs in descending index order, so every move's row is ready.
-    Everything strictly above x is at or above a move of x, so the
-    brute-force covers of x are its moves in no strict up-set of a move:
-    they read no kernel cover.  Each move's row holds its own bit, so
-    those covers are the bitset reach & ~beyond, which is compared with
-    the bitset of the kernel's covers; the two index lists are built
-    only for an element that fails.  Failures come in element order."""
+    runs in descending index order, so every move's row is ready.  A
+    move already in reach adds nothing, since a row holds the row of
+    every element it holds, so only the other moves' rows are ORed and
+    the rows are exact in any move order.  Everything strictly above x
+    is at or above a move of x, and a move lies only above moves of lower
+    index, so when the moves ascend, as the kernel's keys give them, the
+    ORed moves are the brute-force covers of x, the moves in no strict
+    up-set of another: they read no kernel cover.  They are compared as
+    lists, so a kernel listing its moves out of order fails the audit."""
     closure = [0] * len(elements)
     failures = []
     for i, moves, covers in _indexed_moves(elements):
-        reach = beyond = claimed = 0
+        reach = 0
+        brute = []
         for s in moves:
-            row = closure[s]
-            reach |= row
-            beyond |= row ^ 1 << s
-        for s in covers:
-            claimed |= 1 << s
+            if not reach >> s & 1:
+                brute.append(s)
+                reach |= closure[s]
         closure[i] = reach | 1 << i
-        if claimed != reach & ~beyond:
-            failures.append((i, covers, [s for s in moves if not beyond >> s & 1]))
+        if brute != covers:
+            failures.append((i, covers, brute))
     failures.reverse()
     return closure, failures

@@ -6,7 +6,8 @@ it, and the one failure list of the verify report that the mutant must
 fill.  A mutant is applied to a copy of the package in a temporary
 directory, never to the package itself, and `python -m rookorder verify
 4 --json` runs on the copy: it must exit 2 with exactly that list
-non-empty.  Equivalent mutants, which change no verdict, are left out.
+non-empty.  No mutant changes a move, so the closure keeps R_4's 12 301
+pairs.  Equivalent mutants, which change no verdict, are left out.
 """
 
 import json
@@ -39,6 +40,10 @@ MUTANTS = [
     # count of a full prefix is never made.
     ("poset", "v -= 1", "pass", "mismatches"),
     ("poset", "for v in range(k + 1, 0, -1):", "for v in range(k, 0, -1):", "mismatches"),
+    # _close_moves: the brute side stays empty, or every move's row is
+    # ORed and every move counted a brute cover.  The rows stay exact.
+    ("poset", "brute.append(s)", "pass", "cover_mismatches"),
+    ("poset", "if not reach >> s & 1:", "if True:", "cover_mismatches"),
     # length: one too many at an occupied last position.
     ("length", "total += ai + n - i", "total += ai + n - i + (i == n)", "oracle_mismatches"),
     # right_span: column 0 contributes nothing.
@@ -81,3 +86,4 @@ def test_verify_catches_the_mutant_in_its_own_list(tmp_path, mutant):
     code, report = verify_copy(tmp_path, mutant)
     assert code == 2
     assert [field for field in LISTS if report[field]] == [mutant[3]]
+    assert report["relation_size"] == 12301

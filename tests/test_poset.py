@@ -425,7 +425,7 @@ COVER_FLAG_ENTRIES = {
 
 @pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
 def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
-    # The kernel's and the brute covers are compared as bitsets and listed
+    # The kernel's and the brute covers are compared as index lists and listed
     # only for an element that fails: here one, with both sides in element
     # order, as the kernel's ascending keys give them.
     flag = COVER_FLAG_FAULTS[fault]
@@ -917,6 +917,30 @@ def test_brute_covers_read_no_cover_flag(monkeypatch, n):
     assert [x for x, _, _ in report.cover_mismatches] == [str(els[i]) for i in with_non_cover]
     for i, (_, _, brute) in zip(with_non_cover, report.cover_mismatches):
         assert brute == [str(OneLine(y)) for y in sorted(covers[i])]
+
+
+@pytest.mark.parametrize("n, size, failing", [(3, 441, 30), (4, 12301, 204), (5, 509662, 1540)])
+def test_rows_hold_in_any_move_order_and_the_audit_checks_it(monkeypatch, n, size, failing):
+    # Moves walked last to first: no move lies in the rows ORed before it,
+    # so every row is ORed and the relation keeps its size, but the brute
+    # side is then every move, descending, which no ascending cover list
+    # matches once an element has two moves.
+    real = poset._moves
+
+    def reversed_moves(a, key):
+        moves, covers = real(a, key)
+        return moves[::-1], covers
+
+    monkeypatch.setattr(poset, "_moves", reversed_moves)
+    report = verify(n)
+    assert report.relation_size == size
+    assert [key for key in MISMATCH_LISTS if getattr(report, key)] == ["cover_mismatches"]
+    moves = {str(e): kernel_moves(e.entries) for e in elements_of(n)}
+    with_two_moves = [x for x, above in moves.items() if len(above) >= 2]
+    assert report.cover_mismatch_count == len(with_two_moves) == failing
+    assert [x for x, _, _ in report.cover_mismatches] == with_two_moves[:1000]
+    for x, _, brute in report.cover_mismatches:
+        assert brute == [str(OneLine(y)) for y, _ in reversed(moves[x])]
 
 
 def test_containment_rows_of_r5_hold_the_relation():
