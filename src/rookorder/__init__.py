@@ -16,7 +16,6 @@ from .elements import (
     enumerate_elements,
     parse_one_line,
     rank,
-    to_matrix,
 )
 from .length import (
     LengthBreakdown,
@@ -30,7 +29,6 @@ from .order import (
     deodhar_leq,
     deodhar_leq_gamma,
     ppr_leq,
-    ppr_raises,
 )
 from .poset import (
     HasseDiagram,

@@ -109,8 +109,8 @@ def main(argv=None) -> int:
 
 
 def _check_size(command: str, n: int, cap: int) -> None:
-    if n > cap:
-        raise ValueError(f"{command} supports n <= {cap}")
+    if not 1 <= n <= cap:
+        raise ValueError(f"{command} supports n in 1..{cap}")
 
 
 def _cmd_len(args) -> int:

@@ -23,7 +23,6 @@ from typing import Iterator
 __all__ = [
     "OneLine",
     "parse_one_line",
-    "to_matrix",
     "rank",
     "enumerate_elements",
 ]

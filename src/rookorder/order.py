@@ -41,7 +41,6 @@ from .elements import OneLine
 __all__ = [
     "deodhar_leq",
     "deodhar_leq_gamma",
-    "ppr_raises",
     "ppr_leq",
     "covers_of",
 ]

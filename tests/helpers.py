@@ -1,4 +1,4 @@
-"""Shared test oracles and hypothesis strategies.
+"""Shared test oracles, reference implementations and injected faults.
 
 The oracles here are deliberately naive and independent of the library
 code paths they are used to check.
@@ -10,9 +10,8 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
-from hypothesis import strategies as st
-
-from rookorder import HasseDiagram, OneLine, enumerate_elements, length, to_matrix
+from rookorder import HasseDiagram, OneLine, enumerate_elements, length
+from rookorder.elements import to_matrix
 from rookorder.order import _key, _moves
 
 
@@ -342,27 +341,3 @@ def reference_interval(h: HasseDiagram, x: OneLine, y: OneLine) -> HasseDiagram:
 @lru_cache(maxsize=None)
 def lengths_of(n: int) -> tuple[int, ...]:
     return tuple(length(e) for e in elements_of(n))
-
-
-@st.composite
-def rook_entries(draw, n: int) -> tuple[int, ...]:
-    k = draw(st.integers(0, n))
-    positions = draw(st.permutations(tuple(range(n))))
-    values = draw(st.permutations(tuple(range(1, n + 1))))
-    entries = [0] * n
-    for p, v in zip(positions[:k], values[:k]):
-        entries[p] = v
-    return tuple(entries)
-
-
-@st.composite
-def rook_elements(draw, max_n: int = 5, n: int | None = None) -> OneLine:
-    size = n if n is not None else draw(st.integers(1, max_n))
-    return OneLine(draw(rook_entries(size)))
-
-
-@st.composite
-def element_pairs(draw, max_n: int = 4, n: int | None = None):
-    size = n if n is not None else draw(st.integers(1, max_n))
-    return OneLine(draw(rook_entries(size))), OneLine(draw(rook_entries(size)))
-

@@ -11,7 +11,6 @@ import time
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
-from random import Random
 
 from rookorder import (
     OneLine,
@@ -78,13 +77,13 @@ def _timed(fn, *args):
 def test_criterion_02_oracle_matches_formula_through_r6():
     start = time.perf_counter()
     checked = 0
-    for n in (4, 5, 6):
+    for n in (1, 2, 3, 4, 5, 6):
         for x in elements_of(n):
             assert oracle_length(x) == length(x), str(x)
             checked += 1
     announce(
         "orbit oracle equals the combinatorial length",
-        f"{checked} elements of R_4 through R_6 in {time.perf_counter() - start:.1f}s",
+        f"{checked} elements of R_1 through R_6 in {time.perf_counter() - start:.1f}s",
     )
 
 
@@ -151,21 +150,15 @@ def test_criterion_06_cover_chain():
 
 def test_criterion_07_symmetric_group_restriction():
     pairs = 0
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         perms = [OneLine(p) for p in permutations(range(1, n + 1))]
         for u in perms:
             for w in perms:
-                assert deodhar_leq(u, w) == classical_bruhat_leq(u, w)
+                assert deodhar_leq(u, w) == classical_bruhat_leq(u, w), (u, w)
                 pairs += 1
-    rng = Random(20260822)
-    s5 = [OneLine(p) for p in permutations(range(1, 6))]
-    for _ in range(2000):
-        u, w = rng.choice(s5), rng.choice(s5)
-        assert deodhar_leq(u, w) == classical_bruhat_leq(u, w)
-        pairs += 1
     announce(
         "restriction to permutations is the classical order",
-        f"{pairs} pairs against an independent transposition search",
+        f"all {pairs} pairs of S_1 through S_5 against an independent transposition search",
     )
 
 

@@ -2,23 +2,20 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from rookorder import (
     OneLine,
     enumerate_elements,
     parse_one_line,
     rank,
-    to_matrix,
 )
+from rookorder.elements import to_matrix
 
 from helpers import (
     closed_form_count,
     elements_of,
     from_matrix,
     identity_el,
-    rook_elements,
     zero_el,
 )
 
@@ -66,9 +63,10 @@ def test_one_line_validation():
     assert OneLine((0, 0)).n == 2
 
 
-@given(rook_elements(max_n=6))
-def test_str_parse_round_trip(x):
-    assert parse_one_line(str(x)) == x
+def test_str_parse_round_trip():
+    for n in (1, 2, 3, 4, 5, 6):
+        for x in elements_of(n):
+            assert parse_one_line(str(x)) == x
 
 
 def test_matrix_shapes():
@@ -95,6 +93,7 @@ def test_matrix_round_trip_exhaustive(n):
         assert all(sum(row) <= 1 for row in m)
         assert all(sum(row[j] for row in m) <= 1 for j in range(n))
         assert from_matrix(m) == x
+        assert rank(x) == sum(map(sum, m))
 
 
 def test_rank_and_permutation():
@@ -102,12 +101,6 @@ def test_rank_and_permutation():
     assert rank(zero_el(3)) == 0
     assert rank(identity_el(3)) == 3
     assert rank(parse_one_line("3,1,4,2")) == 4  # a permutation fills every column
-
-
-def test_enumeration_counts():
-    assert [len(elements_of(n)) for n in range(1, 6)] == [2, 7, 34, 209, 1546]
-    for n in range(1, 6):
-        assert len(elements_of(n)) == closed_form_count(n)
 
 
 def test_enumeration_order_and_uniqueness():
@@ -154,13 +147,6 @@ def test_enumeration_is_lazy():
     assert first[:2] == [(0,) * 8, (0,) * 7 + (1,)]
     assert len(first) == 1000
     assert peak < 1 << 20
-
-
-@given(rook_elements(max_n=5))
-def test_enumerated_invariants(x):
-    # any generated element round-trips and its rank counts nonzeros
-    assert rank(x) == sum(1 for a in x.entries if a)
-    assert from_matrix(to_matrix(x)) == x
 
 
 def test_module_doctests():

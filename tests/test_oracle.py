@@ -1,7 +1,6 @@
 from random import Random
 
 import pytest
-from hypothesis import given
 
 from rookorder import (
     OneLine,
@@ -11,8 +10,8 @@ from rookorder import (
     parse_one_line,
     rank,
     right_span,
-    to_matrix,
 )
+from rookorder.elements import to_matrix
 
 from helpers import (
     dense_oracle,
@@ -20,7 +19,6 @@ from helpers import (
     identity_el,
     matrix_product_01,
     reversal_el,
-    rook_elements,
     unit_matrix,
     zero_el,
 )
@@ -64,7 +62,7 @@ def test_meet_with_self_is_rank():
     assert (span & span).bit_count() == span.bit_count()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rank_closed_forms_exhaustive(n):
     for x in elements_of(n):
         left = left_span(x)
@@ -72,7 +70,8 @@ def test_rank_closed_forms_exhaustive(n):
         assert left.bit_count() == sum(x.entries)
         assert right.bit_count() == sum(n - i for i, a in enumerate(x.entries) if a)
         meet = (left & right).bit_count()
-        assert 0 <= meet <= min(left.bit_count(), right.bit_count())
+        # the ones of x lie in both spans
+        assert rank(x) <= meet <= min(left.bit_count(), right.bit_count())
         for span in (left, right):
             assert span >> n * n == 0
 
@@ -92,12 +91,6 @@ def test_span_bits_are_the_positions_of_the_nonzero_unit_products(n):
         left = _flat_positions((matrix_product_01(u, m) for u in units), n)
         right = _flat_positions((matrix_product_01(m, u) for u in units), n)
         assert (left_span(x), right_span(x)) == (left, right), str(x)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_oracle_matches_formula_exhaustive(n):
-    for x in elements_of(n):
-        assert oracle_length(x) == length(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -122,16 +115,3 @@ def test_oracle_at_large_n():
         x = OneLine(tuple(entries))
         assert oracle_length(x) == length(x), str(x)
 
-
-@given(rook_elements(max_n=5, n=5))
-def test_oracle_matches_formula_sampled_r5(x):
-    assert oracle_length(x) == length(x)
-
-
-@given(rook_elements(max_n=4))
-def test_meet_bounded_by_rank_plus(x):
-    left = left_span(x)
-    right = right_span(x)
-    meet = (left & right).bit_count()
-    assert meet >= rank(x)  # the ones of x lie in both closures
-    assert meet <= min(left.bit_count(), right.bit_count())

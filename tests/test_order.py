@@ -1,11 +1,9 @@
 import random
 from collections import Counter
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import le
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rookorder import (
     OneLine,
@@ -14,22 +12,18 @@ from rookorder import (
     deodhar_leq_gamma,
     length,
     ppr_leq,
-    ppr_raises,
 )
 from rookorder import order
-from rookorder.order import _entries, _key, _layout, _moves
+from rookorder.order import _entries, _key, _layout, _moves, ppr_raises
 
 from helpers import (
     brute_cover_sets,
-    classical_bruhat_leq,
     deodhar_matrix,
-    element_pairs,
     elements_of,
     kernel_moves,
     key_entries,
     lengths_of,
     reference_moves,
-    rook_elements,
 )
 
 
@@ -66,20 +60,6 @@ def test_gamma_variant_agrees_exhaustively(n):
             assert deodhar_leq_gamma(x, y) == bool(rows[i] >> j & 1)
 
 
-def _is_single_move(x: OneLine, y: OneLine) -> bool:
-    """y arises from x by raising one entry to an unused larger value, or
-    by swapping one smaller entry with a larger one to its right."""
-    a, b = x.entries, y.entries
-    diff = [p for p in range(len(a)) if a[p] != b[p]]
-    if len(diff) == 1:
-        (i,) = diff
-        return b[i] > a[i] and b[i] not in a
-    if len(diff) == 2:
-        i, j = diff
-        return a[i] < a[j] and (b[i], b[j]) == (a[j], a[i])
-    return False
-
-
 def test_generator_moves_examples():
     results = ppr_raises(OneLine((2, 1, 4, 0, 3)))
     assert OneLine((3, 1, 4, 0, 2)) in results  # exchange of positions 1 and 5
@@ -91,22 +71,18 @@ def test_generator_moves_examples():
     assert ppr_raises(OneLine((0,))) == [OneLine((1,))]
 
 
-@given(rook_elements(max_n=5))
-def test_generator_moves_go_strictly_up(x):
-    results = ppr_raises(x)
-    assert len({y.entries for y in results}) == len(results)
-    for y in results:
-        assert y.n == x.n
-        assert _is_single_move(x, y)
-        assert length(y) > length(x)
-    # every single move is listed
-    expected = sum(
-        1 for a in x.entries for v in range(a + 1, x.n + 1) if v not in x.entries
-    )
-    expected += sum(
-        1 for i in range(x.n) for j in range(i + 1, x.n) if x.entries[i] < x.entries[j]
-    )
-    assert len(results) == expected
+def test_generator_moves_go_strictly_up():
+    # every move of R_1..R_5: ppr_raises lists the definitional moves in
+    # lexicographic order, each longer than x, and a move covers x exactly
+    # when it is one length step above x
+    for n in (1, 2, 3, 4, 5):
+        for x, ln in zip(elements_of(n), lengths_of(n)):
+            moves = ppr_raises(x)
+            assert [y.entries for y in moves] == sorted(b for b, _ in reference_moves(x.entries)), x
+            covers = set(covers_of(x))
+            for y in moves:
+                assert length(y) > ln, (x, y)
+                assert (y in covers) == (length(y) == ln + 1), (x, y)
 
 
 def test_ppr_examples():
@@ -469,15 +445,6 @@ def test_reversal_is_three_covers_above_identity_in_r3():
     assert steps == 3
 
 
-@given(rook_elements(max_n=5), st.data())
-def test_cover_predicates_match_length_jump(x, data):
-    moves = ppr_raises(x)
-    if not moves:
-        return
-    y = data.draw(st.sampled_from(moves))
-    assert (y in covers_of(x)) == (length(y) == length(x) + 1)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_move_kernel_cover_flags_match_the_public_predicates(n):
     brute = brute_cover_sets(n)
@@ -543,14 +510,7 @@ def test_partial_order_axioms_exhaustive(n):
             assert rows[i] | rows[j] == rows[i]  # transitive: up-sets nest
 
 
-@given(element_pairs(max_n=4))
-def test_order_respects_length(pair):
-    x, y = pair
-    if deodhar_leq(x, y) and x != y:
-        assert length(x) < length(y)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_strict_monotonicity_exhaustive(n):
     els = elements_of(n)
     rows = deodhar_matrix(n)
@@ -583,23 +543,6 @@ def test_prefix_and_suffix_stability(n):
                 except ValueError:
                     continue
                 assert deodhar_leq(xc, yc)
-
-
-def test_symmetric_group_restriction_exhaustive():
-    for n in (1, 2, 3, 4):
-        perms = [OneLine(p) for p in permutations(range(1, n + 1))]
-        for u in perms:
-            for w in perms:
-                assert deodhar_leq(u, w) == classical_bruhat_leq(u, w)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_symmetric_group_restriction_sampled_s5(data):
-    base = tuple(range(1, 6))
-    u = OneLine(tuple(data.draw(st.permutations(base))))
-    w = OneLine(tuple(data.draw(st.permutations(base))))
-    assert deodhar_leq(u, w) == classical_bruhat_leq(u, w)
 
 
 def transpose_by_reversal(x: OneLine) -> OneLine:
