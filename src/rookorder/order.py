@@ -1,11 +1,16 @@
 """The Bruhat-Chevalley order on rook elements, two independent ways.
 
-deodhar_leq compares sorted truncations of the one-line vectors, and
-deodhar_leq_gamma restates the same comparison through threshold counts.
+deodhar_leq compares sorted truncations of the one-line vectors, each
+pair of them componentwise in C.  deodhar_leq_gamma restates the same
+comparison through threshold counts, with no sorting: each side packs
+#{entries >= t} for every threshold t into one int of guarded fields
+(_count_table), so a prefix costs two adds, an OR and one guard test,
+O(n) int operations in all.  The two tests share no comparison logic.
 ppr_leq instead takes the reflexive-transitive closure of two generator
 moves: raising one entry to a larger unused value, and exchanging a
 smaller entry with a larger one to its right.  The two routes share no
-comparison logic; the verification harness checks that they agree.
+comparison logic either, and gamma's count fields are not the move
+route's keys; the verification harness checks that all three agree.
 
 One private kernel, _moves, generates the keys of every single move of
 x and, among them, the keys of its covers (the edges of the Hasse
@@ -50,20 +55,21 @@ def deodhar_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by containment of every pair of same-length sorted
     truncations.
 
-    The sorted prefixes grow by insertion, so the whole test runs in
-    O(n^2); the first failing truncation exits early.  Comparing the
-    ascending prefixes componentwise is the same as comparing the
-    non-increasing ones.
+    The sorted prefixes grow by insertion, and each pair of them is
+    compared componentwise by one all(map(le, ...)), so the comparisons
+    run in C: O(n^2) in all, and the first failing truncation exits
+    early.  Comparing the ascending prefixes componentwise is the same as
+    comparing the non-increasing ones.
     """
-    _check_same_n(x, y)
+    a, b = x.entries, y.entries
+    _check_same_n(a, b)
     xs: list[int] = []
     ys: list[int] = []
-    for u, v in zip(x.entries, y.entries):
+    for u, v in zip(a, b):
         insort(xs, u)
         insort(ys, v)
-        for p, q in zip(xs, ys):
-            if p > q:
-                return False
+        if not all(map(le, xs, ys)):
+            return False
     return True
 
 
@@ -73,25 +79,45 @@ def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
     For each truncation length k and each nonzero entry a of the prefix
     x(k), the prefix y(k) must hold at least as many entries >= a as x(k)
     does.  That is exactly containment of the sorted prefixes, so this
-    must agree with deodhar_leq on every pair.  The counts of entries
-    >= t are kept per threshold t and updated as each entry of the two
-    prefixes arrives, so the whole test runs in O(n^2).
+    must agree with deodhar_leq on every pair.
+
+    Each side keeps its counts packed in one int, one field per
+    threshold t = 1..n holding #{entries >= t} (see _count_table).  An
+    entry u adds inc[u], one to each of fields 1..u; held collects the
+    guard bits of the nonzero entries of x so far.  In (cy | every) - cx
+    every field of y has its guard set and x's count, at most n, sits
+    below it, so no field borrows from the next, and a field keeps its
+    guard bit exactly when y's count is at least x's: one test checks
+    every threshold of the prefix.  The whole test is O(n) int operations
+    on ints of n * (n.bit_length() + 1) bits.
     """
-    _check_same_n(x, y)
-    at_least_x = [0] * (x.n + 1)
-    at_least_y = [0] * (x.n + 1)
-    seen = []
-    for u, v in zip(x.entries, y.entries):
-        for t in range(1, u + 1):
-            at_least_x[t] += 1
-        for t in range(1, v + 1):
-            at_least_y[t] += 1
-        if u:
-            seen.append(u)
-        for t in seen:
-            if at_least_x[t] > at_least_y[t]:
-                return False
+    a, b = x.entries, y.entries
+    _check_same_n(a, b)
+    inc, guard, every = _count_table(len(a))
+    cx = cy = held = 0
+    for u, v in zip(a, b):
+        cx += inc[u]
+        cy += inc[v]
+        held |= guard[u]
+        if (cy | every) - cx & held != held:
+            return False
     return True
+
+
+@lru_cache(maxsize=8)
+def _count_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Increments, guard bits and guard mask of the packed threshold
+    counts of R_n, read by deodhar_leq_gamma alone.
+
+    A count holds n fields of n.bit_length() + 1 bits, threshold 1 the
+    least significant; a field holds #{entries >= t}, at most n, below
+    its top bit, the guard.  inc[u] adds one to fields 1..u, guard[u] is
+    the guard bit of field u (0 for u = 0) and every has all n set."""
+    w = n.bit_length() + 1
+    ones = tuple(1 << w * t for t in range(n))
+    inc = tuple(accumulate(ones, initial=0))
+    guard = (0,) + tuple(one << w - 1 for one in ones)
+    return inc, guard, inc[n] << w - 1
 
 
 def ppr_raises(x: OneLine) -> list[OneLine]:
@@ -268,13 +294,13 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     tested, so each node is tested once, kept or refused.  No
     containment logic and no length is consulted.
     """
-    _check_same_n(x, y)
     a, b = x.entries, y.entries
+    _check_same_n(a, b)
     if a >= b:
         return a == b
     if not all(map(le, accumulate(a), accumulate(b))):
         return False
-    n = x.n
+    n = len(a)
     source, target = _key(a), _key(b)
     guard = _layout(n)[2]
     ceiling = target | guard
@@ -302,6 +328,6 @@ def covers_of(x: OneLine) -> list[OneLine]:
     return [OneLine(_entries(z, n)) for z in _moves(a, _key(a))[1]]
 
 
-def _check_same_n(x: OneLine, y: OneLine) -> None:
-    if x.n != y.n:
-        raise ValueError(f"size mismatch: {x.n} vs {y.n}")
+def _check_same_n(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")

@@ -7,7 +7,6 @@ from rookorder import (
     coinversions,
     length,
     length_breakdown,
-    oracle_length,
     parse_one_line,
     rank,
 )
@@ -22,13 +21,9 @@ def test_coinversion_examples():
     assert coinversions(zero_el(4)) == []
 
 
+# test_acceptance::test_criterion_01 pins the worked examples and
+# test_criterion_09 the misprinted one; this is the one value neither pins.
 LENGTH_EXAMPLES = [
-    ("4,0,2,3", 12),
-    ("4,0,5,0,3,1", 21),
-    ("4,0,5,0,6,1", 22),
-    ("2,6,5,0,4,1,7", 35),
-    ("4,6,5,0,2,1,7", 36),
-    ("7,6,5,0,4,1,2", 42),
     ("1,2,3,4", 10),
 ]
 
@@ -36,14 +31,6 @@ LENGTH_EXAMPLES = [
 @pytest.mark.parametrize("text,expected", LENGTH_EXAMPLES)
 def test_length_examples(text, expected):
     assert length(parse_one_line(text)) == expected
-
-
-def test_known_misprinted_example_value():
-    # A published worked example quotes 23 for this element; the formula
-    # and the independent linear-algebra oracle both give 24.
-    x = parse_one_line("6,0,5,0,3,1")
-    assert length(x) == 24
-    assert oracle_length(x) == 24
 
 
 def test_permutation_length_is_shifted_inversion_count():

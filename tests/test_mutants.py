@@ -33,7 +33,9 @@ MUTANTS = [
     ("order", "low = n if u else zero", "low = n", "cover_mismatches"),
     ("order", "zero = i", "zero = i + 1", "cover_mismatches"),
     # deodhar_leq: equal sorted entries refuse the pair.
-    ("order", "if p > q:", "if p >= q:", "mismatches"),
+    ("order", "if not all(map(le, xs, ys)):", "if not all(map(int.__lt__, xs, ys)):", "mismatches"),
+    # deodhar_leq_gamma: each entry v of y counts as v - 1.
+    ("order", "cy += inc[v]", "cy += inc[v - 1] if v else 0", "mismatches"),
     # ppr_leq: the search keeps at most one node besides x.
     ("order", "if z not in seen:", "if z not in seen and len(seen) < 2:", "search_mismatches"),
     # _containment_rows: every threshold reads the same count, or the

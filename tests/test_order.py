@@ -20,10 +20,13 @@ from helpers import (
     brute_cover_sets,
     deodhar_matrix,
     elements_of,
+    identity_el,
     kernel_moves,
     key_entries,
     lengths_of,
     reference_moves,
+    reversal_el,
+    zero_el,
 )
 
 
@@ -58,6 +61,31 @@ def test_gamma_variant_agrees_exhaustively(n):
     for i, x in enumerate(els):
         for j, y in enumerate(els):
             assert deodhar_leq_gamma(x, y) == bool(rows[i] >> j & 1)
+
+
+# The count fields of deodhar_leq_gamma are n.bit_length() + 1 bits wide,
+# a width that grows at n = 2, 4, 8 and 16: 1 and 3, 3 and 4, 7 and 8, and
+# 15 and 16 bracket each step, and 200 is far past them.
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 15, 16, 200])
+def test_gamma_counts_fill_their_fields_at_every_width(n):
+    # A count reaches n in the reversal and in the identity, compared with
+    # each other, with themselves and with the zero element.  A seeded
+    # chain of covers from the zero element gives true pairs, all the way
+    # to the reversal up to n = 16; reversed, they are false pairs.
+    zero, ident, top = zero_el(n), identity_el(n), reversal_el(n)
+    ends = (zero, ident, top)
+    cases = [(x, y, x == zero or y == top or x == y) for x in ends for y in ends]
+    rng = random.Random(n)
+    chain = [zero]
+    for _ in range(n * n if n <= 16 else 16):
+        chain.append(rng.choice(covers_of(chain[-1])))
+    assert n > 16 or chain[-1] == top
+    picked = chain[:: max(1, len(chain) // 20)]
+    for i, x in enumerate(picked):
+        cases += [(x, y, True) for y in picked[i:]]
+        cases += [(y, x, False) for y in picked[i + 1:]]
+    for x, y, want in cases:
+        assert deodhar_leq_gamma(x, y) == deodhar_leq(x, y) == want, (x, y)
 
 
 def test_generator_moves_examples():

@@ -515,10 +515,18 @@ def test_the_containment_route_reaches_no_order_code(name):
 def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
     other_route = {
         ("poset", "_containment_rows"), ("poset", "_containment_covers"),
-        ("order", "deodhar_leq"), ("order", "deodhar_leq_gamma"),
+        ("order", "deodhar_leq"), ("order", "deodhar_leq_gamma"), ("order", "_count_table"),
         ("length", "length"), ("oracle", "oracle_length"), ("length", None), ("oracle", None),
     }
     assert _reached("poset", name) & other_route == set()
+
+
+@pytest.mark.parametrize("name", ["deodhar_leq", "deodhar_leq_gamma"])
+def test_the_containment_tests_reach_no_move_code(name):
+    # gamma packs its own counts (_count_table), never the move route's keys.
+    move_route = {("order", helper) for helper in
+                  ("_layout", "_key", "_entries", "_moves", "_successors", "ppr_leq")}
+    assert _reached("order", name) & move_route == set()
 
 
 def test_the_oracle_imports_only_from_elements():
