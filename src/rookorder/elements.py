@@ -4,7 +4,10 @@ An element of the rook monoid R_n is an n-by-n matrix of zeros and ones
 with at most one 1 in every row and every column.  Column j is recorded
 by a single number: the row index of its 1, or 0 when the column is
 empty.  The vector of those column values is the "one line" form used
-throughout this package; n is always the vector length.
+throughout this package; n is always the vector length.  OneLine holds
+it as a slotted record: one field, entries, the tuple itself, and no
+per-element __dict__, so an enumerated monoid costs the tuples and one
+small object each.
 
 >>> x = parse_one_line("3,0,4,0")
 >>> x.entries
@@ -17,7 +20,6 @@ throughout this package; n is always the vector length.
 ['0', '1']
 """
 
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
@@ -28,28 +30,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OneLine:
     """One-line form of a rook-monoid element.
 
     Entry j is the row holding the 1 of column j, or 0 for an empty
     column.  Entries lie in 0..n and nonzero values never repeat.
+
+    A slotted record with one field, entries, and no __dict__: it cannot
+    be changed once made, and it is equal to another OneLine of the same
+    entries, hashing as the tuple (entries,), but to nothing else.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        n = len(entries)
         if n == 0:
             raise ValueError("element needs at least one column")
         seen = set()
-        for a in self.entries:
+        for a in entries:
             if not 0 <= a <= n:
                 raise ValueError(f"entry {a} outside 0..{n}")
             if a:
                 if a in seen:
                     raise ValueError(f"nonzero entry {a} appears twice")
                 seen.add(a)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"OneLine(entries={self.entries!r})"
 
     @property
     def n(self) -> int:

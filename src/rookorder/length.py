@@ -15,14 +15,17 @@ else:
     length = sum of star weights - number of coinversions
 
 with star weight a_i + n - i at occupied columns and 0 elsewhere.
-`length` evaluates it in one pass over the entries, counting the
-coinversions at each occupied column without listing them.
-`length_breakdown` reports every piece, with a coinversion count that
-lists no pair, but not the length they give: `rookorder len` prints
-`length` itself beside the pieces and the pairs `coinversions` lists.
+`length` evaluates it in one pass over the entries from the right end,
+keeping the nonzero values passed as the bits of one int: the
+coinversions that start at an occupied column are the bits above its
+value, counted with int.bit_count, and no pair is listed.
+`length_breakdown` reports every piece in one NamedTuple,
+`LengthBreakdown`, with a coinversion count that lists no pair, but not
+the length they give: `rookorder len` prints `length` itself beside the
+pieces and the pairs `coinversions` lists.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elements import OneLine, rank
 
@@ -43,23 +46,22 @@ def coinversions(x: OneLine) -> list[tuple[int, int]]:
 def length(x: OneLine) -> int:
     """Orbit dimension: star-weight sum minus the coinversion count.
 
-    For each occupied position i (1-based) it adds the star weight
-    a_i + n - i and subtracts one for each later entry larger than a_i,
-    the coinversions that start at i."""
-    a = x.entries
-    n = x.n
+    One pass from the right end.  At occupied position i (1-based) it
+    adds the star weight a_i + n - i, n - i being the number of entries
+    passed, and subtracts the coinversions that start at i: the later
+    entries larger than a_i.  The nonzero values passed are the bits of
+    one mask, and nonzero values never repeat, so those are the set bits
+    of the mask shifted right by a_i."""
     total = 0
-    for i, ai in enumerate(a, 1):
+    later = 0
+    for passed, ai in enumerate(reversed(x.entries)):
         if ai:
-            total += ai + n - i
-            for b in a[i:]:
-                if b > ai:
-                    total -= 1
+            total += ai + passed - (later >> ai).bit_count()
+            later |= 1 << ai
     return total
 
 
-@dataclass(frozen=True)
-class LengthBreakdown:
+class LengthBreakdown(NamedTuple):
     """Every quantity entering the length computation for one element."""
 
     star_weights: tuple[int, ...]

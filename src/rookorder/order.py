@@ -249,8 +249,9 @@ def _moves(a: tuple[int, ...], key: int) -> tuple[list[int], list[int]]:
 
 # One shared int per key across all successor lists, so that an element
 # listed as the successor of many others is held once: without it, peak
-# RSS of the benchmark's R_6 query traffic rose from 28 to 34 MB.  Equal
-# keys of different sizes may share one int, since only its value is read.
+# RSS of the benchmark's R_6 query traffic (query-r6) rises from 25.7 to
+# 30.3-30.6 MB.  Equal keys of different sizes may share one int, since
+# only its value is read.
 _shared: dict[int, int] = {}
 
 

@@ -41,15 +41,16 @@ The report also carries the size of the relation and the seconds of
 each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
-monoid, share one size bound: n in 1..MAX_N.
+monoid, share one size bound: n in 1..MAX_N.  HasseDiagram and
+VerificationReport are NamedTuples: immutable, compared and copied
+(_replace) as tuples of their fields, in the order they are declared.
 """
 
 import json
 import random
 import time
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .elements import OneLine, enumerate_elements
 from .length import length
@@ -88,8 +89,7 @@ _FAILURE_LISTS = (
 )
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     """Graded order diagram: nodes carry (id, element, length) and edges
     point from the lower element of each covering pair to the upper one.
     Ids are dense from 0 in lexicographic element order, which is a
@@ -277,8 +277,7 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
     return [(i, j) for i, above in enumerate(covers) for j in above]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one cross-checking campaign over R_n.
 
     Every field is required, and every entry of a failure list is a
@@ -330,7 +329,7 @@ class VerificationReport:
         return not any(getattr(self, field) for field, *_ in _FAILURE_LISTS)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
     def to_text(self) -> str:
         """The lines that rookorder verify prints, without the last newline."""

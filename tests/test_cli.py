@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -209,6 +208,21 @@ def test_enum_into_a_closed_pipe_exits_1_without_a_traceback():
         assert proc.stderr.read() == b""
 
 
+def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
+    # A fresh interpreter: this one has imported both already.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; before = set(sys.modules); import rookorder.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    added = proc.stdout.split()
+    assert "rookorder.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
+
+
 def test_enum_rejects_zero(capsys):
     for n in ("0", "-1"):
         assert run(capsys, "enum", n) == (1, "", "error: enum supports n in 1..8\n")
@@ -289,8 +303,8 @@ def test_verify_json(capsys):
 
 
 def test_verify_exits_two_on_failure(capsys, monkeypatch):
-    failing = replace(
-        poset.verify(2), mismatches=[["0,0", "1,0", True, False]], mismatch_count=1
+    failing = poset.verify(2)._replace(
+        mismatches=[["0,0", "1,0", True, False]], mismatch_count=1
     )
     monkeypatch.setattr(cli, "verify", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "2")

@@ -63,6 +63,28 @@ def test_one_line_validation():
     assert OneLine((0, 0)).n == 2
 
 
+def test_one_line_is_equal_and_hashes_by_its_entries():
+    x, same, other = OneLine((3, 0, 4, 0)), OneLine((3, 0, 4, 0)), OneLine((3, 0, 0, 4))
+    assert x == same and x is not same and not x != same
+    assert x != other
+    assert hash(x) == hash(same) == hash(((3, 0, 4, 0),))
+    assert {x: 1}[same] == 1 and len({x, same, other}) == 2
+
+
+def test_one_line_is_a_slotted_record_that_cannot_change():
+    x = OneLine((3, 0, 4, 0))
+    assert repr(x) == "OneLine(entries=(3, 0, 4, 0))"
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError, match="cannot assign to field 'entries'"):
+        x.entries = (1, 0, 0, 0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        x.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
+        del x.entries
+    assert x.entries == (3, 0, 4, 0)
+    assert x != (3, 0, 4, 0) and (3, 0, 4, 0) != x
+
+
 def test_str_parse_round_trip():
     for n in (1, 2, 3, 4, 5, 6):
         for x in elements_of(n):

@@ -46,8 +46,9 @@ MUTANTS = [
     # ORed and every move counted a brute cover.  The rows stay exact.
     ("poset", "brute.append(s)", "pass", "cover_mismatches"),
     ("poset", "if not reach >> s & 1:", "if True:", "cover_mismatches"),
-    # length: one too many at an occupied last position.
-    ("length", "total += ai + n - i", "total += ai + n - i + (i == n)", "oracle_mismatches"),
+    # length: value a is kept one bit too high in the mask, so a later
+    # a_i - 1 counts as a coinversion of a_i.
+    ("length", "later |= 1 << ai", "later |= 1 << ai + 1", "oracle_mismatches"),
     # right_span: column 0 contributes nothing.
     ("oracle", "for i, a in enumerate(x.entries):", "for i, a in enumerate(x.entries[1:], 1):",
      "oracle_mismatches"),

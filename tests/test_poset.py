@@ -1,7 +1,6 @@
 import ast
 import json
 import random
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from rookorder import (
     HasseDiagram,
     OneLine,
+    VerificationReport,
     order,
     poset,
     build_hasse,
@@ -972,6 +972,21 @@ def test_verify_rejects_bad_arguments():
                 verify(3, sample_count, seed=seed)
 
 
+def test_records_keep_their_field_order():
+    assert HasseDiagram._fields == ("n", "nodes", "edges")
+    assert VerificationReport._fields == (
+        "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
+        "search_mismatches", "cover_mismatches", "cover_mismatch_count",
+        "oracle_mismatches", "oracle_mismatch_count", "relation_size",
+        "phases", "elapsed",
+    )
+
+
+def test_report_to_dict_keys_are_the_fields_then_passed():
+    d = verify(2).to_dict()
+    assert list(d) == [*VerificationReport._fields, "passed"]
+
+
 def test_report_shape():
     r = verify(2)
     d = r.to_dict()
@@ -985,6 +1000,6 @@ def test_report_shape():
         "oracle_mismatches", "oracle_mismatch_count", "relation_size",
         "phases", "elapsed", "passed",
     }
-    failing = replace(r, mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
+    failing = r._replace(mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
     assert failing.to_dict()["passed"] is False
