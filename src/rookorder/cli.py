@@ -15,7 +15,7 @@ from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
 from .oracle import left_span, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
-from .poset import build_hasse, export_dot, export_json, rank_sizes, verify
+from .poset import _check_size, build_hasse, export_dot, export_json, rank_sizes, verify
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
@@ -106,11 +106,6 @@ def main(argv=None) -> int:
         # the null device so that the flush at exit stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-def _check_size(command: str, n: int, cap: int) -> None:
-    if not 1 <= n <= cap:
-        raise ValueError(f"{command} supports n in 1..{cap}")
 
 
 def _cmd_len(args) -> int:

@@ -41,9 +41,10 @@ The report also carries the size of the relation and the seconds of
 each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
-monoid, share one size bound: n in 1..MAX_N.  HasseDiagram and
-VerificationReport are NamedTuples: immutable, compared and copied
-(_replace) as tuples of their fields, in the order they are declared.
+monoid, share one size bound: n in 1..MAX_N.  _check_size, the size
+rule of build_hasse, verify and cli's capped commands, is written once.
+HasseDiagram and VerificationReport are NamedTuples: immutable, compared
+and copied (_replace) as tuples of their fields, in declared order.
 """
 
 import json
@@ -89,6 +90,12 @@ _FAILURE_LISTS = (
 )
 
 
+def _check_size(command: str, n: int, cap: int) -> None:
+    """Refuse an n that is not an int (a bool is not one) in 1..cap."""
+    if type(n) is not int or not 1 <= n <= cap:
+        raise ValueError(f"{command} supports n in 1..{cap}")
+
+
 class HasseDiagram(NamedTuple):
     """Graded order diagram: nodes carry (id, element, length) and edges
     point from the lower element of each covering pair to the upper one.
@@ -103,8 +110,7 @@ class HasseDiagram(NamedTuple):
 def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
     a bool included, raises ValueError."""
-    if type(n) is not int or not 1 <= n <= MAX_N:
-        raise ValueError(f"hasse supports n in 1..{MAX_N}")
+    _check_size("hasse", n, MAX_N)
     elements = list(enumerate_elements(n))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
     # The walk runs last to first; each element's covers come ascending.
@@ -377,8 +383,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
-    if type(n) is not int or not 1 <= n <= MAX_N:
-        raise ValueError(f"verify supports n in 1..{MAX_N}")
+    _check_size("verify", n, MAX_N)
     if not exhaustive and (type(sample_count) is not int or sample_count < 1):
         raise ValueError("sample_count must be a positive integer")
     if type(seed) is not int:
