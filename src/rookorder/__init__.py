@@ -31,6 +31,7 @@ from .order import (
     ppr_leq,
 )
 from .poset import (
+    DefectError,
     HasseDiagram,
     VerificationReport,
     build_hasse,

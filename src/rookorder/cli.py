@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
 comparison or verification run uncovers a disagreement between the
-independent implementations.  Output cut short by a closed pipe, as by
-`| head`, exits 1 without a traceback.
+independent implementations, or when hasse finds its enumeration or move
+walk defective.  That refusal is poset.DefectError, not a ValueError, so
+that a defect never reads as a usage error; it prints one line.  Output
+cut short by a closed pipe, as by `| head`, exits 1 without a traceback.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
 from .oracle import left_span, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
-from .poset import _check_size, build_hasse, export_dot, export_json, rank_sizes, verify
+from .poset import DefectError, _check_size, build_hasse, export_dot, export_json, rank_sizes, verify
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2
@@ -101,6 +103,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except DefectError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
     except BrokenPipeError:
         # The reader closed the pipe, as `| head` does.  Point stdout at
         # the null device so that the flush at exit stays silent.

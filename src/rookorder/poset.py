@@ -32,8 +32,13 @@ also checks the two per-pair containment tests and the per-pair move
 search against the closure on about 200 spot pairs, evenly spaced over
 all ordered pairs and the same in both campaigns, and, on every element,
 the combinatorial length against the exact
-coordinate-subspace oracle.  Every disagreement lands in its own list
-of the returned report, and none raises; every list but the search's
+coordinate-subspace oracle.  Both routes read one enumeration and one
+walk, so neither can see a fault of either: the enumeration is checked
+against a principle of its own (_enumeration_failures), and a move key
+that is no element of R_n is set aside by the walk and listed.  Every
+disagreement lands in its own list of the returned report, and none
+raises; build_hasse, which has no report, refuses a defective
+enumeration or walk with DefectError instead.  Every list but the search's
 keeps its first 1 000 entries next to an exact count.  _FAILURE_LISTS is
 the one list of those failure kinds: the report's passed reads it, and
 its text form prints the same lists as its JSON form, in that order.
@@ -51,6 +56,7 @@ import json
 import random
 import time
 from bisect import bisect_left
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .elements import OneLine, enumerate_elements
@@ -59,6 +65,7 @@ from .oracle import oracle_length
 from .order import _key, _moves, deodhar_leq, deodhar_leq_gamma, ppr_leq
 
 __all__ = [
+    "DefectError",
     "HasseDiagram",
     "VerificationReport",
     "build_hasse",
@@ -87,7 +94,14 @@ _FAILURE_LISTS = (
     ("search_mismatches", None, "search_mismatches", "pair {} vs {}: closure={} search={}"),
     ("cover_mismatches", "cover_mismatch_count", "cover_mismatches", "element {}: predicate={} brute={}"),
     ("oracle_mismatches", "oracle_mismatch_count", "oracle_mismatches", "element {}: formula={} oracle={}"),
+    ("move_failures", "move_failure_count", "move_failures", "element {}: move key {} is no element"),
+    ("enumeration_failures", "enumeration_failure_count", "enumeration_failures", "{}: {}, expected {}"),
 )
+
+
+class DefectError(Exception):
+    """build_hasse found its enumeration or its move walk defective.  Not
+    a ValueError, which means a bad argument: cli exits 2 on it, not 1."""
 
 
 def _check_size(command: str, n: int, cap: int) -> None:
@@ -109,14 +123,44 @@ class HasseDiagram(NamedTuple):
 
 def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
-    a bool included, raises ValueError."""
+    a bool included, raises ValueError.  An enumeration that fails its
+    check (_enumeration_failures), or a move key that is no element of
+    R_n, raises DefectError, named as verify's report would list it."""
     _check_size("hasse", n, MAX_N)
     elements = list(enumerate_elements(n))
+    _refuse("enumeration_failures", _enumeration_failures(n, elements))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
     # The walk runs last to first; each element's covers come ascending.
-    covers = [above for _, _, above in _indexed_moves(elements)]
+    strays: list[tuple[int, int]] = []
+    covers = [above for _, _, above in _indexed_moves(elements, strays)]
+    _refuse("move_failures", [[str(elements[i]), z] for i, z in sorted(strays)])
     edges = tuple((i, j) for i, above in enumerate(reversed(covers)) for j in above)
     return HasseDiagram(n, nodes, edges)
+
+
+def _refuse(field: str, failures: list[list]) -> None:
+    """Raise DefectError when failures, entries of the report list field,
+    is nonempty, naming the list, its size and its first entry in the
+    words of the text report, on one line."""
+    if failures:
+        label, entry = next(row[2:] for row in _FAILURE_LISTS if row[0] == field)
+        raise DefectError(f"hasse found {label}: {len(failures)}; the first is {entry.format(*failures[0])}")
+
+
+def _enumeration_failures(n: int, elements: list[OneLine]) -> list[list]:
+    """The failures of an enumeration of R_n against a principle of its
+    own, as [what, found, expected]: it must hold sum_k C(n, k)^2 k!
+    elements (k occupied rows, k occupied columns and a bijection between
+    them), and they must strictly ascend in lexicographic order, so none
+    repeats.  The count's failure comes first, then the elements that do
+    not come after their predecessor, in order."""
+    due = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+    failures = [] if len(elements) == due else [["element count", len(elements), due]]
+    failures += [
+        [f"element {k}", str(y), f"after {x}"]
+        for k, (x, y) in enumerate(zip(elements, elements[1:]), 1) if not x.entries < y.entries
+    ]
+    return failures
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -303,16 +347,21 @@ class VerificationReport(NamedTuple):
     differ; cover_mismatches holds [x, predicate covers, brute-force
     covers] and oracle_mismatches [x, formula length, oracle length] for
     the first 1 000 failing elements, each counted by its _count field.
+    move_failures holds [x, key] for the first 1 000 move or cover keys
+    of the kernel that are no element of R_n, in element order, and
+    enumeration_failures [what, found, expected] for the first 1 000
+    failures of the enumeration's check: its count, then each element
+    that does not come after its predecessor.
     All elements are reported in canonical text form.  seed is None for
     an exhaustive campaign.  relation_size is the number of pairs,
     reflexive ones included, in the move closure.
-    phases splits elapsed into the seconds of enumerate (argument checks
-    and elements), closure (kernel, closure rows and cover audit),
-    containment (the threshold rows, each compared with its closure row
-    as it is built), pairs (reading the differences: on every pair, or,
-    when sampled, on every drawn pair only if some difference is
-    nonzero), spot_checks (the per-pair tests on the spot pairs) and
-    oracle (lengths and oracle).
+    phases splits elapsed into the seconds of enumerate (argument
+    checks, elements and their check), closure (kernel, closure rows and
+    cover audit), containment (the threshold rows, each compared with its
+    closure row as it is built), pairs (reading the differences: on
+    every pair, or, when sampled, on every drawn pair only if some
+    difference is nonzero), spot_checks (the per-pair tests on the spot
+    pairs) and oracle (lengths and oracle).
     """
 
     n: int
@@ -326,6 +375,10 @@ class VerificationReport(NamedTuple):
     cover_mismatch_count: int
     oracle_mismatches: list[list]
     oracle_mismatch_count: int
+    move_failures: list[list]
+    move_failure_count: int
+    enumeration_failures: list[list]
+    enumeration_failure_count: int
     relation_size: int
     phases: dict[str, float]
     elapsed: float
@@ -376,7 +429,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     against the closure on every stride-th ordered pair, stride =
     max(1, count * count // 200): about 200 pairs, or all of fewer than
     400.  Both the covers (in the pass that builds the closure) and the
-    oracle are audited on every element.
+    oracle are audited on every element.  The enumeration is checked
+    before any of it, and a move key that is no element is listed; the
+    campaign runs on in both cases.
 
     n must be an int in 1..MAX_N, sample_count None or an int >= 1, and
     seed an int; anything else, a bool included, raises ValueError.
@@ -390,9 +445,10 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         raise ValueError("seed must be an integer")
 
     elements = list(enumerate_elements(n))
+    enumeration_failures = _enumeration_failures(n, elements)
     count = len(elements)
     marks.append(time.perf_counter())
-    closure, cover_failures = _close_moves(elements)
+    closure, cover_failures, strays = _close_moves(elements)
     cover_mismatches = [
         [str(elements[i]), [str(elements[s]) for s in claimed],
          [str(elements[s]) for s in brute]]
@@ -455,6 +511,10 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         search_mismatches=search_mismatches,
         cover_mismatches=cover_mismatches, cover_mismatch_count=len(cover_failures),
         oracle_mismatches=oracle_mismatches[:_MISMATCH_LIMIT], oracle_mismatch_count=len(oracle_mismatches),
+        move_failures=[[str(elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]],
+        move_failure_count=len(strays),
+        enumeration_failures=enumeration_failures[:_MISMATCH_LIMIT],
+        enumeration_failure_count=len(enumeration_failures),
         relation_size=sum(row.bit_count() for row in closure),
         phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
         elapsed=marks[-1] - marks[0],
@@ -513,24 +573,36 @@ def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[in
         yield row
 
 
-def _indexed_moves(elements: list[OneLine]) -> Iterator[tuple[int, list[int], list[int]]]:
+def _indexed_moves(
+    elements: list[OneLine], strays: list[tuple[int, int]],
+) -> Iterator[tuple[int, list[int], list[int]]]:
     """The one walk that reads the move kernel over all of R_n: for each
     element, last to first, (its index, indices of its moves, indices of
     its covers), both ascending as the kernel's keys are.  Elements are
     indexed by key, each packed once.  Every move climbs in
     lexicographic order, so each move's index comes out before its
-    source's."""
+    source's.  A key that is no element's, which only a faulty kernel or
+    enumeration gives, is left out of both lists and appended to strays
+    as (index, key), once per element: the walk never raises on it."""
     index = {_key(e.entries): i for i, e in enumerate(elements)}
-    at = index.__getitem__
+    at = index.get
     for k, i in reversed(index.items()):
         moves, covers = _moves(elements[i].entries, k)
-        yield i, list(map(at, moves)), list(map(at, covers))
+        found, above = list(map(at, moves)), list(map(at, covers))
+        if None in found or None in above:
+            strays += [(i, z) for z in sorted({*moves, *covers}) if z not in index]
+            found = [j for j in found if j is not None]
+            above = [j for j in above if j is not None]
+        yield i, found, above
 
 
-def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, list[int], list[int]]]]:
-    """Move closure rows and cover audit failures of all of R_n, from
-    one pass of _indexed_moves.  A failure is the index triple (i,
-    kernel covers, brute-force covers); failures come in element order.
+def _close_moves(elements: list[OneLine]) -> tuple[
+    list[int], list[tuple[int, list[int], list[int]]], list[tuple[int, int]],
+]:
+    """Move closure rows, cover audit failures and move failures of all of
+    R_n, from one pass of _indexed_moves.  A cover failure is the index
+    triple (i, kernel covers, brute-force covers), a move failure the
+    stray (i, key) of the walk; both come in element order.
 
     Bit j of row i says element j is reachable from element i.  The walk
     runs in descending index order, so every move's row is ready.  A
@@ -544,7 +616,8 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
     lists, so a kernel listing its moves out of order fails the audit."""
     closure = [0] * len(elements)
     failures = []
-    for i, moves, covers in _indexed_moves(elements):
+    strays: list[tuple[int, int]] = []
+    for i, moves, covers in _indexed_moves(elements, strays):
         reach = 0
         brute = []
         for s in moves:
@@ -555,4 +628,4 @@ def _close_moves(elements: list[OneLine]) -> tuple[list[int], list[tuple[int, li
         if brute != covers:
             failures.append((i, covers, brute))
     failures.reverse()
-    return closure, failures
+    return closure, failures, sorted(strays)

@@ -283,6 +283,47 @@ FAULTS = {
 }
 
 
+def edited(edit):
+    """A fault of enumerate_elements: the list of real(n)'s elements, as
+    edit returns it."""
+    return lambda real: lambda n: iter(edit(list(real(n))))
+
+
+def with_stray_move(real):
+    """A stand-in for the move kernel real that also gives the zero
+    element the move key 1, which is no element's: its last prefix square
+    sum is 1 and every prefix sum 0."""
+    def moves(a, key):
+        keys, covers = real(a, key)
+        return (keys if any(a) else keys + [key + 1]), covers
+    return moves
+
+
+# Injected defects of the two things that both routes of verify read,
+# the enumeration and the walk of the move kernel, by name: the poset
+# name each replaces, a function of the real one to its stand-in, and the
+# lists of the verify 3 report it fills, in report order.  Elements 5 and
+# 9 of R_3 are 0,1,2 and 0,2,3.  A dropped zero element leaves two
+# routes that agree on the rest, so only the count sees it; a dropped
+# identity is also a move of its lower covers, which the walk lists.
+DEFECTS = {
+    "move key outside R_n": ("_moves", with_stray_move, ["move_failures"]),
+    "dropped zero element": ("enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
+    "dropped identity": (
+        "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
+        ["move_failures", "enumeration_failures"],
+    ),
+    "repeated element": (
+        "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
+        ["mismatches", "search_mismatches", "enumeration_failures"],
+    ),
+    "two swapped elements": (
+        "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
+        ["mismatches", "cover_mismatches", "enumeration_failures"],
+    ),
+}
+
+
 def _raise_is_cover(a: tuple[int, ...], i: int, b: int) -> bool:
     """Type 1: raising position i of a to the unused value b > a[i] is a
     cover exactly when every value strictly between a[i] and b already

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from rookorder import cli, parse_one_line, poset
 
-from helpers import FAULTS
+from helpers import DEFECTS, FAULTS
+
+LISTS = [field for field, *_ in poset._FAILURE_LISTS]
 
 
 def run(capsys, *argv):
@@ -404,10 +406,12 @@ cover_mismatches: 1
   element 0,0,0: predicate=[] brute=['0,0,1']
 oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
+move_failures: 0
+enumeration_failures: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "d176a50104665f4a00041834edff793e41c5701fee7dc47848bf6f05f42c12a8"),
+""", "fe0227c4a21bee57cfb9bf8eb4a57effce9cafe0b95c43257b02cd0fafcf2fa8"),
     ("--sampled", "5000"): ("""\
 n: 3
 mode: sampled
@@ -422,10 +426,12 @@ cover_mismatches: 1
   element 0,0,0: predicate=[] brute=['0,0,1']
 oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
+move_failures: 0
+enumeration_failures: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "14d3678899eb18734767159ef6c72ebad715547e371291bcfc022547564d6b25"),
+""", "4b32bd0390c2784f9e51b211c7b1549cd89a0ce18c00ba1091c68ebe6eea9b98"),
 }
 
 
@@ -440,6 +446,51 @@ def test_the_text_report_of_every_fault_at_once(capsys, monkeypatch, campaign):
     assert (code, err) == (2, "")
     assert "".join(line for line in out.splitlines(True) if "search=" not in line) == text
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_verify_lists_a_defective_enumeration_or_walk(capsys, monkeypatch, defect):
+    # Both routes read one enumeration and one walk; a fault there is
+    # listed, in both campaigns, and never raises.
+    name, fault, lists = DEFECTS[defect]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    labels = {field: label for field, _, label, _ in poset._FAILURE_LISTS}
+    for campaign in ([], ["--sampled", "5000"]):
+        code, out, err = run(capsys, "verify", "3", "--json", *campaign)
+        report = json.loads(out)
+        assert (code, err) == (2, "")
+        assert [field for field in LISTS if report[field]] == lists
+        code, out, err = run(capsys, "verify", "3", *campaign)
+        assert (code, err) == (2, "")
+        for field in LISTS:
+            assert (f"{labels[field]}: 0" in out.splitlines()) == (field not in lists), field
+        assert out.splitlines()[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_hasse_refuses_a_defective_enumeration_or_walk_in_one_line(capsys, monkeypatch, defect):
+    # The enumeration is checked before the walk reads it.  The refusal is
+    # no ValueError, which would read as a usage error and exit 1.
+    assert not issubclass(poset.DefectError, ValueError)
+    name, fault, lists = DEFECTS[defect]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    named = "enumeration_failures" if "enumeration_failures" in lists else "move_failures"
+    for fmt in ("dot", "json", "ranks"):
+        code, out, err = run(capsys, "hasse", "3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: hasse found {named}: ") and err.count("\n") == 1, err
+    assert run(capsys, "hasse", "3")[2] == {
+        "move key outside R_n":
+            "error: hasse found move_failures: 1; the first is element 0,0,0: move key 1 is no element\n",
+        "dropped zero element":
+            "error: hasse found enumeration_failures: 1; the first is element count: 33, expected 34\n",
+        "dropped identity":
+            "error: hasse found enumeration_failures: 1; the first is element count: 33, expected 34\n",
+        "repeated element":
+            "error: hasse found enumeration_failures: 2; the first is element count: 35, expected 34\n",
+        "two swapped elements":
+            "error: hasse found enumeration_failures: 2; the first is element 6: 0,1,3, expected after 0,2,3\n",
+    }[defect]
 
 
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])

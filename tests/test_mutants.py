@@ -6,8 +6,14 @@ it, and the one failure list of the verify report that the mutant must
 fill.  A mutant is applied to a copy of the package in a temporary
 directory, never to the package itself, and `python -m rookorder verify
 4 --json` runs on the copy: it must exit 2 with exactly that list
-non-empty.  No mutant changes a move, so the closure keeps R_4's 12 301
-pairs.  Equivalent mutants, which change no verdict, are left out.
+non-empty.  No mutant of MUTANTS changes a move, so the closure keeps
+R_4's 12 301 pairs.  Equivalent mutants, which change no verdict, are
+left out.
+
+The mutants of RELATION_MUTANTS change the relation: a move kernel that
+gives keys of no element, and an enumeration that drops an element.
+Each must fill exactly its lists and leave its relation size, and
+`hasse 4` on the copy must refuse it with exit 2 and one line of stderr.
 """
 
 import json
@@ -55,13 +61,24 @@ MUTANTS = [
 ]
 
 
+RELATION_MUTANTS = [
+    # _moves: a swap keeps both copies of its value, so no swap is a key of
+    # R_4; the raises still are.
+    ("order", "z = base + here[v] - there[v] + there[u]", "z = base + here[v]",
+     ["mismatches", "cover_mismatches", "move_failures"], 4413),
+    # enumerate_elements: the first element, the zero element, is dropped.
+    # Both routes agree on the rest, so only the enumeration check sees it.
+    ("elements", "yield OneLine(t)", "if any(t): yield OneLine(t)", ["enumeration_failures"], 12092),
+]
+
+
 def verify_copy(tmp_path, mutant=None):
-    """Exit code and JSON report of verify 4 on a copy of the package,
-    with the mutant's line replaced."""
+    """Exit code and JSON report of verify 4 on a copy of the package in
+    tmp_path, with the mutant's line replaced."""
     copy = tmp_path / "rookorder"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     if mutant:
-        module, old, new, _ = mutant
+        module, old, new = mutant[:3]
         path = copy / f"{module}.py"
         lines = path.read_text().split("\n")
         at = [i for i, line in enumerate(lines) if line.strip() == old]
@@ -69,13 +86,19 @@ def verify_copy(tmp_path, mutant=None):
         line = lines[at[0]]
         lines[at[0]] = line[:len(line) - len(line.lstrip())] + new
         path.write_text("\n".join(lines))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rookorder", "verify", "4", "--json"],
+    proc = run_copy(tmp_path, "verify", "4", "--json")
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def run_copy(tmp_path, *argv):
+    """The finished process of `python -m rookorder *argv` on the copy of
+    the package in tmp_path."""
+    return subprocess.run(
+        [sys.executable, "-m", "rookorder", *argv],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.stderr == ""
-    return proc.returncode, json.loads(proc.stdout)
 
 
 def test_the_unmutated_copy_passes(tmp_path):
@@ -90,3 +113,14 @@ def test_verify_catches_the_mutant_in_its_own_list(tmp_path, mutant):
     assert code == 2
     assert [field for field in LISTS if report[field]] == [mutant[3]]
     assert report["relation_size"] == 12301
+
+
+@pytest.mark.parametrize("mutant", RELATION_MUTANTS, ids=lambda m: f"{m[0]}:{m[1]}")
+def test_verify_lists_and_hasse_refuses_a_mutant_of_the_relation(tmp_path, mutant):
+    code, report = verify_copy(tmp_path, mutant)
+    assert code == 2
+    assert [field for field in LISTS if report[field]] == mutant[3]
+    assert report["relation_size"] == mutant[4]
+    proc = run_copy(tmp_path, "hasse", "4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: hasse found ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -38,6 +38,9 @@ from helpers import (
     reflagged,
 )
 
+# Every failure list of a report, so that a fault is seen to fill no other.
+LISTS = [field for field, *_ in poset._FAILURE_LISTS]
+
 R2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
 
 
@@ -434,7 +437,7 @@ def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
     report = verify(4)
     assert report.cover_mismatch_count == 1
     assert report.cover_mismatches == [COVER_FLAG_ENTRIES[fault]]
-    assert [key for key in MISMATCH_LISTS if getattr(report, key)] == ["cover_mismatches"]
+    assert [key for key in LISTS if getattr(report, key)] == ["cover_mismatches"]
 
 
 def test_reload_reads_no_move_code(monkeypatch):
@@ -692,6 +695,8 @@ COUNTS = {
     "mismatches": "mismatch_count",
     "cover_mismatches": "cover_mismatch_count",
     "oracle_mismatches": "oracle_mismatch_count",
+    "move_failures": "move_failure_count",
+    "enumeration_failures": "enumeration_failure_count",
 }
 FIRST_ENTRY = {
     "mismatches": ["0,0,0", "3,2,1", False, True],
@@ -706,7 +711,7 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, tar
     name, fault = FAULTS[target]
     monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
     report = verify(3, sample_count, seed=0).to_dict()
-    assert [key for key in MISMATCH_LISTS if report[key]] == [target]
+    assert [key for key in LISTS if report[key]] == [target]
     assert report["passed"] is False
     if target in FIRST_ENTRY:
         assert report[target][0] == FIRST_ENTRY[target]
@@ -724,7 +729,7 @@ def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_
     expected = verify(3, sample_count, seed=0).to_dict()
     monkeypatch.setattr(poset, name, lambda lower, upper: (row for row in listed(lower, upper)))
     report = verify(3, sample_count, seed=0).to_dict()
-    assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
+    assert [key for key in LISTS if report[key]] == ["mismatches"]
     assert report["mismatches"][0] == expected["mismatches"][0] == FIRST_ENTRY["mismatches"]
     for count in COUNTS.values():
         assert report[count] == expected[count]
@@ -736,7 +741,7 @@ def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypa
     real = getattr(poset, name)
     monkeypatch.setattr(poset, name, lambda x, y: not real(x, y))
     report = verify(3, sample_count, seed=0).to_dict()
-    assert [key for key in MISMATCH_LISTS if report[key]] == ["mismatches"]
+    assert [key for key in LISTS if report[key]] == ["mismatches"]
     # each per-pair test runs on the spot pairs, and only there: every
     # stride-th ordered pair of R_3, in both campaigns
     space = len(elements_of(3)) ** 2
@@ -751,7 +756,7 @@ def test_a_wrong_length_lands_only_in_oracle_mismatches(monkeypatch, sample_coun
     real = poset.length
     monkeypatch.setattr(poset, "length", lambda x: 10 if x == ZERO3 else real(x))
     report = verify(3, sample_count, seed=0).to_dict()
-    assert [key for key in MISMATCH_LISTS if report[key]] == ["oracle_mismatches"]
+    assert [key for key in LISTS if report[key]] == ["oracle_mismatches"]
     assert report["oracle_mismatches"][0] == ["0,0,0", 10, 0]
     assert report["relation_size"] == 441
 
@@ -942,7 +947,7 @@ def test_rows_hold_in_any_move_order_and_the_audit_checks_it(monkeypatch, n, siz
     monkeypatch.setattr(poset, "_moves", reversed_moves)
     report = verify(n)
     assert report.relation_size == size
-    assert [key for key in MISMATCH_LISTS if getattr(report, key)] == ["cover_mismatches"]
+    assert [key for key in LISTS if getattr(report, key)] == ["cover_mismatches"]
     moves = {str(e): kernel_moves(e.entries) for e in elements_of(n)}
     with_two_moves = [x for x, above in moves.items() if len(above) >= 2]
     assert report.cover_mismatch_count == len(with_two_moves) == failing
@@ -977,8 +982,9 @@ def test_records_keep_their_field_order():
     assert VerificationReport._fields == (
         "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
         "search_mismatches", "cover_mismatches", "cover_mismatch_count",
-        "oracle_mismatches", "oracle_mismatch_count", "relation_size",
-        "phases", "elapsed",
+        "oracle_mismatches", "oracle_mismatch_count", "move_failures",
+        "move_failure_count", "enumeration_failures",
+        "enumeration_failure_count", "relation_size", "phases", "elapsed",
     )
 
 
@@ -997,8 +1003,10 @@ def test_report_shape():
     assert set(d) == {
         "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
         "search_mismatches", "cover_mismatches", "cover_mismatch_count",
-        "oracle_mismatches", "oracle_mismatch_count", "relation_size",
-        "phases", "elapsed", "passed",
+        "oracle_mismatches", "oracle_mismatch_count", "move_failures",
+        "move_failure_count", "enumeration_failures",
+        "enumeration_failure_count", "relation_size", "phases", "elapsed",
+        "passed",
     }
     failing = r._replace(mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
