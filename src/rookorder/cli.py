@@ -39,7 +39,7 @@ LEN_MAX_N = 1000
 ORACLE_MAX_N = 700
 # enum 8 writes 1 441 729 lines into a file in 6.1-8.3 s and 16 MB; R_9 has 17 572 114.
 ENUM_MAX_N = 8
-# verify 6 --sampled K at the cap, in process: 0.4-0.5 s and 43 MB when
+# verify 6 --sampled K at the cap, in process: 0.4-0.65 s and 45 MB when
 # the relations agree, since nothing is drawn; the cap bounds a run where
 # they differ, which draws and reads every pair: 1.8-3.2 s and 66 MB when
 # every pair differs (0.6-0.75 s and 18 MB at n = 5).

@@ -1,10 +1,10 @@
 """Hasse diagram, rank statistics, exports, and the verification campaign.
 
-One walk, _indexed_moves, reads the order module's move kernel over a
-whole monoid, once per element, and keeps no moves after: each element's
-moves and covers come out as indices, ascending.  build_hasse takes the
-covers as the diagram edges, and verify closes the moves and audits the
-covers in one pass of it.
+One walk, _walk, reads the order module's move kernel over a whole
+monoid, once per element, and holds each element's moves and covers as
+ascending index lists: 4.9 MB for R_6's 192 861 moves and 87 415 covers.
+build_hasse takes the covers as the diagram edges, and _close_moves
+closes the moves and audits the covers from those lists alone.
 
 The other route is the threshold lemma, which reads no move code: x <= y
 exactly when, for every prefix length k and every threshold a, the first
@@ -79,7 +79,7 @@ __all__ = [
 
 # The largest R_n that build_hasse, hasse_from_json and verify accept.
 # R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
-# checks 177.6M ordered pairs and holds one 24 MB relation, 43 MB peak.
+# checks 177.6M ordered pairs and holds one 24 MB relation, 45 MB peak.
 MAX_N = 6
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
@@ -130,11 +130,9 @@ def build_hasse(n: int) -> HasseDiagram:
     elements = list(enumerate_elements(n))
     _refuse("enumeration_failures", _enumeration_failures(n, elements))
     nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    # The walk runs last to first; each element's covers come ascending.
-    strays: list[tuple[int, int]] = []
-    covers = [above for _, _, above in _indexed_moves(elements, strays)]
-    _refuse("move_failures", [[str(elements[i]), z] for i, z in sorted(strays)])
-    edges = tuple((i, j) for i, above in enumerate(reversed(covers)) for j in above)
+    _, covers, strays = _walk(elements)
+    _refuse("move_failures", [[str(elements[i]), z] for i, z in strays])
+    edges = tuple((i, j) for i, above in enumerate(covers) for j in above)
     return HasseDiagram(n, nodes, edges)
 
 
@@ -448,7 +446,9 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     enumeration_failures = _enumeration_failures(n, elements)
     count = len(elements)
     marks.append(time.perf_counter())
-    closure, cover_failures, strays = _close_moves(elements)
+    moves, covers, strays = _walk(elements)
+    closure, cover_failures = _close_moves(moves, covers)
+    del moves, covers  # 4.9 MB at R_6, freed before the containment rows
     cover_mismatches = [
         [str(elements[i]), [str(elements[s]) for s in claimed],
          [str(elements[s]) for s in brute]]
@@ -573,40 +573,41 @@ def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[in
         yield row
 
 
-def _indexed_moves(
-    elements: list[OneLine], strays: list[tuple[int, int]],
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """The one walk that reads the move kernel over all of R_n: for each
-    element, last to first, (its index, indices of its moves, indices of
-    its covers), both ascending as the kernel's keys are.  Elements are
-    indexed by key, each packed once.  Every move climbs in
-    lexicographic order, so each move's index comes out before its
-    source's.  A key that is no element's, which only a faulty kernel or
-    enumeration gives, is left out of both lists and appended to strays
-    as (index, key), once per element: the walk never raises on it."""
-    index = {_key(e.entries): i for i, e in enumerate(elements)}
+def _walk(elements: list[OneLine]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    """The one walk that reads the move kernel over all of R_n, one _key
+    per element: (moves, covers, strays), where moves[i] and covers[i]
+    are the ascending indices of element i's moves and covers.  Every
+    move climbs in lexicographic order, so its index is above i.  A key
+    that is no element's, which only a faulty kernel or enumeration
+    gives, is left out of both and set aside in strays as (i, key), in
+    that order: the walk never raises on it.  The key of an element
+    given twice indexes its last copy, and each copy is walked."""
+    keys = [_key(e.entries) for e in elements]
+    index = {k: i for i, k in enumerate(keys)}
     at = index.get
-    for k, i in reversed(index.items()):
-        moves, covers = _moves(elements[i].entries, k)
-        found, above = list(map(at, moves)), list(map(at, covers))
-        if None in found or None in above:
-            strays += [(i, z) for z in sorted({*moves, *covers}) if z not in index]
+    moves, covers, strays = [], [], []
+    for i, (e, k) in enumerate(zip(elements, keys)):
+        up, above = _moves(e.entries, k)
+        found, cover = list(map(at, up)), list(map(at, above))
+        if None in found or None in cover:
+            strays += [(i, z) for z in sorted({*up, *above}) if z not in index]
             found = [j for j in found if j is not None]
-            above = [j for j in above if j is not None]
-        yield i, found, above
+            cover = [j for j in cover if j is not None]
+        moves.append(found)
+        covers.append(cover)
+    return moves, covers, strays
 
 
-def _close_moves(elements: list[OneLine]) -> tuple[
-    list[int], list[tuple[int, list[int], list[int]]], list[tuple[int, int]],
+def _close_moves(moves: list[list[int]], covers: list[list[int]]) -> tuple[
+    list[int], list[tuple[int, list[int], list[int]]],
 ]:
-    """Move closure rows, cover audit failures and move failures of all of
-    R_n, from one pass of _indexed_moves.  A cover failure is the index
-    triple (i, kernel covers, brute-force covers), a move failure the
-    stray (i, key) of the walk; both come in element order.
+    """Move closure rows and cover audit failures of all of R_n from the
+    lists of _walk alone, with no kernel or element read.  A failure is
+    the index triple (i, kernel covers, brute-force covers), ascending.
 
-    Bit j of row i says element j is reachable from element i.  The walk
-    runs in descending index order, so every move's row is ready.  A
-    move already in reach adds nothing, since a row holds the row of
+    Bit j of row i says element j is reachable from element i.  The rows
+    are closed in descending index order, so every move's row is ready.
+    A move already in reach adds nothing, since a row holds the row of
     every element it holds, so only the other moves' rows are ORed and
     the rows are exact in any move order.  Everything strictly above x
     is at or above a move of x, and a move lies only above moves of lower
@@ -614,18 +615,17 @@ def _close_moves(elements: list[OneLine]) -> tuple[
     ORed moves are the brute-force covers of x, the moves in no strict
     up-set of another: they read no kernel cover.  They are compared as
     lists, so a kernel listing its moves out of order fails the audit."""
-    closure = [0] * len(elements)
+    closure = [0] * len(moves)
     failures = []
-    strays: list[tuple[int, int]] = []
-    for i, moves, covers in _indexed_moves(elements, strays):
+    for i in range(len(moves) - 1, -1, -1):
         reach = 0
         brute = []
-        for s in moves:
+        for s in moves[i]:
             if not reach >> s & 1:
                 brute.append(s)
                 reach |= closure[s]
         closure[i] = reach | 1 << i
-        if brute != covers:
-            failures.append((i, covers, brute))
+        if brute != covers[i]:
+            failures.append((i, covers[i], brute))
     failures.reverse()
-    return closure, failures, sorted(strays)
+    return closure, failures

@@ -305,7 +305,9 @@ def with_stray_move(real):
 # lists of the verify 3 report it fills, in report order.  Elements 5 and
 # 9 of R_3 are 0,1,2 and 0,2,3.  A dropped zero element leaves two
 # routes that agree on the rest, so only the count sees it; a dropped
-# identity is also a move of its lower covers, which the walk lists.
+# identity is also a move of its lower covers, which the walk lists.  Each
+# copy of a repeated element has its own closure row, so only the
+# relations differ there: containment puts each copy below the other.
 DEFECTS = {
     "move key outside R_n": ("_moves", with_stray_move, ["move_failures"]),
     "dropped zero element": ("enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
@@ -315,7 +317,7 @@ DEFECTS = {
     ),
     "repeated element": (
         "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
-        ["mismatches", "search_mismatches", "enumeration_failures"],
+        ["mismatches", "enumeration_failures"],
     ),
     "two swapped elements": (
         "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),

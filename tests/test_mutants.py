@@ -44,6 +44,11 @@ MUTANTS = [
     ("order", "cy += inc[v]", "cy += inc[v - 1] if v else 0", "mismatches"),
     # ppr_leq: the search keeps at most one node besides x.
     ("order", "if z not in seen:", "if z not in seen and len(seen) < 2:", "search_mismatches"),
+    # _layout: the square-sum fields lose a bit, so a large prefix square
+    # sum fills its field's guard bit.  The keys stay one per element and
+    # the walk keeps every move, but ppr_leq's guard test refuses nodes.
+    ("order", "q = (n * (n + 1) * (2 * n + 1) // 6).bit_length() + 1",
+     "q = (n * (n + 1) * (2 * n + 1) // 6).bit_length()", "search_mismatches"),
     # _containment_rows: every threshold reads the same count, or the
     # count of a full prefix is never made.
     ("poset", "v -= 1", "pass", "mismatches"),

@@ -449,7 +449,7 @@ def test_reload_reads_no_move_code(monkeypatch):
         calls.append(args)
         raise AssertionError("the reload may read no move code")
 
-    for name in ("_key", "_moves", "_indexed_moves", "_close_moves", "ppr_leq"):
+    for name in ("_key", "_moves", "_walk", "_close_moves", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
     monkeypatch.setattr(order, "_moves", refuse)
     assert hasse_from_json(text) == h
@@ -514,7 +514,7 @@ def test_the_containment_route_reaches_no_order_code(name):
     assert {where for where in _reached("poset", name) if where[0] == "order"} == set()
 
 
-@pytest.mark.parametrize("name", ["_indexed_moves", "_close_moves"])
+@pytest.mark.parametrize("name", ["_walk", "_close_moves"])
 def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
     other_route = {
         ("poset", "_containment_rows"), ("poset", "_containment_covers"),
@@ -912,7 +912,18 @@ def test_closure_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
 
     for name in ("_containment_rows", "deodhar_leq", "ppr_leq"):
         monkeypatch.setattr(poset, name, refuse)
-    assert poset._close_moves(list(elements_of(n)))[0] == list(deodhar_matrix(n))
+    assert poset._close_moves(*poset._walk(list(elements_of(n)))[:2])[0] == list(deodhar_matrix(n))
+
+
+def test_each_copy_of_a_repeated_element_gets_its_own_closure_row():
+    # Element 5 of R_3, 0,1,2, given twice: the walk indexes its key by the
+    # second copy, and each copy's row is the 23 elements above it, moved
+    # up one index past the copy, and its own bit.
+    els = list(elements_of(3))
+    rows = poset._close_moves(*poset._walk(els[:6] + els[5:])[:2])[0]
+    above = deodhar_matrix(3)[5] >> 6 << 7
+    assert above.bit_count() == 23
+    assert (rows[5], rows[6]) == (above | 1 << 5, above | 1 << 6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
