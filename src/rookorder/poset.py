@@ -46,8 +46,8 @@ The report also carries the size of the relation and the seconds of
 each phase.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
-monoid, share one size bound: n in 1..MAX_N.  _check_size, the size
-rule of build_hasse, verify and cli's capped commands, is written once.
+monoid, share one size bound: n in 1..MAX_N.  _check_size is the one
+rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
 HasseDiagram and VerificationReport are NamedTuples: immutable, compared
 and copied (_replace) as tuples of their fields, in declared order.
 """
@@ -81,6 +81,11 @@ __all__ = [
 # R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
 # checks 177.6M ordered pairs and holds one 24 MB relation, 45 MB peak.
 MAX_N = 6
+# verify 6 --sampled K at the cap, in process: 0.4-0.65 s and 45 MB when
+# the relations agree, since nothing is drawn; the cap bounds a run where
+# they differ, which draws and reads every pair: 1.8-3.2 s and 66 MB when
+# every pair differs (0.6-0.75 s and 18 MB at n = 5).
+SAMPLED_MAX_K = 1_000_000
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
 # first order, cover and oracle mismatches in order and counts them all.
@@ -104,10 +109,11 @@ class DefectError(Exception):
     a ValueError, which means a bad argument: cli exits 2 on it, not 1."""
 
 
-def _check_size(command: str, n: int, cap: int) -> None:
-    """Refuse an n that is not an int (a bool is not one) in 1..cap."""
-    if type(n) is not int or not 1 <= n <= cap:
-        raise ValueError(f"{command} supports n in 1..{cap}")
+def _check_size(command: str, value: int, cap: int, name: str = "n") -> None:
+    """Refuse a value that is not an int (a bool is not one) in 1..cap,
+    under the name of the argument it bounds: n, or verify's --sampled K."""
+    if type(value) is not int or not 1 <= value <= cap:
+        raise ValueError(f"{command} supports {name} in 1..{cap}")
 
 
 class HasseDiagram(NamedTuple):
@@ -267,8 +273,7 @@ def hasse_from_json(text: str) -> HasseDiagram:
     if not isinstance(doc, dict) or doc.keys() != {"n", "nodes", "edges"}:
         raise ValueError("diagram must be an object with exactly the keys n, nodes, edges")
     n, raw_nodes, raw_edges = doc["n"], doc["nodes"], doc["edges"]
-    if type(n) is not int or not 1 <= n <= MAX_N:
-        raise ValueError(f"diagram size must be an integer in 1..{MAX_N}")
+    _check_size("diagram", n, MAX_N)
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
     walk = ((str(e), e) for e in enumerate_elements(n))
@@ -431,14 +436,15 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     before any of it, and a move key that is no element is listed; the
     campaign runs on in both cases.
 
-    n must be an int in 1..MAX_N, sample_count None or an int >= 1, and
-    seed an int; anything else, a bool included, raises ValueError.
+    n must be an int in 1..MAX_N, sample_count None or an int in
+    1..SAMPLED_MAX_K, and seed an int; anything else, a bool included,
+    raises ValueError before any element is enumerated, n's refusal first.
     """
     marks = [time.perf_counter()]
     exhaustive = sample_count is None
     _check_size("verify", n, MAX_N)
-    if not exhaustive and (type(sample_count) is not int or sample_count < 1):
-        raise ValueError("sample_count must be a positive integer")
+    if not exhaustive:
+        _check_size("verify", sample_count, SAMPLED_MAX_K, "--sampled K")
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
 

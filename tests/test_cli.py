@@ -335,12 +335,18 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
 
 def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(poset, "enumerate_elements", _work)
-    cap = cli.SAMPLED_MAX_K
+    cap = poset.SAMPLED_MAX_K
     expected = (1, "", f"error: verify supports --sampled K in 1..{cap}\n")
     for k in (0, cap + 1):
         assert run(capsys, "verify", "6", "--sampled", str(k)) == expected
     with pytest.raises(WorkRan):  # at the cap the work starts
         cli.main(["verify", "6", "--sampled", str(cap)])
+
+
+def test_verify_refuses_n_before_the_pair_count(capsys, monkeypatch):
+    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    expected = (1, "", "error: verify supports n in 1..6\n")
+    assert run(capsys, "verify", "7", "--sampled", "0") == expected
 
 
 def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeypatch):

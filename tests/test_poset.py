@@ -303,6 +303,13 @@ def test_hasse_from_json_rejects_bad_documents(doc):
         hasse_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("n", [0, 7, True, 2.0, "3"])
+def test_hasse_from_json_refuses_n_through_the_size_rule(n):
+    with pytest.raises(ValueError) as caught:
+        hasse_from_json(json.dumps(_edited(n=n)))
+    assert str(caught.value) == "diagram supports n in 1..6"
+
+
 def test_hasse_from_json_rejects_deep_nesting():
     with pytest.raises(ValueError):
         hasse_from_json("[" * 100_000)
@@ -986,6 +993,30 @@ def test_verify_rejects_bad_arguments():
         for seed in (None, True, 2.5, "x"):
             with pytest.raises(ValueError, match="seed"):
                 verify(3, sample_count, seed=seed)
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def _enumerated(n):
+    raise _Enumerated
+
+
+def test_verify_refuses_a_pair_count_outside_the_cap_before_any_work(monkeypatch):
+    # The library holds the bound that rookorder verify --sampled prints.
+    monkeypatch.setattr(poset, "enumerate_elements", _enumerated)
+    cap = poset.SAMPLED_MAX_K
+    for sample_count in (0, cap + 1):
+        with pytest.raises(ValueError) as caught:
+            verify(6, sample_count)
+        assert str(caught.value) == f"verify supports --sampled K in 1..{cap}"
+    # With both arguments out of bounds, n is refused first.
+    with pytest.raises(ValueError) as caught:
+        verify(7, 0)
+    assert str(caught.value) == "verify supports n in 1..6"
+    with pytest.raises(_Enumerated):  # at the cap the work starts
+        verify(6, cap)
 
 
 def test_records_keep_their_field_order():
