@@ -123,13 +123,14 @@ def rank(x: OneLine) -> int:
 
 def enumerate_elements(n: int) -> Iterator[OneLine]:
     """Yield every element of R_n exactly once, in lexicographic order of
-    the entry vectors.  Lazy: n < 1 raises at the call, and each element
-    is built when asked for.  A stack holds prefixes: a popped prefix is
-    yielded when full, else replaced by its extensions by 0 and by each
-    value it lacks, pushed largest first.  The smallest pops first, and
-    all under it pop before its next sibling: the order is lexicographic."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    the entry vectors.  Lazy: an n that is not an int (a bool is not
+    one) of at least 1 raises at the call, and each element is built
+    when asked for.  A stack holds prefixes: a popped prefix is yielded
+    when full, else replaced by its extensions by 0 and by each value it
+    lacks, pushed largest first.  The smallest pops first, and all under
+    it pop before its next sibling: the order is lexicographic."""
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be at least 1, and an int")
 
     def walk() -> Iterator[OneLine]:
         stack = [()]

@@ -141,7 +141,7 @@ def test_enumeration_small_listings():
 
 def test_enumeration_rejects_nonpositive():
     # At the call, before any element is asked for.
-    for n in (0, -1):
+    for n in (0, -1, True, 2.0, "3"):
         with pytest.raises(ValueError, match="n must be at least 1"):
             enumerate_elements(n)
 

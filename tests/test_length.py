@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from rookorder import (
     OneLine,
     coinversions,
+    enumerate_elements,
     length,
     length_breakdown,
     parse_one_line,
@@ -86,3 +88,18 @@ def test_length_bounds_and_uniqueness(n):
             assert x == zero
         if ln == n * n:
             assert x == top
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_renner_count_of_the_matrices_over_fq(n):
+    # Over F_q the B x B orbit of x holds (q-1)^rank(x) * q^(length(x) - rank(x))
+    # matrices, the length being the orbit's dimension, and Renner's
+    # decomposition splits all q^(n*n) n-by-n matrices into these orbits.
+    # Both sides are polynomials in q of degree n*n, so the n*n + 1 values
+    # q = 2..n*n+2 fix the identity.  A wrong length, one that length and
+    # oracle_length share included, breaks it, as does a missing or
+    # repeated element.
+    cells = Counter((rank(x), length(x)) for x in enumerate_elements(n))
+    for q in range(2, n * n + 3):
+        orbits = sum(c * (q - 1) ** r * q ** (ln - r) for (r, ln), c in cells.items())
+        assert orbits == q ** (n * n), q
