@@ -6,12 +6,20 @@ independent implementations, or when hasse finds its enumeration or move
 walk defective.  That refusal is poset.DefectError, not a ValueError, so
 that a defect never reads as a usage error; it prints one line.  Output
 cut short by a closed pipe, as by `| head`, exits 1 without a traceback.
+
+The argument parser is built once per process (build_parser is cached):
+building it takes most of a millisecond and leaves a few hundred objects
+in reference cycles, garbage for the cyclic collector on every call of
+main.  Parsing changes none of its state, and each handler reads the
+functions it calls from this module at its call, so a function replaced
+here after the first parse is still the one run.
 """
 
 import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
@@ -41,6 +49,7 @@ ORACLE_MAX_N = 700
 ENUM_MAX_N = 8
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rookorder",

@@ -34,7 +34,8 @@ class OneLine:
     """One-line form of a rook-monoid element.
 
     Entry j is the row holding the 1 of column j, or 0 for an empty
-    column.  Entries lie in 0..n and nonzero values never repeat.
+    column.  entries is a tuple of ints (a bool is not one) in 0..n, and
+    nonzero values never repeat; anything else raises ValueError.
 
     A slotted record with one field, entries, and no __dict__: it cannot
     be changed once made, and it is equal to another OneLine of the same
@@ -45,13 +46,17 @@ class OneLine:
     entries: tuple[int, ...]
 
     def __init__(self, entries: tuple[int, ...]) -> None:
+        # True and 1.0 compare and hash equal to 1, and a list hashes not
+        # at all, so both the tuple and its ints are tested by type.
+        if type(entries) is not tuple:
+            raise ValueError(f"entries must be a tuple of ints, not {type(entries).__name__}")
         n = len(entries)
         if n == 0:
             raise ValueError("element needs at least one column")
         seen = set()
         for a in entries:
-            if not 0 <= a <= n:
-                raise ValueError(f"entry {a} outside 0..{n}")
+            if type(a) is not int or not 0 <= a <= n:
+                raise ValueError(f"entry {a} outside 0..{n}" if type(a) is int else f"entry {a!r} is not an int")
             if a:
                 if a in seen:
                     raise ValueError(f"nonzero entry {a} appears twice")

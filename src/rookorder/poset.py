@@ -48,14 +48,22 @@ each phase.
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.  _check_size is the one
 rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
+The three also run with the cyclic garbage collector paused (_paused_gc):
+at R_6 they allocate hundreds of thousands of tuples, lists and records,
+none of them in a reference cycle, so every collection during them
+would scan the live data and free nothing.  Each hands back control after one young
+collection, so that no collection falls due at the caller's next
+allocation.
 HasseDiagram and VerificationReport are NamedTuples: immutable, compared
 and copied (_replace) as tuples of their fields, in declared order.
 """
 
+import gc
 import json
 import random
 import time
 from bisect import bisect_left
+from functools import wraps
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
@@ -116,6 +124,28 @@ def _check_size(command: str, value: int, cap: int, name: str = "n") -> None:
         raise ValueError(f"{command} supports {name} in 1..{cap}")
 
 
+def _paused_gc(operation):
+    """operation, run with the cyclic garbage collector paused when it is
+    enabled at the call, and left alone when it is not.  On every exit,
+    return or raise, the collector is enabled again and collects its
+    youngest generation, whose count the operation has run far past:
+    left pending, that collection would run at the caller's next
+    allocation instead."""
+
+    @wraps(operation)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return operation(*args, **kwargs)
+        gc.disable()
+        try:
+            return operation(*args, **kwargs)
+        finally:
+            gc.enable()
+            gc.collect(0)
+
+    return paused
+
+
 class HasseDiagram(NamedTuple):
     """Graded order diagram: nodes carry (id, element, length) and edges
     point from the lower element of each covering pair to the upper one.
@@ -127,6 +157,7 @@ class HasseDiagram(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
+@_paused_gc
 def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
     a bool included, raises ValueError.  An enumeration that fails its
@@ -243,6 +274,7 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+@_paused_gc
 def hasse_from_json(text: str) -> HasseDiagram:
     """Load a diagram written by export_json.
 
@@ -411,6 +443,7 @@ class VerificationReport(NamedTuple):
         ])
 
 
+@_paused_gc
 def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:
     """Run the cross-checking campaign over R_n, for n in 1..MAX_N.
 

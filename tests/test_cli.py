@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -529,6 +530,25 @@ def test_help_exits_clean(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "rookorder" in out
+
+
+def test_the_parser_is_built_once_and_holds_no_state_of_a_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["verify", "2", "--seed", "3"], ["hasse", "3", "--format", "svg"], ["frobnicate"]):
+        first = run(capsys, *argv)
+        assert first[0] == 1 and first[2]
+        assert run(capsys, *argv) == first
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: rookorder") and err == ""
+
+
+def test_a_second_call_of_main_leaves_no_cyclic_garbage(capsys):
+    # The first call may build the parser; a rebuilt one would be garbage.
+    for argv in (["hasse", "3", "--format", "json"], ["verify", "2"], ["len", "1,0"]):
+        run(capsys, *argv)
+        gc.collect()
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0, argv
 
 
 def test_cmp_size_mismatch(capsys):

@@ -63,6 +63,20 @@ def test_one_line_validation():
     assert OneLine((0, 0)).n == 2
 
 
+@pytest.mark.parametrize("entries, message", [
+    ((True, 0), "entry True is not an int"),  # would equal OneLine((1, 0)) and print True,0
+    ((0, 1.0), "entry 1.0 is not an int"),  # would end in a TypeError of order._key
+    ((0, "1"), "entry '1' is not an int"),
+    ((3, 0), "entry 3 outside 0..2"),
+    ([1, 0], "entries must be a tuple of ints, not list"),  # would hash not at all
+    ("10", "entries must be a tuple of ints, not str"),
+])
+def test_one_line_refuses_entries_that_are_not_a_tuple_of_ints(entries, message):
+    with pytest.raises(ValueError) as refusal:
+        OneLine(entries)
+    assert str(refusal.value) == message
+
+
 def test_one_line_is_equal_and_hashes_by_its_entries():
     x, same, other = OneLine((3, 0, 4, 0)), OneLine((3, 0, 4, 0)), OneLine((3, 0, 0, 4))
     assert x == same and x is not same and not x != same

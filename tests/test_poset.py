@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import random
 from functools import lru_cache
@@ -27,6 +28,7 @@ from rookorder import (
 )
 
 from helpers import (
+    DEFECTS,
     FAULTS,
     ZERO3,
     brute_cover_sets,
@@ -461,6 +463,55 @@ def test_reload_reads_no_move_code(monkeypatch):
     monkeypatch.setattr(order, "_moves", refuse)
     assert hasse_from_json(text) == h
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_whole_monoid_operations_leave_no_cyclic_garbage(n):
+    # They run with the collector paused (poset._paused_gc), which loses
+    # nothing only while what they allocate holds no reference cycle.
+    text = export_json(build_hasse(n))
+    for operation, args in [(build_hasse, (n,)), (hasse_from_json, (text,)),
+                            (verify, (n,)), (verify, (n, 500, 3))]:
+        gc.collect()
+        operation(*args)
+        assert gc.collect() == 0, operation.__name__
+
+
+def _defective_hasse(monkeypatch):
+    name, fault, _ = DEFECTS["dropped zero element"]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    build_hasse(3)
+
+
+OUTCOMES = {
+    # The diagram of R_4 holds over 1 000 tracked objects, so a young
+    # collection left pending at the return would show in the count.
+    "healthy": (lambda monkeypatch: build_hasse(4), None),
+    "refusal": (lambda monkeypatch: verify(7), ValueError),
+    "defect": (_defective_hasse, poset.DefectError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", OUTCOMES)
+def test_the_collector_is_handed_back_as_it_was_on_every_exit(monkeypatch, outcome, enabled):
+    operation, error = OUTCOMES[outcome]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            operation(monkeypatch)
+            raised = None
+        except (ValueError, poset.DefectError) as exc:
+            raised = type(exc)
+        young = gc.get_count()[0]
+        assert raised is error
+        assert gc.isenabled() is enabled
+        if enabled:
+            # The young collection that the pause put off ran before the
+            # return, not at one of the caller's next allocations.
+            assert young < gc.get_threshold()[0]
+    finally:
+        gc.enable()
 
 
 PACKAGE = Path(poset.__file__).parent
