@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
-comparison or verification run uncovers a disagreement between the
-independent implementations, or when hasse finds its enumeration or move
-walk defective.  That refusal is poset.DefectError, not a ValueError, so
-that a defect never reads as a usage error; it prints one line.  Output
-cut short by a closed pipe, as by `| head`, exits 1 without a traceback.
+Exit codes: 0 on success, 1 on usage or parse errors only, and 2 on a
+disagreement between the independent implementations or any other
+defect: a verify phase that raises is a row of its report, and hasse
+refuses a defect found after its size check with poset.DefectError, not
+a ValueError, in one line.  Output cut short by a closed pipe, as by
+`| head`, exits 1 without a traceback.
 
 The argument parser is built once per process (build_parser is cached):
 building it takes most of a millisecond and leaves a few hundred objects
@@ -104,12 +104,9 @@ def main(argv=None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except ValueError as exc:
+    except (ValueError, DefectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except DefectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MISMATCH_ERROR
+        return MISMATCH_ERROR if isinstance(exc, DefectError) else USAGE_ERROR
     except BrokenPipeError:
         # The reader closed the pipe, as `| head` does.  Point stdout at
         # the null device so that the flush at exit stays silent.

@@ -23,27 +23,24 @@ verify compares two relations, one bitset row per element, and holds
 only the move closure, whose pass also audits the kernel's covers
 against brute-force covers on every element.  The other, the
 containment relation, is _containment_rows(elements, elements), full
-rows over all of R_n.  Each row is XORed with its closure row as it
-arrives, and the bits of a difference are walked only where it is
-nonzero, so a campaign covers every ordered pair; given a sample_count,
-it reads the differences on that many seeded random pairs instead, and
-draws them only when some difference is nonzero.  Either way verify
-also checks the two per-pair containment tests and the per-pair move
-search against the closure on about 200 spot pairs, evenly spaced over
-all ordered pairs and the same in both campaigns, and, on every element,
-the combinatorial length against the exact
-coordinate-subspace oracle.  Both routes read one enumeration and one
-walk, so neither can see a fault of either: the enumeration is checked
-against a principle of its own (_enumeration_failures), and a move key
-that is no element of R_n is set aside by the walk and listed.  Every
-disagreement lands in its own list of the returned report, and none
-raises; build_hasse, which has no report, refuses a defective
-enumeration or walk with DefectError instead.  Every list but the search's
-keeps its first 1 000 entries next to an exact count.  _FAILURE_LISTS is
-the one list of those failure kinds: the report's passed reads it, and
-its text form prints the same lists as its JSON form, in that order.
-The report also carries the size of the relation and the seconds of
-each phase.
+rows over all of R_n, each XORed with its closure row as it arrives.
+The differences are read on every ordered pair, or on sample_count
+seeded random pairs; about 200 spot pairs check the per-pair tests, and
+every element the length against the exact coordinate-subspace oracle.
+Both routes read one enumeration and one walk, so neither can see a
+fault of either: the enumeration is checked against a principle of its
+own (_enumeration_failures), and a move key that is no element of R_n
+is set aside by the walk and listed.
+
+verify is its argument checks, then one loop over _PHASES, the table of
+its phases in order, each with the phases it needs.  The loop times
+each phase, skips it unless every phase it needs has run, and lists
+whatever it raises in phase_errors.  So every disagreement and every
+defect lands in a list of the report, and verify raises only on a bad
+argument; build_hasse, which has no report, refuses a defective
+enumeration or walk, or anything raised after its size check, with
+DefectError.  _FAILURE_LISTS, the one list of failure kinds, builds
+the report and both its forms, text and JSON.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, share one size bound: n in 1..MAX_N.  _check_size is the one
@@ -65,6 +62,7 @@ import time
 from bisect import bisect_left
 from functools import wraps
 from math import comb, factorial
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 from .elements import OneLine, enumerate_elements
@@ -98,7 +96,6 @@ _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
 # first order, cover and oracle mismatches in order and counts them all.
 _MISMATCH_LIMIT = 1000
-_PHASES = ("enumerate", "closure", "containment", "pairs", "spot_checks", "oracle")
 # The failure lists of a VerificationReport, in order: field, count field
 # (None for a list never cut), text label and entry text, whose booleans
 # print as true and false.  A report passes when every list is empty.
@@ -109,6 +106,7 @@ _FAILURE_LISTS = (
     ("oracle_mismatches", "oracle_mismatch_count", "oracle_mismatches", "element {}: formula={} oracle={}"),
     ("move_failures", "move_failure_count", "move_failures", "element {}: move key {} is no element"),
     ("enumeration_failures", "enumeration_failure_count", "enumeration_failures", "{}: {}, expected {}"),
+    ("phase_errors", None, "phase_errors", "{}: {}: {}"),
 )
 
 
@@ -161,15 +159,21 @@ class HasseDiagram(NamedTuple):
 def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
     a bool included, raises ValueError.  An enumeration that fails its
-    check (_enumeration_failures), or a move key that is no element of
-    R_n, raises DefectError, named as verify's report would list it."""
+    check (_enumeration_failures), a move key that is no element of R_n,
+    or any other exception after the size check raises DefectError,
+    named as verify's report would list it."""
     _check_size("hasse", n, MAX_N)
-    elements = list(enumerate_elements(n))
-    _refuse("enumeration_failures", _enumeration_failures(n, elements))
-    nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-    _, covers, strays = _walk(elements)
-    _refuse("move_failures", [[str(elements[i]), z] for i, z in strays])
-    edges = tuple((i, j) for i, above in enumerate(covers) for j in above)
+    try:
+        elements = list(enumerate_elements(n))
+        _refuse("enumeration_failures", _enumeration_failures(n, elements))
+        nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
+        _, covers, strays = _walk(elements)
+        _refuse("move_failures", [[str(elements[i]), z] for i, z in strays])
+        edges = tuple((i, j) for i, above in enumerate(covers) for j in above)
+    except DefectError:
+        raise
+    except Exception as exc:
+        _refuse("phase_errors", [["build_hasse", type(exc).__name__, str(exc)]])
     return HasseDiagram(n, nodes, edges)
 
 
@@ -386,17 +390,16 @@ class VerificationReport(NamedTuple):
     of the kernel that are no element of R_n, in element order, and
     enumeration_failures [what, found, expected] for the first 1 000
     failures of the enumeration's check: its count, then each element
-    that does not come after its predecessor.
+    that does not come after its predecessor.  phase_errors holds
+    [phase, exception type, message] for each phase that raised; the
+    phases that need its output were skipped.
     All elements are reported in canonical text form.  seed is None for
-    an exhaustive campaign.  relation_size is the number of pairs,
-    reflexive ones included, in the move closure.
-    phases splits elapsed into the seconds of enumerate (argument
-    checks, elements and their check), closure (kernel, closure rows and
-    cover audit), containment (the threshold rows, each compared with its
-    closure row as it is built), pairs (reading the differences: on
-    every pair, or, when sampled, on every drawn pair only if some
-    difference is nonzero), spot_checks (the per-pair tests on the spot
-    pairs) and oracle (lengths and oracle).
+    an exhaustive campaign.  pairs_checked is 0 unless the pairs phase
+    ran; relation_size, the pairs of the move closure, reflexive ones
+    included, is 0 unless the closure phase ran.
+    phases splits elapsed into the seconds of each phase of _PHASES, in
+    its order, a skipped one included; the first, enumerate, also holds
+    the argument checks.
     """
 
     n: int
@@ -414,6 +417,7 @@ class VerificationReport(NamedTuple):
     move_failure_count: int
     enumeration_failures: list[list]
     enumeration_failure_count: int
+    phase_errors: list[list]
     relation_size: int
     phases: dict[str, float]
     elapsed: float
@@ -467,97 +471,120 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     400.  Both the covers (in the pass that builds the closure) and the
     oracle are audited on every element.  The enumeration is checked
     before any of it, and a move key that is no element is listed; the
-    campaign runs on in both cases.
+    campaign runs on in both cases, and past a phase that raises (_PHASES).
 
     n must be an int in 1..MAX_N, sample_count None or an int in
     1..SAMPLED_MAX_K, and seed an int; anything else, a bool included,
     raises ValueError before any element is enumerated, n's refusal first.
     """
-    marks = [time.perf_counter()]
-    exhaustive = sample_count is None
+    start = mark = time.perf_counter()
     _check_size("verify", n, MAX_N)
-    if not exhaustive:
+    if sample_count is not None:
         _check_size("verify", sample_count, SAMPLED_MAX_K, "--sampled K")
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
 
-    elements = list(enumerate_elements(n))
-    enumeration_failures = _enumeration_failures(n, elements)
-    count = len(elements)
-    marks.append(time.perf_counter())
+    c = SimpleNamespace(n=n, sample_count=sample_count, seed=seed, mismatch_count=0, pairs_checked=0,
+                        relation_size=0, **{field: [] for field, *_ in _FAILURE_LISTS})
+    ran, phases = set(), {}
+    for name, phase, needs in _PHASES:
+        if ran.issuperset(needs):
+            try:
+                phase(c)
+                ran.add(name)
+            except Exception as exc:
+                c.phase_errors.append([name, type(exc).__name__, str(exc)])
+        now = time.perf_counter()
+        phases[name], mark = now - mark, now
+    lists = {}
+    for field, count_field, *_ in _FAILURE_LISTS:
+        listed = lists[field] = getattr(c, field)
+        if count_field:  # a list cut as it is collected keeps its own count
+            lists[field], lists[count_field] = listed[:_MISMATCH_LIMIT], getattr(c, count_field, len(listed))
+    exhaustive = sample_count is None
+    return VerificationReport(
+        n, "exhaustive" if exhaustive else "sampled", None if exhaustive else seed, c.pairs_checked,
+        **lists, relation_size=c.relation_size, phases=phases, elapsed=mark - start)
+
+
+def _enumerate(c: SimpleNamespace) -> None:
+    c.elements = list(enumerate_elements(c.n))
+    c.enumeration_failures = _enumeration_failures(c.n, c.elements)
+
+
+def _closure(c: SimpleNamespace) -> None:
+    elements = c.elements
     moves, covers, strays = _walk(elements)
-    closure, cover_failures = _close_moves(moves, covers)
-    del moves, covers  # 4.9 MB at R_6, freed before the containment rows
-    cover_mismatches = [
-        [str(elements[i]), [str(elements[s]) for s in claimed],
-         [str(elements[s]) for s in brute]]
-        for i, claimed, brute in cover_failures[:_MISMATCH_LIMIT]
-    ]
-    marks.append(time.perf_counter())
+    # Only the listed entries become text: R_6 has 13 326 when no cover is right.
+    c.move_failure_count = len(strays)
+    c.move_failures = [[str(elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]]
+    c.closure, failures = _close_moves(moves, covers)
+    c.cover_mismatch_count = len(failures)
+    c.cover_mismatches = [[str(elements[i]), [str(elements[s]) for s in claimed],
+                           [str(elements[s]) for s in brute]] for i, claimed, brute in failures[:_MISMATCH_LIMIT]]
+    c.relation_size = sum(row.bit_count() for row in c.closure)
+
+
+def _containment(c: SimpleNamespace) -> None:
     # Bit j of diff[i] says the two relations disagree on the pair (i, j).
-    diff = [row ^ reach for row, reach in zip(_containment_rows(elements, elements), closure)]
-    marks.append(time.perf_counter())
+    c.diff = [row ^ reach for row, reach in zip(_containment_rows(c.elements, c.elements), c.closure)]
 
-    mismatches = []
-    mismatch_count = 0
 
-    def note(i, j):
-        if len(mismatches) < _MISMATCH_LIMIT:
-            p = bool(closure[i] >> j & 1)
-            mismatches.append([str(elements[i]), str(elements[j]), not p, p])
-
-    space = count * count
-    if exhaustive:
+def _pairs(c: SimpleNamespace) -> None:
+    diff, count = c.diff, len(c.elements)
+    if c.sample_count is None:
         for i, bits in enumerate(diff):
-            mismatch_count += bits.bit_count()
-            while bits and len(mismatches) < _MISMATCH_LIMIT:
+            c.mismatch_count += bits.bit_count()
+            while bits and len(c.mismatches) < _MISMATCH_LIMIT:
                 j = (bits & -bits).bit_length() - 1
-                note(i, j)
+                _note(c, i, j)
                 bits &= bits - 1
     elif any(diff):
-        draw = random.Random(seed).randrange
-        for _ in range(sample_count):
-            i, j = divmod(draw(space), count)
+        draw = random.Random(c.seed).randrange
+        for _ in range(c.sample_count):
+            i, j = divmod(draw(count * count), count)
             if diff[i] >> j & 1:
-                mismatch_count += 1
-                note(i, j)
-    marks.append(time.perf_counter())
+                c.mismatch_count += 1
+                _note(c, i, j)
+    c.pairs_checked = count * count if c.sample_count is None else c.sample_count
 
-    search_mismatches = []
-    for t in range(0, space, max(1, space // _SPOT_CHECK_PAIRS)):
+
+def _spot_checks(c: SimpleNamespace) -> None:
+    elements, closure, count = c.elements, c.closure, len(c.elements)
+    for t in range(0, count * count, max(1, count * count // _SPOT_CHECK_PAIRS)):
         i, j = divmod(t, count)
         x, y = elements[i], elements[j]
         p = bool(closure[i] >> j & 1)
         for test in (deodhar_leq, deodhar_leq_gamma):
             if test(x, y) != p:
-                mismatch_count += 1
-                note(i, j)
+                c.mismatch_count += 1
+                _note(c, i, j)
         s = ppr_leq(x, y)
         if s != p:
-            search_mismatches.append([str(x), str(y), p, s])
-    marks.append(time.perf_counter())
+            c.search_mismatches.append([str(x), str(y), p, s])
 
-    oracle_mismatches = [
-        [str(x), ln, computed] for x in elements
-        if (ln := length(x)) != (computed := oracle_length(x))
-    ]
-    marks.append(time.perf_counter())
-    return VerificationReport(
-        n=n, mode="exhaustive" if exhaustive else "sampled",
-        seed=None if exhaustive else seed,
-        pairs_checked=space if exhaustive else sample_count,
-        mismatches=mismatches, mismatch_count=mismatch_count,
-        search_mismatches=search_mismatches,
-        cover_mismatches=cover_mismatches, cover_mismatch_count=len(cover_failures),
-        oracle_mismatches=oracle_mismatches[:_MISMATCH_LIMIT], oracle_mismatch_count=len(oracle_mismatches),
-        move_failures=[[str(elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]],
-        move_failure_count=len(strays),
-        enumeration_failures=enumeration_failures[:_MISMATCH_LIMIT],
-        enumeration_failure_count=len(enumeration_failures),
-        relation_size=sum(row.bit_count() for row in closure),
-        phases={name: b - a for name, a, b in zip(_PHASES, marks, marks[1:])},
-        elapsed=marks[-1] - marks[0],
-    )
+
+def _oracle(c: SimpleNamespace) -> None:
+    c.oracle_mismatches = [[str(x), ln, computed] for x in c.elements
+                           if (ln := length(x)) != (computed := oracle_length(x))]
+
+
+def _note(c: SimpleNamespace, i: int, j: int) -> None:
+    if len(c.mismatches) < _MISMATCH_LIMIT:
+        p = bool(c.closure[i] >> j & 1)
+        c.mismatches.append([str(c.elements[i]), str(c.elements[j]), not p, p])
+
+
+# The phases of verify, in the order they run and are timed: name, function
+# of the campaign's state, and the phases that must have run without raising.
+_PHASES = (
+    ("enumerate", _enumerate, ()),
+    ("closure", _closure, ("enumerate",)),
+    ("containment", _containment, ("closure",)),
+    ("pairs", _pairs, ("containment",)),
+    ("spot_checks", _spot_checks, ("closure",)),
+    ("oracle", _oracle, ("enumerate",)),
+)
 
 
 def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[int]:

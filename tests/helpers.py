@@ -307,7 +307,9 @@ def with_stray_move(real):
 # routes that agree on the rest, so only the count sees it; a dropped
 # identity is also a move of its lower covers, which the walk lists.  Each
 # copy of a repeated element has its own closure row, so only the
-# relations differ there: containment puts each copy below the other.
+# relations differ there: containment puts each copy below the other.  An
+# empty enumeration fails its count, and the containment rows, which need
+# an element to read n from, raise: a phase error.
 DEFECTS = {
     "move key outside R_n": ("_moves", with_stray_move, ["move_failures"]),
     "dropped zero element": ("enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
@@ -322,6 +324,9 @@ DEFECTS = {
     "two swapped elements": (
         "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
         ["mismatches", "cover_mismatches", "enumeration_failures"],
+    ),
+    "empty enumeration": (
+        "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],
     ),
 }
 

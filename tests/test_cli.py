@@ -329,8 +329,10 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
         expected = (1, "", "error: verify supports n in 1..6\n")
         assert run(capsys, "verify", str(n)) == expected
     else:
-        with pytest.raises(WorkRan):  # up to the bound the work starts
-            cli.main(["verify", str(n)])
+        # Up to the bound the work starts, and what it raises is reported.
+        code, out, err = run(capsys, "verify", str(n), "--json")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["phase_errors"] == [["enumerate", "WorkRan", ""]]
     assert calls == [(n, None, 0)]
 
 
@@ -340,8 +342,10 @@ def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
     expected = (1, "", f"error: verify supports --sampled K in 1..{cap}\n")
     for k in (0, cap + 1):
         assert run(capsys, "verify", "6", "--sampled", str(k)) == expected
-    with pytest.raises(WorkRan):  # at the cap the work starts
-        cli.main(["verify", "6", "--sampled", str(cap)])
+    # At the cap the work starts, and what it raises is reported.
+    code, out, err = run(capsys, "verify", "6", "--sampled", str(cap), "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["phase_errors"] == [["enumerate", "WorkRan", ""]]
 
 
 def test_verify_refuses_n_before_the_pair_count(capsys, monkeypatch):
@@ -415,10 +419,11 @@ oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
 move_failures: 0
 enumeration_failures: 0
+phase_errors: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "fe0227c4a21bee57cfb9bf8eb4a57effce9cafe0b95c43257b02cd0fafcf2fa8"),
+""", "acd64c430afdfd4e496d3414871d0da6dda512e5a241aeaa276a8788ec363fa1"),
     ("--sampled", "5000"): ("""\
 n: 3
 mode: sampled
@@ -435,10 +440,11 @@ oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
 move_failures: 0
 enumeration_failures: 0
+phase_errors: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "4b32bd0390c2784f9e51b211c7b1549cd89a0ce18c00ba1091c68ebe6eea9b98"),
+""", "30def710024b60c40b5545b845f902d407dea4bc6848eedd03d6e3cf8fff6d65"),
 }
 
 
@@ -487,6 +493,8 @@ HASSE_REFUSALS = {
         "error: hasse found enumeration_failures: 2; the first is element count: 35, expected 34\n",
     "two swapped elements":
         "error: hasse found enumeration_failures: 2; the first is element 6: 0,1,3, expected after 0,2,3\n",
+    "empty enumeration":
+        "error: hasse found enumeration_failures: 1; the first is element count: 0, expected 34\n",
 }
 
 
@@ -498,6 +506,78 @@ def test_hasse_refuses_a_defective_enumeration_or_walk_in_one_line(capsys, monke
     monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
     for fmt in ("dot", "json", "ranks"):
         assert run(capsys, "hasse", "3", "--format", fmt) == (2, "", HASSE_REFUSALS[defect])
+
+
+class PhaseRaised(Exception):
+    pass
+
+
+def _raise(*args):
+    raise PhaseRaised("stand-in raised")
+
+
+# One stand-in that raises inside each phase of verify, by phase: the poset
+# name it replaces and the phases that need that phase and so are skipped.
+# random.Random is drawn from only in a sampled campaign whose relations
+# differ somewhere, so that case also carries the containment fault.
+PHASE_RAISERS = {
+    "enumerate": ("enumerate_elements", ["closure", "containment", "pairs", "spot_checks", "oracle"]),
+    "closure": ("_walk", ["containment", "pairs", "spot_checks"]),
+    "containment": ("_containment_rows", ["pairs"]),
+    "pairs": ("random.Random", []),
+    "spot_checks": ("ppr_leq", []),
+    "oracle": ("oracle_length", []),
+}
+
+
+@pytest.mark.parametrize("phase", PHASE_RAISERS)
+def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys, monkeypatch, phase):
+    name, skipped = PHASE_RAISERS[phase]
+    # A wrong oracle value, listed whenever the oracle phase runs.
+    for fault in ["oracle_mismatches"] + (["mismatches"] if phase == "pairs" else []):
+        real_name, stand_in = FAULTS[fault]
+        monkeypatch.setattr(poset, real_name, stand_in(getattr(poset, real_name)))
+    monkeypatch.setattr(poset.random if phase == "pairs" else poset, name.split(".")[-1], _raise)
+    ran = []
+
+    def recording(name, function):
+        return lambda c: ran.append(name) or function(c)
+
+    monkeypatch.setattr(poset, "_PHASES", tuple(
+        (name, recording(name, function), needs) for name, function, needs in poset._PHASES
+    ))
+    every = [name for name, _, _ in poset._PHASES]
+    oracle_runs = phase != "oracle" and "oracle" not in skipped
+    pairs_run = phase != "pairs" and "pairs" not in skipped
+    for campaign, pairs in ([], 1156), (["--sampled", "5000"], 5000):
+        if phase == "pairs" and not campaign:
+            continue
+        ran.clear()
+        code, out, err = run(capsys, "verify", "3", "--json", *campaign)
+        report = json.loads(out)
+        assert (code, err) == (2, "")
+        assert report["phase_errors"] == [[phase, "PhaseRaised", "stand-in raised"]]
+        assert ran == [name for name in every if name not in skipped]
+        assert [field for field in LISTS if report[field]] == ["oracle_mismatches"] * oracle_runs + ["phase_errors"]
+        assert report["oracle_mismatches"] == [["3,2,1", 9, 10]] * oracle_runs
+        # The report says what it checked: no pair unless the pairs phase ran.
+        assert report["pairs_checked"] == pairs * pairs_run
+        code, out, err = run(capsys, "verify", "3", *campaign)
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert f"  {phase}: PhaseRaised: stand-in raised" in lines
+        # Every phase keeps its seconds, in order, a skipped one too.
+        timed = next(line for line in lines if line.startswith("phases_s: "))
+        assert [pair.split("=")[0] for pair in timed.split()[1:]] == every
+        assert lines[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("name", ["enumerate_elements", "length", "_walk"])
+def test_hasse_refuses_anything_raised_after_its_size_check_in_one_line(capsys, monkeypatch, name):
+    monkeypatch.setattr(poset, name, _raise)
+    expected = "error: hasse found phase_errors: 1; the first is build_hasse: PhaseRaised: stand-in raised\n"
+    assert run(capsys, "hasse", "3") == (2, "", expected)
+    assert run(capsys, "hasse", "7") == (1, "", "error: hasse supports n in 1..6\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "2"], ["verify", "2", "--sampled", "300"]])

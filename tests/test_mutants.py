@@ -14,6 +14,13 @@ The mutants of RELATION_MUTANTS change the relation: a move kernel that
 gives keys of no element, and an enumeration that drops an element.
 Each must fill exactly its lists and leave its relation size, and
 `hasse 4` on the copy must refuse it with exit 2 and one line of stderr.
+
+The mutants of PHASE_MUTANTS make one phase of verify raise: the
+containment route's translation table a byte short, a closure one row
+short, and an enumeration that reaches past n.  Each must be listed as
+that phase's one entry of phase_errors, with exit 2 and nothing on
+stderr, never a traceback or a usage error; `hasse 4` gives the exit
+code listed, reading the enumeration but neither of the others.
 """
 
 import json
@@ -77,6 +84,15 @@ RELATION_MUTANTS = [
 ]
 
 
+PHASE_MUTANTS = [
+    ("poset", 'digits = b"0" * a + b"1" * (256 - a)', 'digits = b"0" * a + b"1" * (255 - a)',
+     "containment", 0),
+    ("poset", "closure = [0] * len(moves)", "closure = [0] * (len(moves) - 1)", "closure", 0),
+    ("elements", "stack += [t + (v,) for v in range(n, -1, -1) if not v or v not in t]",
+     "stack += [t + (v,) for v in range(n + 1, -1, -1) if not v or v not in t]", "enumerate", 2),
+]
+
+
 def verify_copy(tmp_path, mutant=None):
     """Exit code and JSON report of verify 4 on a copy of the package in
     tmp_path, with the mutant's line replaced."""
@@ -129,3 +145,18 @@ def test_verify_lists_and_hasse_refuses_a_mutant_of_the_relation(tmp_path, mutan
     proc = run_copy(tmp_path, "hasse", "4")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: hasse found ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("mutant", PHASE_MUTANTS, ids=lambda m: f"{m[0]}:{m[3]}")
+def test_verify_lists_a_phase_that_raises_and_hasse_reads_only_the_enumeration(tmp_path, mutant):
+    code, report = verify_copy(tmp_path, mutant)
+    assert code == 2
+    assert [field for field in LISTS if report[field]] == ["phase_errors"]
+    assert [entry[0] for entry in report["phase_errors"]] == [mutant[3]]
+    proc = run_copy(tmp_path, "hasse", "4")
+    assert proc.returncode == mutant[4]
+    if mutant[4]:
+        assert proc.stdout == "" and proc.stderr.startswith("error: hasse found phase_errors: 1; ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+    else:
+        assert proc.stdout.startswith("digraph rook_order_4 {") and proc.stderr == ""

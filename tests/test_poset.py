@@ -466,15 +466,40 @@ def test_reload_reads_no_move_code(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_the_whole_monoid_operations_leave_no_cyclic_garbage(n):
+def test_the_whole_monoid_operations_leave_no_cyclic_garbage(monkeypatch, n):
     # They run with the collector paused (poset._paused_gc), which loses
-    # nothing only while what they allocate holds no reference cycle.
+    # nothing only while what they allocate holds no reference cycle.  The
+    # young collection that each runs on its way out would free any cycle
+    # made during the call, so what every collection frees is counted,
+    # that one included.  The last run catches an exception inside a
+    # phase, which must leave no cycle either.
+    freed = []
+
+    def count(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+
     text = export_json(build_hasse(n))
-    for operation, args in [(build_hasse, (n,)), (hasse_from_json, (text,)),
-                            (verify, (n,)), (verify, (n, 500, 3))]:
-        gc.collect()
-        operation(*args)
-        assert gc.collect() == 0, operation.__name__
+    gc.callbacks.append(count)
+    try:
+        for operation, args in [(build_hasse, (n,)), (hasse_from_json, (text,)), (verify, (n,)),
+                                (verify, (n, 500, 3)), (_verify_raising, (monkeypatch, n))]:
+            gc.collect()
+            freed.clear()
+            operation(*args)
+            assert gc.collect() == 0 and freed and not any(freed), (operation.__name__, freed)
+    finally:
+        gc.callbacks.remove(count)
+
+
+def _verify_raising(monkeypatch, n):
+    """verify(n) with a containment route that raises, as reported."""
+    def refuse(lower, upper):
+        raise ValueError("containment refused")
+
+    monkeypatch.setattr(poset, "_containment_rows", refuse)
+    report = verify(n)
+    assert report.phase_errors == [["containment", "ValueError", "containment refused"]]
 
 
 def _defective_hasse(monkeypatch):
@@ -489,6 +514,7 @@ OUTCOMES = {
     "healthy": (lambda monkeypatch: build_hasse(4), None),
     "refusal": (lambda monkeypatch: verify(7), ValueError),
     "defect": (_defective_hasse, poset.DefectError),
+    "raising phase": (lambda monkeypatch: _verify_raising(monkeypatch, 4), None),
 }
 
 
@@ -580,6 +606,16 @@ def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
         ("length", "length"), ("oracle", "oracle_length"), ("length", None), ("oracle", None),
     }
     assert _reached("poset", name) & other_route == set()
+
+
+def test_the_route_phases_of_verify_reach_no_code_of_the_other_route():
+    # Every phase reads the one state of the campaign; the containment
+    # phase reads the closure rows there as data, never the code behind them.
+    reached = {name: {where[1] for where in _reached("poset", name)} for name in ("_closure", "_containment")}
+    assert "_walk" in reached["_closure"] and "_containment_rows" in reached["_containment"]
+    assert reached["_closure"] & {"_containment_rows", "deodhar_leq", "deodhar_leq_gamma", "length"} == set()
+    assert reached["_containment"] & {"_key", "_moves", "_walk", "_close_moves", "ppr_leq"} == set()
+    assert {where for where in _reached("poset", "_containment") if where[0] == "order"} == set()
 
 
 @pytest.mark.parametrize("name", ["deodhar_leq", "deodhar_leq_gamma"])
@@ -1046,17 +1082,17 @@ def test_verify_rejects_bad_arguments():
                 verify(3, sample_count, seed=seed)
 
 
-class _Enumerated(Exception):
+class WorkRan(Exception):
     pass
 
 
-def _enumerated(n):
-    raise _Enumerated
+def _work(n):
+    raise WorkRan
 
 
 def test_verify_refuses_a_pair_count_outside_the_cap_before_any_work(monkeypatch):
     # The library holds the bound that rookorder verify --sampled prints.
-    monkeypatch.setattr(poset, "enumerate_elements", _enumerated)
+    monkeypatch.setattr(poset, "enumerate_elements", _work)
     cap = poset.SAMPLED_MAX_K
     for sample_count in (0, cap + 1):
         with pytest.raises(ValueError) as caught:
@@ -1066,8 +1102,24 @@ def test_verify_refuses_a_pair_count_outside_the_cap_before_any_work(monkeypatch
     with pytest.raises(ValueError) as caught:
         verify(7, 0)
     assert str(caught.value) == "verify supports n in 1..6"
-    with pytest.raises(_Enumerated):  # at the cap the work starts
-        verify(6, cap)
+    # At the cap the work starts, and what it raises is reported.
+    assert verify(6, cap).phase_errors == [["enumerate", "WorkRan", ""]]
+
+
+def test_verify_lists_a_memory_error_and_lets_an_interrupt_through(monkeypatch):
+    # Every Exception is a phase error, MemoryError included; any other
+    # BaseException stops the campaign, and the collector is handed back.
+    for error in (MemoryError, KeyboardInterrupt):
+        def raising(elements):
+            raise error("walk stand-in")
+
+        monkeypatch.setattr(poset, "_walk", raising)
+        if error is MemoryError:
+            assert verify(3).phase_errors == [["closure", "MemoryError", "walk stand-in"]]
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                verify(3)
+        assert gc.isenabled()
 
 
 def test_records_keep_their_field_order():
@@ -1077,7 +1129,8 @@ def test_records_keep_their_field_order():
         "search_mismatches", "cover_mismatches", "cover_mismatch_count",
         "oracle_mismatches", "oracle_mismatch_count", "move_failures",
         "move_failure_count", "enumeration_failures",
-        "enumeration_failure_count", "relation_size", "phases", "elapsed",
+        "enumeration_failure_count", "phase_errors", "relation_size", "phases",
+        "elapsed",
     )
 
 
@@ -1098,8 +1151,8 @@ def test_report_shape():
         "search_mismatches", "cover_mismatches", "cover_mismatch_count",
         "oracle_mismatches", "oracle_mismatch_count", "move_failures",
         "move_failure_count", "enumeration_failures",
-        "enumeration_failure_count", "relation_size", "phases", "elapsed",
-        "passed",
+        "enumeration_failure_count", "phase_errors", "relation_size", "phases",
+        "elapsed", "passed",
     }
     failing = r._replace(mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
