@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 on usage or parse errors only, and 2 on a
 disagreement between the independent implementations or any other
 defect: a verify phase that raises is a row of its report, and hasse
 refuses a defect found after its size check with poset.DefectError, not
-a ValueError, in one line.  Output cut short by a closed pipe, as by
-`| head`, exits 1 without a traceback.
+a ValueError, in one line that names a phase that raised.  Output cut
+short by a closed pipe, as by `| head`, exits 1 without a traceback.
 
 The argument parser is built once per process (build_parser is cached):
 building it takes most of a millisecond and leaves a few hundred objects
@@ -196,7 +196,8 @@ def _cmd_verify(args) -> int:
     if args.sampled is None and args.seed is not None:
         raise ValueError("--seed needs --sampled: an exhaustive campaign draws no pairs")
     report = verify(args.n, args.sampled, 0 if args.seed is None else args.seed)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True) if args.json else report.to_text())
+    # Top-level keys sorted; phases keeps the run order of poset._PHASES.
+    print(json.dumps(dict(sorted(report.to_dict().items())), indent=2) if args.json else report.to_text())
     return 0 if report.passed else MISMATCH_ERROR
 
 

@@ -12,12 +12,10 @@ k entries of y hold at least as many values >= a as those of x do.  One
 generator evaluates it over whole lists: _containment_rows(lower, upper)
 counts those thresholds, bit-sliced, over upper once, and yields for
 each element of lower, in order, the bitset of the elements of upper at
-or above it.  It has two callers.  hasse_from_json calls it once per
-length level, lower the nodes of one length and upper those one length
-above, since the length is the rank function of the order: each row
-holds exactly the node's covers.  Edges that differ from them are
-rejected, so an edge error of the kernel that build_hasse wrote is
-caught on reload.
+or above it.  It has two callers.  hasse_from_json reads each node's
+covers from it, one length level at a time (_containment_covers), and
+rejects edges that differ, so an edge error of the kernel that
+build_hasse wrote is caught on reload.
 
 verify compares two relations, one bitset row per element, and holds
 only the move closure, whose pass also audits the kernel's covers
@@ -29,28 +27,22 @@ seeded random pairs; about 200 spot pairs check the per-pair tests, and
 every element the length against the exact coordinate-subspace oracle.
 Both routes read one enumeration and one walk, so neither can see a
 fault of either: the enumeration is checked against a principle of its
-own (_enumeration_failures), and a move key that is no element of R_n
-is set aside by the walk and listed.
-
-verify is its argument checks, then one loop over _PHASES, the table of
-its phases in order, each with the phases it needs.  The loop times
-each phase, skips it unless every phase it needs has run, and lists
-whatever it raises in phase_errors.  So every disagreement and every
-defect lands in a list of the report, and verify raises only on a bad
-argument; build_hasse, which has no report, refuses a defective
-enumeration or walk, or anything raised after its size check, with
-DefectError.  _FAILURE_LISTS, the one list of failure kinds, builds
-the report and both its forms, text and JSON.
+own, and a move key that is no element of R_n is set aside by the walk.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
-monoid, share one size bound: n in 1..MAX_N.  _check_size is the one
-rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
+monoid, run in steps over one state, each step through one guard
+(_guarded) that lists whatever it raises in phase_errors.  verify loops
+over _PHASES, its phases in order: it times each and skips one unless
+every phase it needs has run, so it raises only on a bad argument.
+build_hasse runs the first two phases, enumerate and walk, then its
+diagram, and hasse_from_json its containment covers; having no report,
+each refuses the first nonempty failure list after a step with
+DefectError (_refuse).  The three share one size bound, n in 1..MAX_N:
+_check_size is the one rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
 The three also run with the cyclic garbage collector paused (_paused_gc):
 at R_6 they allocate hundreds of thousands of tuples, lists and records,
 none of them in a reference cycle, so every collection during them
-would scan the live data and free nothing.  Each hands back control after one young
-collection, so that no collection falls due at the caller's next
-allocation.
+would scan the live data and free nothing.
 HasseDiagram and VerificationReport are NamedTuples: immutable, compared
 and copied (_replace) as tuples of their fields, in declared order.
 """
@@ -111,8 +103,8 @@ _FAILURE_LISTS = (
 
 
 class DefectError(Exception):
-    """build_hasse found its enumeration or its move walk defective.  Not
-    a ValueError, which means a bad argument: cli exits 2 on it, not 1."""
+    """build_hasse or hasse_from_json found a defect (_refuse).  Not a
+    ValueError, which means a bad argument: cli exits 2 on it, not 1."""
 
 
 def _check_size(command: str, value: int, cap: int, name: str = "n") -> None:
@@ -158,48 +150,45 @@ class HasseDiagram(NamedTuple):
 @_paused_gc
 def build_hasse(n: int) -> HasseDiagram:
     """Diagram of all of R_n, for an int n in 1..MAX_N; anything else,
-    a bool included, raises ValueError.  An enumeration that fails its
-    check (_enumeration_failures), a move key that is no element of R_n,
-    or any other exception after the size check raises DefectError,
-    named as verify's report would list it."""
+    a bool included, raises ValueError.  A defective enumeration or walk,
+    or anything raised after the size check, raises DefectError, named
+    as verify's report would list it."""
     _check_size("hasse", n, MAX_N)
+    c = _campaign(n)
+    for name, phase, _ in (*_PHASES[:2], ("diagram", _diagram, ())):
+        _guarded(c, name, phase)
+        _refuse(c, "hasse")
+    return c.diagram
+
+
+def _diagram(c: SimpleNamespace) -> None:
+    c.diagram = HasseDiagram(c.n, tuple((i, e, length(e)) for i, e in enumerate(c.elements)),
+                             tuple((i, j) for i, above in enumerate(c.covers) for j in above))
+
+
+def _campaign(n: int, **state) -> SimpleNamespace:
+    """A fresh state over R_n: state, and every failure list empty."""
+    return SimpleNamespace(n=n, **state, **{field: [] for field, *_ in _FAILURE_LISTS})
+
+
+def _guarded(c: SimpleNamespace, name: str, phase) -> bool:
+    """Run phase(c) and say whether it ran through.  Any Exception it
+    raises is listed in c.phase_errors as [name, type name, message]."""
     try:
-        elements = list(enumerate_elements(n))
-        _refuse("enumeration_failures", _enumeration_failures(n, elements))
-        nodes = tuple((i, e, length(e)) for i, e in enumerate(elements))
-        _, covers, strays = _walk(elements)
-        _refuse("move_failures", [[str(elements[i]), z] for i, z in strays])
-        edges = tuple((i, j) for i, above in enumerate(covers) for j in above)
-    except DefectError:
-        raise
+        phase(c)
     except Exception as exc:
-        _refuse("phase_errors", [["build_hasse", type(exc).__name__, str(exc)]])
-    return HasseDiagram(n, nodes, edges)
+        c.phase_errors.append([name, type(exc).__name__, str(exc)])
+        return False
+    return True
 
 
-def _refuse(field: str, failures: list[list]) -> None:
-    """Raise DefectError when failures, entries of the report list field,
-    is nonempty, naming the list, its size and its first entry in the
-    words of the text report, on one line."""
-    if failures:
-        label, entry = next(row[2:] for row in _FAILURE_LISTS if row[0] == field)
-        raise DefectError(f"hasse found {label}: {len(failures)}; the first is {entry.format(*failures[0])}")
-
-
-def _enumeration_failures(n: int, elements: list[OneLine]) -> list[list]:
-    """The failures of an enumeration of R_n against a principle of its
-    own, as [what, found, expected]: it must hold sum_k C(n, k)^2 k!
-    elements (k occupied rows, k occupied columns and a bijection between
-    them), and they must strictly ascend in lexicographic order, so none
-    repeats.  The count's failure comes first, then the elements that do
-    not come after their predecessor, in order."""
-    due = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
-    failures = [] if len(elements) == due else [["element count", len(elements), due]]
-    failures += [
-        [f"element {k}", str(y), f"after {x}"]
-        for k, (x, y) in enumerate(zip(elements, elements[1:]), 1) if not x.entries < y.entries
-    ]
-    return failures
+def _refuse(c: SimpleNamespace, command: str) -> None:
+    """Raise DefectError at the first nonempty failure list of c, naming
+    it, its count and its first entry as the text report would, on one line."""
+    for field, count_field, label, entry in _FAILURE_LISTS:
+        if listed := getattr(c, field):
+            count = len(listed) if count_field is None else getattr(c, count_field, len(listed))
+            raise DefectError(f"{command} found {label}: {count}; the first is {entry.format(*listed[0])}")
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -301,6 +290,7 @@ def hasse_from_json(text: str) -> HasseDiagram:
     The edges are checked against the containment order, not against
     the move kernel that build_hasse takes them from (see
     _containment_covers), so an edge error of the kernel is caught here.
+    Whatever that route raises is a defect, and raises DefectError.
     """
     try:
         doc = json.loads(text)
@@ -327,7 +317,10 @@ def hasse_from_json(text: str) -> HasseDiagram:
         if node != want or type(node["id"]) is not int or type(node["length"]) is not int:
             raise ValueError(f"node {ident} must be {json.dumps(want)}")
         nodes.append((ident, e, want["length"]))
-    edges = _containment_covers(nodes)
+    c = _campaign(n, nodes=nodes)
+    _guarded(c, "containment", _node_covers)
+    _refuse(c, "reload")
+    edges = c.edges
     # Edge by edge, so that no second copy of the document's edges is held.
     for k, (edge, (lo, hi)) in enumerate(zip(raw_edges, edges)):
         if (type(edge) is not list or edge != [lo, hi]
@@ -336,6 +329,10 @@ def hasse_from_json(text: str) -> HasseDiagram:
     if len(raw_edges) != len(edges):
         raise ValueError(f"{len(raw_edges)} edges, but the nodes have {len(edges)} covering pairs")
     return HasseDiagram(n, tuple(nodes), tuple(edges))
+
+
+def _node_covers(c: SimpleNamespace) -> None:
+    c.edges = _containment_covers(c.nodes)
 
 
 def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int, int]]:
@@ -398,8 +395,8 @@ class VerificationReport(NamedTuple):
     ran; relation_size, the pairs of the move closure, reflexive ones
     included, is 0 unless the closure phase ran.
     phases splits elapsed into the seconds of each phase of _PHASES, in
-    its order, a skipped one included; the first, enumerate, also holds
-    the argument checks.
+    order (enumerate, walk, closure, containment, pairs, spot_checks,
+    oracle), a skipped one too; enumerate also holds the argument checks.
     """
 
     n: int
@@ -484,16 +481,11 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
 
-    c = SimpleNamespace(n=n, sample_count=sample_count, seed=seed, mismatch_count=0, pairs_checked=0,
-                        relation_size=0, **{field: [] for field, *_ in _FAILURE_LISTS})
+    c = _campaign(n, sample_count=sample_count, seed=seed, mismatch_count=0, pairs_checked=0, relation_size=0)
     ran, phases = set(), {}
     for name, phase, needs in _PHASES:
-        if ran.issuperset(needs):
-            try:
-                phase(c)
-                ran.add(name)
-            except Exception as exc:
-                c.phase_errors.append([name, type(exc).__name__, str(exc)])
+        if ran.issuperset(needs) and _guarded(c, name, phase):
+            ran.add(name)
         now = time.perf_counter()
         phases[name], mark = now - mark, now
     lists = {}
@@ -508,17 +500,31 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
 
 
 def _enumerate(c: SimpleNamespace) -> None:
-    c.elements = list(enumerate_elements(c.n))
-    c.enumeration_failures = _enumeration_failures(c.n, c.elements)
+    """The elements of R_n, checked against a principle of their own:
+    there must be sum_k C(n, k)^2 k! of them (k occupied rows and columns
+    and a bijection between them), strictly ascending in lexicographic
+    order, so none repeats.  Failures are [what, found, expected]."""
+    n = c.n
+    c.elements = elements = list(enumerate_elements(n))
+    due = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+    c.enumeration_failures = [] if len(elements) == due else [["element count", len(elements), due]]
+    c.enumeration_failures += [
+        [f"element {k}", str(y), f"after {x}"]
+        for k, (x, y) in enumerate(zip(elements, elements[1:]), 1) if not x.entries < y.entries
+    ]
+
+
+def _walked(c: SimpleNamespace) -> None:
+    c.moves, c.covers, strays = _walk(c.elements)
+    # Only the listed entries become text: R_6 has 13 326 when no cover is right.
+    c.move_failure_count = len(strays)
+    c.move_failures = [[str(c.elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]]
 
 
 def _closure(c: SimpleNamespace) -> None:
     elements = c.elements
-    moves, covers, strays = _walk(elements)
-    # Only the listed entries become text: R_6 has 13 326 when no cover is right.
-    c.move_failure_count = len(strays)
-    c.move_failures = [[str(elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]]
-    c.closure, failures = _close_moves(moves, covers)
+    c.closure, failures = _close_moves(c.moves, c.covers)
+    del c.moves, c.covers
     c.cover_mismatch_count = len(failures)
     c.cover_mismatches = [[str(elements[i]), [str(elements[s]) for s in claimed],
                            [str(elements[s]) for s in brute]] for i, claimed, brute in failures[:_MISMATCH_LIMIT]]
@@ -579,7 +585,8 @@ def _note(c: SimpleNamespace, i: int, j: int) -> None:
 # of the campaign's state, and the phases that must have run without raising.
 _PHASES = (
     ("enumerate", _enumerate, ()),
-    ("closure", _closure, ("enumerate",)),
+    ("walk", _walked, ("enumerate",)),
+    ("closure", _closure, ("walk",)),
     ("containment", _containment, ("closure",)),
     ("pairs", _pairs, ("containment",)),
     ("spot_checks", _spot_checks, ("closure",)),

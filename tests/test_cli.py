@@ -521,8 +521,9 @@ def _raise(*args):
 # random.Random is drawn from only in a sampled campaign whose relations
 # differ somewhere, so that case also carries the containment fault.
 PHASE_RAISERS = {
-    "enumerate": ("enumerate_elements", ["closure", "containment", "pairs", "spot_checks", "oracle"]),
-    "closure": ("_walk", ["containment", "pairs", "spot_checks"]),
+    "enumerate": ("enumerate_elements", ["walk", "closure", "containment", "pairs", "spot_checks", "oracle"]),
+    "walk": ("_walk", ["closure", "containment", "pairs", "spot_checks"]),
+    "closure": ("_close_moves", ["containment", "pairs", "spot_checks"]),
     "containment": ("_containment_rows", ["pairs"]),
     "pairs": ("random.Random", []),
     "spot_checks": ("ppr_leq", []),
@@ -557,6 +558,8 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
         report = json.loads(out)
         assert (code, err) == (2, "")
         assert report["phase_errors"] == [[phase, "PhaseRaised", "stand-in raised"]]
+        # The JSON keeps the phases in the order they run, not sorted.
+        assert list(report["phases"]) == every
         assert ran == [name for name in every if name not in skipped]
         assert [field for field in LISTS if report[field]] == ["oracle_mismatches"] * oracle_runs + ["phase_errors"]
         assert report["oracle_mismatches"] == [["3,2,1", 9, 10]] * oracle_runs
@@ -572,10 +575,14 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
         assert lines[-1] == "result: FAIL"
 
 
-@pytest.mark.parametrize("name", ["enumerate_elements", "length", "_walk"])
+# The step of hasse that each poset name raises in: verify's phase, or the diagram.
+HASSE_STEPS = {"enumerate_elements": "enumerate", "length": "diagram", "_walk": "walk"}
+
+
+@pytest.mark.parametrize("name", HASSE_STEPS)
 def test_hasse_refuses_anything_raised_after_its_size_check_in_one_line(capsys, monkeypatch, name):
     monkeypatch.setattr(poset, name, _raise)
-    expected = "error: hasse found phase_errors: 1; the first is build_hasse: PhaseRaised: stand-in raised\n"
+    expected = f"error: hasse found phase_errors: 1; the first is {HASSE_STEPS[name]}: PhaseRaised: stand-in raised\n"
     assert run(capsys, "hasse", "3") == (2, "", expected)
     assert run(capsys, "hasse", "7") == (1, "", "error: hasse supports n in 1..6\n")
 

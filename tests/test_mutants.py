@@ -20,7 +20,10 @@ containment route's translation table a byte short, a closure one row
 short, and an enumeration that reaches past n.  Each must be listed as
 that phase's one entry of phase_errors, with exit 2 and nothing on
 stderr, never a traceback or a usage error; `hasse 4` gives the exit
-code listed, reading the enumeration but neither of the others.
+code listed, reading the enumeration but neither of the others.  The
+reload of a correct diagram reads the containment route, so it refuses
+the first of them with DefectError, never the ValueError of a bad
+document.
 """
 
 import json
@@ -96,6 +99,14 @@ PHASE_MUTANTS = [
 def verify_copy(tmp_path, mutant=None):
     """Exit code and JSON report of verify 4 on a copy of the package in
     tmp_path, with the mutant's line replaced."""
+    copy_package(tmp_path, mutant)
+    proc = run_copy(tmp_path, "verify", "4", "--json")
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def copy_package(tmp_path, mutant=None):
+    """A copy of the package in tmp_path, with the mutant's line replaced."""
     copy = tmp_path / "rookorder"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     if mutant:
@@ -107,18 +118,15 @@ def verify_copy(tmp_path, mutant=None):
         line = lines[at[0]]
         lines[at[0]] = line[:len(line) - len(line.lstrip())] + new
         path.write_text("\n".join(lines))
-    proc = run_copy(tmp_path, "verify", "4", "--json")
-    assert proc.stderr == ""
-    return proc.returncode, json.loads(proc.stdout)
 
 
-def run_copy(tmp_path, *argv):
-    """The finished process of `python -m rookorder *argv` on the copy of
-    the package in tmp_path."""
+def run_copy(tmp_path, *argv, script=None, stdin=None):
+    """The finished process of `python -m rookorder *argv`, or of `python
+    -c script`, on the copy of the package in tmp_path."""
     return subprocess.run(
-        [sys.executable, "-m", "rookorder", *argv],
+        [sys.executable, *(["-c", script] if script else ["-m", "rookorder", *argv])],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
-        capture_output=True, text=True, timeout=60,
+        input=stdin, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -160,3 +168,27 @@ def test_verify_lists_a_phase_that_raises_and_hasse_reads_only_the_enumeration(t
         assert proc.stderr.count("\n") == 1, proc.stderr
     else:
         assert proc.stdout.startswith("digraph rook_order_4 {") and proc.stderr == ""
+
+
+RELOAD = """
+import sys
+from rookorder.poset import DefectError, hasse_from_json
+try:
+    hasse_from_json(sys.stdin.read())
+except DefectError as exc:
+    print(f"DefectError: {exc}")
+"""
+
+
+def test_the_reload_refuses_a_containment_mutant_that_raises_as_a_defect(tmp_path):
+    # The mutant's translation table is a byte short, so the containment
+    # route raises ValueError, the type of every bad-document refusal.
+    copy_package(tmp_path, PHASE_MUTANTS[0])
+    written = run_copy(tmp_path, "hasse", "3", "--format", "json")
+    assert (written.returncode, written.stderr) == (0, "")
+    proc = run_copy(tmp_path, script=RELOAD, stdin=written.stdout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "DefectError: reload found phase_errors: 1; the first is containment: "
+        "ValueError: translation table must be 256 characters long\n"
+    )

@@ -465,6 +465,27 @@ def test_reload_reads_no_move_code(monkeypatch):
     assert calls == []
 
 
+def test_the_reload_refuses_a_containment_route_that_raises_as_a_defect(monkeypatch):
+    # A ValueError is a bad document; the same error from the containment
+    # route is a defect of the code, so the reload of a correct diagram
+    # refuses it with DefectError, named as its step.
+    text = export_json(build_hasse(3))
+
+    def raising(lower, upper):
+        raise ValueError("translation table must be 256 characters long")
+
+    monkeypatch.setattr(poset, "_containment_rows", raising)
+    with pytest.raises(poset.DefectError) as caught:
+        hasse_from_json(text)
+    assert str(caught.value) == (
+        "reload found phase_errors: 1; the first is containment: "
+        "ValueError: translation table must be 256 characters long"
+    )
+    # A bad document is still refused as one, before the route runs.
+    with pytest.raises(ValueError):
+        hasse_from_json(text.replace('"n": 3', '"n": 7'))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_whole_monoid_operations_leave_no_cyclic_garbage(monkeypatch, n):
     # They run with the collector paused (poset._paused_gc), which loses
@@ -611,9 +632,12 @@ def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
 def test_the_route_phases_of_verify_reach_no_code_of_the_other_route():
     # Every phase reads the one state of the campaign; the containment
     # phase reads the closure rows there as data, never the code behind them.
-    reached = {name: {where[1] for where in _reached("poset", name)} for name in ("_closure", "_containment")}
-    assert "_walk" in reached["_closure"] and "_containment_rows" in reached["_containment"]
-    assert reached["_closure"] & {"_containment_rows", "deodhar_leq", "deodhar_leq_gamma", "length"} == set()
+    phases = ("_walked", "_closure", "_containment")
+    reached = {name: {where[1] for where in _reached("poset", name)} for name in phases}
+    assert "_walk" in reached["_walked"] and "_close_moves" in reached["_closure"]
+    assert "_containment_rows" in reached["_containment"]
+    for name in ("_walked", "_closure"):
+        assert reached[name] & {"_containment_rows", "deodhar_leq", "deodhar_leq_gamma", "length"} == set(), name
     assert reached["_containment"] & {"_key", "_moves", "_walk", "_close_moves", "ppr_leq"} == set()
     assert {where for where in _reached("poset", "_containment") if where[0] == "order"} == set()
 
@@ -912,12 +936,30 @@ def test_verify_reports_relation_size_and_phases():
     assert (r4.relation_size, r5.relation_size) == (12301, 509662)
     for report in (r4, r5):
         assert list(report.phases) == [
-            "enumerate", "closure", "containment", "pairs", "spot_checks", "oracle",
+            "enumerate", "walk", "closure", "containment", "pairs", "spot_checks", "oracle",
         ]
         assert all(s >= 0 for s in report.phases.values())
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
         d = report.to_dict()
         assert (d["relation_size"], d["phases"]) == (report.relation_size, report.phases)
+
+
+def test_verify_and_build_hasse_run_the_one_walk_phase_once_each(monkeypatch):
+    walks = []
+    walk = poset._walked
+    assert poset._PHASES[1][:2] == ("walk", walk)
+
+    def recorder(c):
+        walks.append(c.n)
+        walk(c)
+
+    monkeypatch.setattr(poset, "_PHASES", tuple(
+        (name, recorder if name == "walk" else function, needs) for name, function, needs in poset._PHASES
+    ))
+    for run in (verify, build_hasse):
+        walks.clear()
+        run(3)
+        assert walks == [3], run.__name__
 
 
 def test_verify_r5_is_exhaustive():
@@ -1115,7 +1157,7 @@ def test_verify_lists_a_memory_error_and_lets_an_interrupt_through(monkeypatch):
 
         monkeypatch.setattr(poset, "_walk", raising)
         if error is MemoryError:
-            assert verify(3).phase_errors == [["closure", "MemoryError", "walk stand-in"]]
+            assert verify(3).phase_errors == [["walk", "MemoryError", "walk stand-in"]]
         else:
             with pytest.raises(KeyboardInterrupt):
                 verify(3)
