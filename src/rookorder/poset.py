@@ -35,8 +35,10 @@ monoid, run in steps over one state, each step through one guard
 over _PHASES, its phases in order: it times each and skips one unless
 every phase it needs has run, so it raises only on a bad argument.
 build_hasse runs the first two phases, enumerate and walk, then its
-diagram, and hasse_from_json its containment covers; having no report,
-each refuses the first nonempty failure list after a step with
+diagram, and hasse_from_json the first (_ENUMERATE), then its
+containment covers, so all three start from one checked enumeration:
+_enumerate is the only caller of enumerate_elements here.  Having no
+report, each refuses the first nonempty failure list after a step with
 DefectError (_refuse).  The three share one size bound, n in 1..MAX_N:
 _check_size is the one rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
 The three also run with the cyclic garbage collector paused (_paused_gc):
@@ -277,12 +279,13 @@ def hasse_from_json(text: str) -> HasseDiagram:
     lists that hold exactly the diagram the node texts determine.  Node k
     must be {"id": k, "oneline": str(e), "length": length(e)}, its id and
     length of type int (True and 1.0 are refused), for an element e of
-    R_n after the previous node's.  The nodes are matched in one walk of
-    enumerate_elements(n), in lexicographic order, so no text is parsed
-    and the walk stops at the last node's element.  Edge k must
-    be the list [i, j] of the k-th covering pair (i, j) of R_n between
-    the nodes, in sorted order, and there must be no more edges and no
-    fewer.  build_hasse and interval write edges that way: a full diagram
+    R_n after the previous node's.  R_n is enumerated first, whole even
+    for an interval, by verify's enumerate phase, which checks the count
+    and order of the elements; the nodes are matched in one pass over
+    those elements, in lexicographic order, so no text is parsed.  Edge
+    k must be the list [i, j] of the k-th covering pair (i, j) of R_n
+    between the nodes, in sorted order, and there must be no more edges
+    and no fewer.  build_hasse and interval write edges that way: a full diagram
     and an interval are both convex.  A refusal names the first
     difference: node k and what it must be, edge k and the pair it must
     be, or the two edge counts.
@@ -290,7 +293,9 @@ def hasse_from_json(text: str) -> HasseDiagram:
     The edges are checked against the containment order, not against
     the move kernel that build_hasse takes them from (see
     _containment_covers), so an edge error of the kernel is caught here.
-    Whatever that route raises is a defect, and raises DefectError.
+    A defective enumeration, or anything the enumeration or that route
+    raises, is a defect and raises DefectError, named as verify's report
+    would list it.
     """
     try:
         doc = json.loads(text)
@@ -302,8 +307,12 @@ def hasse_from_json(text: str) -> HasseDiagram:
     _check_size("diagram", n, MAX_N)
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
-    walk = ((str(e), e) for e in enumerate_elements(n))
-    nodes = []
+    c = _campaign(n)
+    name, phase, _ = _ENUMERATE
+    _guarded(c, name, phase)
+    _refuse(c, "reload")
+    walk = ((str(e), e) for e in c.elements)
+    nodes = c.nodes = []
     for ident, node in enumerate(raw_nodes):
         oneline = node.get("oneline") if isinstance(node, dict) else None
         for canonical, e in walk:
@@ -317,7 +326,6 @@ def hasse_from_json(text: str) -> HasseDiagram:
         if node != want or type(node["id"]) is not int or type(node["length"]) is not int:
             raise ValueError(f"node {ident} must be {json.dumps(want)}")
         nodes.append((ident, e, want["length"]))
-    c = _campaign(n, nodes=nodes)
     _guarded(c, "containment", _node_covers)
     _refuse(c, "reload")
     edges = c.edges
@@ -581,10 +589,14 @@ def _note(c: SimpleNamespace, i: int, j: int) -> None:
         c.mismatches.append([str(c.elements[i]), str(c.elements[j]), not p, p])
 
 
+# The first phase of verify, and the first step of build_hasse and of
+# hasse_from_json too.  The reload names this entry alone, not _PHASES,
+# so its code reaches no phase of the move route.
+_ENUMERATE = ("enumerate", _enumerate, ())
 # The phases of verify, in the order they run and are timed: name, function
 # of the campaign's state, and the phases that must have run without raising.
 _PHASES = (
-    ("enumerate", _enumerate, ()),
+    _ENUMERATE,
     ("walk", _walked, ("enumerate",)),
     ("closure", _closure, ("walk",)),
     ("containment", _containment, ("closure",)),

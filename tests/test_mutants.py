@@ -21,9 +21,10 @@ short, and an enumeration that reaches past n.  Each must be listed as
 that phase's one entry of phase_errors, with exit 2 and nothing on
 stderr, never a traceback or a usage error; `hasse 4` gives the exit
 code listed, reading the enumeration but neither of the others.  The
-reload of a correct diagram reads the containment route, so it refuses
-the first of them with DefectError, never the ValueError of a bad
-document.
+reload of a correct diagram reads the enumeration and the containment
+route, so it refuses the first and last of them, and the enumeration
+mutant of RELATION_MUTANTS, with DefectError, never the ValueError of a
+bad document.
 """
 
 import json
@@ -36,7 +37,7 @@ from pathlib import Path
 import pytest
 
 import rookorder
-from rookorder.poset import _FAILURE_LISTS
+from rookorder.poset import _FAILURE_LISTS, build_hasse, export_json
 
 PACKAGE = Path(rookorder.__file__).resolve().parent
 LISTS = [field for field, *_ in _FAILURE_LISTS]
@@ -192,3 +193,20 @@ def test_the_reload_refuses_a_containment_mutant_that_raises_as_a_defect(tmp_pat
         "DefectError: reload found phase_errors: 1; the first is containment: "
         "ValueError: translation table must be 256 characters long\n"
     )
+
+
+# A correct diagram of R_4, written by the unmutated package.
+R4_JSON = export_json(build_hasse(4))
+
+
+@pytest.mark.parametrize("mutant, refusal", [
+    (RELATION_MUTANTS[1], "enumeration_failures: 1; the first is element count: 208, expected 209"),
+    (PHASE_MUTANTS[2], "phase_errors: 1; the first is enumerate: ValueError: entry 5 outside 0..4"),
+], ids=["relation:enumeration", "phase:enumerate"])
+def test_the_reload_refuses_an_enumeration_mutant_as_a_defect(tmp_path, mutant, refusal):
+    # The reload matches the nodes only against the checked enumeration, so
+    # a mutant there is a defect, never a bad node of the document.
+    copy_package(tmp_path, mutant)
+    proc = run_copy(tmp_path, script=RELOAD, stdin=R4_JSON)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"DefectError: reload found {refusal}\n"

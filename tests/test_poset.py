@@ -486,6 +486,48 @@ def test_the_reload_refuses_a_containment_route_that_raises_as_a_defect(monkeypa
         hasse_from_json(text.replace('"n": 3', '"n": 7'))
 
 
+def test_the_reload_refuses_a_defective_enumeration_as_a_defect(monkeypatch):
+    # The reload matches the nodes against the enumeration only after its
+    # check, so a correct diagram of R_3 without the identity 1,2,3 in the
+    # enumeration is a defect, in build_hasse's words, not a bad node 17.
+    text = export_json(build_hasse(3))
+    name, fault, _ = DEFECTS["dropped identity"]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    with pytest.raises(poset.DefectError) as caught:
+        hasse_from_json(text)
+    assert str(caught.value) == (
+        "reload found enumeration_failures: 1; the first is element count: 33, expected 34"
+    )
+
+    def raising(n):
+        raise RuntimeError("enumeration stand-in")
+
+    monkeypatch.setattr(poset, "enumerate_elements", raising)
+    with pytest.raises(poset.DefectError) as caught:
+        hasse_from_json(text)
+    assert str(caught.value) == (
+        "reload found phase_errors: 1; the first is enumerate: RuntimeError: enumeration stand-in"
+    )
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_the_reload_refuses_an_enumeration_defect_as_build_hasse_does(monkeypatch, defect):
+    # Both run verify's enumerate phase first and refuse its failures alike;
+    # the reload runs no walk, so a kernel defect leaves it a correct diagram.
+    h = build_hasse(3)
+    text = export_json(h)
+    name, fault, _ = DEFECTS[defect]
+    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    with pytest.raises(poset.DefectError) as built:
+        build_hasse(3)
+    if name == "enumerate_elements":
+        with pytest.raises(poset.DefectError) as reloaded:
+            hasse_from_json(text)
+        assert str(reloaded.value) == str(built.value).replace("hasse found", "reload found", 1)
+    else:
+        assert hasse_from_json(text) == h
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_whole_monoid_operations_leave_no_cyclic_garbage(monkeypatch, n):
     # They run with the collector paused (poset._paused_gc), which loses
@@ -688,26 +730,6 @@ def test_json_round_trip_of_an_r6_interval():
     assert len(sub.nodes) == 250 and sub.edges
     assert hasse_from_json(export_json(sub)) == sub
     assert interval(sub, x, y) == sub
-
-
-def test_reload_walks_r_n_only_up_to_its_last_node(monkeypatch):
-    # 0,0,3,2,1,4 is element 559 of R_6, so the walk pulls 560 of the
-    # 13 327 elements.
-    x, y = OneLine((0,) * 6), OneLine((0, 0, 3, 2, 1, 4))
-    sub = _grown_interval(x, y)
-    last = [e.entries for e in elements_of(6)].index(y.entries)
-    assert sub.nodes[-1][1] == y and last == 559
-    pulled = []
-    real = poset.enumerate_elements
-
-    def counted(n):
-        for e in real(n):
-            pulled.append(e)
-            yield e
-
-    monkeypatch.setattr(poset, "enumerate_elements", counted)
-    assert hasse_from_json(export_json(sub)) == sub
-    assert len(pulled) == last + 1
 
 
 def test_reload_names_the_first_difference():
@@ -960,6 +982,34 @@ def test_verify_and_build_hasse_run_the_one_walk_phase_once_each(monkeypatch):
         walks.clear()
         run(3)
         assert walks == [3], run.__name__
+
+
+def test_verify_build_hasse_and_the_reload_run_the_one_enumerate_phase_once_each(monkeypatch):
+    # _ENUMERATE is the first entry of _PHASES, and the only code of poset
+    # that calls enumerate_elements; the reload names it alone (see
+    # test_the_containment_route_reaches_no_order_code).
+    assert poset._PHASES[0] is poset._ENUMERATE
+    assert poset._ENUMERATE[:2] == ("enumerate", poset._enumerate)
+    text = export_json(build_hasse(3))
+    events = []
+    phase, elements = poset._enumerate, poset.enumerate_elements
+
+    def recorder(c):
+        events.append("phase")
+        phase(c)
+
+    def enumeration(n):
+        events.append("elements")
+        return elements(n)
+
+    entry = ("enumerate", recorder, ())
+    monkeypatch.setattr(poset, "_ENUMERATE", entry)
+    monkeypatch.setattr(poset, "_PHASES", (entry, *poset._PHASES[1:]))
+    monkeypatch.setattr(poset, "enumerate_elements", enumeration)
+    for run, arg in ((verify, 3), (build_hasse, 3), (hasse_from_json, text)):
+        events.clear()
+        run(arg)
+        assert events == ["phase", "elements"], run.__name__
 
 
 def test_verify_r5_is_exhaustive():
