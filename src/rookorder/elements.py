@@ -9,6 +9,12 @@ it as a slotted record: one field, entries, the tuple itself, and no
 per-element __dict__, so an enumerated monoid costs the tuples and one
 small object each.
 
+OneLine(entries) checks its rules on every call.  enumerate_elements
+keeps them by construction instead: it appends a nonzero value only to
+a prefix that lacks it and checks the values it draws from against 0..n
+once per call, so it stores each tuple it builds without checking it
+again.  An element's text fills a "%d,...,%d" template cached per size.
+
 >>> x = parse_one_line("3,0,4,0")
 >>> x.entries
 (3, 0, 4, 0)
@@ -20,6 +26,7 @@ small object each.
 ['0', '1']
 """
 
+from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -63,6 +70,11 @@ class OneLine:
                 seen.add(a)
         object.__setattr__(self, "entries", entries)
 
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, which checks the
+        # entries; the default restore would assign the slot and be refused.
+        return (OneLine, (self.entries,))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -85,7 +97,23 @@ class OneLine:
         return len(self.entries)
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        return _template(len(self.entries)) % self.entries
+
+
+@lru_cache(maxsize=8)
+def _template(n: int) -> str:
+    """The text template of size n, n fields %d joined by commas.  Filled
+    with the entries, which are ints, it gives ",".join(map(str, entries))."""
+    return ",".join(["%d"] * n)
+
+
+def _made(entries: tuple[int, ...]) -> OneLine:
+    """A OneLine of entries that already keep its rules, stored as
+    OneLine.__init__ stores them but without checking them again.  Only
+    enumerate_elements calls it."""
+    x = object.__new__(OneLine)
+    object.__setattr__(x, "entries", entries)
+    return x
 
 
 def parse_one_line(text: str) -> OneLine:
@@ -133,17 +161,26 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
     when asked for.  A stack holds prefixes: a popped prefix is yielded
     when full, else replaced by its extensions by 0 and by each value it
     lacks, pushed largest first.  The smallest pops first, and all under
-    it pop before its next sibling: the order is lexicographic."""
+    it pop before its next sibling: the order is lexicographic.
+
+    OneLine's rules hold by construction, so no element is checked on
+    its own: every prefix is a tuple of ints, a nonzero value is appended
+    only where the prefix lacks it, and the values drawn from are checked
+    against 0..n once, before the first element, with OneLine's error."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be at least 1, and an int")
 
     def walk() -> Iterator[OneLine]:
+        values = range(n, -1, -1)
+        for v in values:
+            if not 0 <= v <= n:
+                raise ValueError(f"entry {v} outside 0..{n}")
         stack = [()]
         while stack:
             t = stack.pop()
             if len(t) == n:
-                yield OneLine(t)
+                yield _made(t)
             else:
-                stack += [t + (v,) for v in range(n, -1, -1) if not v or v not in t]
+                stack += [t + (v,) for v in values if not v or v not in t]
 
     return walk()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from itertools import islice
 
@@ -10,12 +12,14 @@ from rookorder import (
     rank,
 )
 from rookorder.elements import to_matrix
+from rookorder.poset import build_hasse
 
 from helpers import (
     closed_form_count,
     elements_of,
     from_matrix,
     identity_el,
+    reversal_el,
     zero_el,
 )
 
@@ -97,6 +101,41 @@ def test_one_line_is_a_slotted_record_that_cannot_change():
         del x.entries
     assert x.entries == (3, 0, 4, 0)
     assert x != (3, 0, 4, 0) and (3, 0, 4, 0) != x
+
+
+def test_one_line_round_trips_through_pickle_and_copy():
+    x = OneLine((1, 0))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(x, protocol)) == x
+    for obj in (x, build_hasse(3), list(enumerate_elements(3))):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+    # Loading goes through the constructor, so it checks the entries.
+    forged = object.__new__(OneLine)
+    object.__setattr__(forged, "entries", (1, 1))
+    with pytest.raises(ValueError, match="nonzero entry 1 appears twice"):
+        pickle.loads(pickle.dumps(forged))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_an_enumerated_element_is_what_the_constructor_makes(n):
+    # enumerate_elements stores its tuples without OneLine's checks.
+    for x in enumerate_elements(n):
+        checked = OneLine(x.entries)
+        assert type(x) is OneLine and x == checked and hash(x) == hash(checked)
+        assert str(x) == ",".join(map(str, x.entries))
+        with pytest.raises(AttributeError, match="cannot assign to field 'entries'"):
+            x.entries = checked.entries
+        with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
+            del x.entries
+
+
+def test_element_text_at_sizes_the_template_cache_evicted():
+    # The text templates are cached for 8 sizes, so n = 1, 9 and 10 are
+    # made again after sizes 1..12; n = 1000 has multi-digit entries.
+    for n in [*range(1, 13), 1, 9, 10, 1000]:
+        for x in (zero_el(n), identity_el(n), reversal_el(n)):
+            assert str(x) == ",".join(map(str, x.entries))
 
 
 def test_str_parse_round_trip():

@@ -11,9 +11,10 @@ R_4's 12 301 pairs.  Equivalent mutants, which change no verdict, are
 left out.
 
 The mutants of RELATION_MUTANTS change the relation: a move kernel that
-gives keys of no element, and an enumeration that drops an element.
-Each must fill exactly its lists and leave its relation size, and
-`hasse 4` on the copy must refuse it with exit 2 and one line of stderr.
+gives keys of no element, an enumeration that drops an element, and one
+that lets a value repeat.  Each must fill exactly its lists and leave
+its relation size, and `hasse 4` on the copy must refuse it with exit 2
+and one line of stderr.
 
 The mutants of PHASE_MUTANTS make one phase of verify raise: the
 containment route's translation table a byte short, a closure one row
@@ -23,7 +24,7 @@ stderr, never a traceback or a usage error; `hasse 4` gives the exit
 code listed, reading the enumeration but neither of the others.  The
 reload of a correct diagram reads the enumeration and the containment
 route, so it refuses the first and last of them, and the enumeration
-mutant of RELATION_MUTANTS, with DefectError, never the ValueError of a
+mutants of RELATION_MUTANTS, with DefectError, never the ValueError of a
 bad document.
 """
 
@@ -84,7 +85,15 @@ RELATION_MUTANTS = [
      ["mismatches", "cover_mismatches", "move_failures"], 4413),
     # enumerate_elements: the first element, the zero element, is dropped.
     # Both routes agree on the rest, so only the enumeration check sees it.
-    ("elements", "yield OneLine(t)", "if any(t): yield OneLine(t)", ["enumeration_failures"], 12092),
+    ("elements", "yield _made(t)", "if any(t): yield _made(t)", ["enumeration_failures"], 12092),
+    # enumerate_elements: the first entry of a prefix may repeat.  The
+    # enumerator's filter is the only place OneLine's no-repeat rule is
+    # applied to an enumerated element, so the 365 tuples reach every route,
+    # and the enumeration's count is what names the fault.
+    ("elements", "stack += [t + (v,) for v in values if not v or v not in t]",
+     "stack += [t + (v,) for v in values if not v or v not in t[1:]]",
+     ["mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches", "move_failures",
+      "enumeration_failures"], 17479),
 ]
 
 
@@ -92,8 +101,7 @@ PHASE_MUTANTS = [
     ("poset", 'digits = b"0" * a + b"1" * (256 - a)', 'digits = b"0" * a + b"1" * (255 - a)',
      "containment", 0),
     ("poset", "closure = [0] * len(moves)", "closure = [0] * (len(moves) - 1)", "closure", 0),
-    ("elements", "stack += [t + (v,) for v in range(n, -1, -1) if not v or v not in t]",
-     "stack += [t + (v,) for v in range(n + 1, -1, -1) if not v or v not in t]", "enumerate", 2),
+    ("elements", "values = range(n, -1, -1)", "values = range(n + 1, -1, -1)", "enumerate", 2),
 ]
 
 
@@ -201,8 +209,9 @@ R4_JSON = export_json(build_hasse(4))
 
 @pytest.mark.parametrize("mutant, refusal", [
     (RELATION_MUTANTS[1], "enumeration_failures: 1; the first is element count: 208, expected 209"),
+    (RELATION_MUTANTS[2], "enumeration_failures: 1; the first is element count: 365, expected 209"),
     (PHASE_MUTANTS[2], "phase_errors: 1; the first is enumerate: ValueError: entry 5 outside 0..4"),
-], ids=["relation:enumeration", "phase:enumerate"])
+], ids=["relation:enumeration", "relation:repeat", "phase:enumerate"])
 def test_the_reload_refuses_an_enumeration_mutant_as_a_defect(tmp_path, mutant, refusal):
     # The reload matches the nodes only against the checked enumeration, so
     # a mutant there is a defect, never a bad node of the document.
@@ -210,3 +219,10 @@ def test_the_reload_refuses_an_enumeration_mutant_as_a_defect(tmp_path, mutant, 
     proc = run_copy(tmp_path, script=RELOAD, stdin=R4_JSON)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"DefectError: reload found {refusal}\n"
+
+
+def test_hasse_refuses_an_enumeration_that_repeats_a_value_by_its_count(tmp_path):
+    copy_package(tmp_path, RELATION_MUTANTS[2])
+    proc = run_copy(tmp_path, "hasse", "4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: hasse found enumeration_failures: 1; the first is element count: 365, expected 209\n"
