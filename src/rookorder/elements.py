@@ -10,10 +10,10 @@ per-element __dict__, so an enumerated monoid costs the tuples and one
 small object each.
 
 OneLine(entries) checks its rules on every call.  enumerate_elements
-keeps them by construction instead: it appends a nonzero value only to
-a prefix that lacks it and checks the values it draws from against 0..n
-once per call, so it stores each tuple it builds without checking it
-again.  An element's text fills a "%d,...,%d" template cached per size.
+keeps them by construction instead: it draws the values n down to 0 and
+appends a nonzero one only to a prefix that lacks it, so it stores each
+tuple it builds without checking it again.  An element's text fills a
+"%d,...,%d" template cached per size.
 
 >>> x = parse_one_line("3,0,4,0")
 >>> x.entries
@@ -163,18 +163,14 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
     lacks, pushed largest first.  The smallest pops first, and all under
     it pop before its next sibling: the order is lexicographic.
 
-    OneLine's rules hold by construction, so no element is checked on
-    its own: every prefix is a tuple of ints, a nonzero value is appended
-    only where the prefix lacks it, and the values drawn from are checked
-    against 0..n once, before the first element, with OneLine's error."""
+    OneLine's rules hold by construction, so no element is checked: every
+    prefix is a tuple of ints drawn from range(n, -1, -1), which is 0..n,
+    and a nonzero value is appended only where the prefix lacks it."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be at least 1, and an int")
 
     def walk() -> Iterator[OneLine]:
         values = range(n, -1, -1)
-        for v in values:
-            if not 0 <= v <= n:
-                raise ValueError(f"entry {v} outside 0..{n}")
         stack = [()]
         while stack:
             t = stack.pop()

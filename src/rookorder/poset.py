@@ -30,17 +30,17 @@ fault of either: the enumeration is checked against a principle of its
 own, and a move key that is no element of R_n is set aside by the walk.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
-monoid, run in steps over one state, each step through one guard
-(_guarded) that lists whatever it raises in phase_errors.  verify loops
-over _PHASES, its phases in order: it times each and skips one unless
-every phase it needs has run, so it raises only on a bad argument.
-build_hasse runs the first two phases, enumerate and walk, then its
-diagram, and hasse_from_json the first (_ENUMERATE), then its
-containment covers, so all three start from one checked enumeration:
-_enumerate is the only caller of enumerate_elements here.  Having no
-report, each refuses the first nonempty failure list after a step with
-DefectError (_refuse).  The three share one size bound, n in 1..MAX_N:
-_check_size is the one rule for it, for cli's capped sizes and for verify's K, 1..SAMPLED_MAX_K.
+monoid, run steps over one state through one runner, _run, which times
+each step, skips one unless every step it needs ran through, and lists
+what a step raises in phase_errors.  verify runs _PHASES, its phases in
+order, so it raises only on a bad argument.  build_hasse runs the first
+two, enumerate and walk, then its diagram, and hasse_from_json the first
+(_ENUMERATE), then its containment covers, so all three start from one
+checked enumeration: _enumerate is the only caller of enumerate_elements
+here.  Those two name their command, and _run refuses the first nonempty
+failure list after a step with DefectError.  The three share one size
+bound, n in 1..MAX_N, and _check_size is the one rule for it, for cli's
+capped sizes and for verify's K, 1..SAMPLED_MAX_K.
 The three also run with the cyclic garbage collector paused (_paused_gc):
 at R_6 they allocate hundreds of thousands of tuples, lists and records,
 none of them in a reference cycle, so every collection during them
@@ -87,8 +87,9 @@ MAX_N = 6
 # every pair differs (0.6-0.75 s and 18 MB at n = 5).
 SAMPLED_MAX_K = 1_000_000
 _SPOT_CHECK_PAIRS = 200
-# Exhaustive R_6 can disagree on up to 177.6M pairs; the report lists the
-# first order, cover and oracle mismatches in order and counts them all.
+# Exhaustive R_6 can disagree on up to 177.6M pairs.  A failure list with a
+# count field in _FAILURE_LISTS (order, cover and oracle mismatches, move
+# and enumeration failures) lists its first this many; the count holds all.
 _MISMATCH_LIMIT = 1000
 # The failure lists of a VerificationReport, in order: field, count field
 # (None for a list never cut), text label and entry text, whose booleans
@@ -105,8 +106,8 @@ _FAILURE_LISTS = (
 
 
 class DefectError(Exception):
-    """build_hasse or hasse_from_json found a defect (_refuse).  Not a
-    ValueError, which means a bad argument: cli exits 2 on it, not 1."""
+    """build_hasse or hasse_from_json found a defect, refused by _run.
+    Not a ValueError, which means a bad argument: cli exits 2 on it, not 1."""
 
 
 def _check_size(command: str, value: int, cap: int, name: str = "n") -> None:
@@ -157,9 +158,7 @@ def build_hasse(n: int) -> HasseDiagram:
     as verify's report would list it."""
     _check_size("hasse", n, MAX_N)
     c = _campaign(n)
-    for name, phase, _ in (*_PHASES[:2], ("diagram", _diagram, ())):
-        _guarded(c, name, phase)
-        _refuse(c, "hasse")
+    _run(c, (*_PHASES[:2], ("diagram", _diagram, ())), "hasse")
     return c.diagram
 
 
@@ -173,24 +172,32 @@ def _campaign(n: int, **state) -> SimpleNamespace:
     return SimpleNamespace(n=n, **state, **{field: [] for field, *_ in _FAILURE_LISTS})
 
 
-def _guarded(c: SimpleNamespace, name: str, phase) -> bool:
-    """Run phase(c) and say whether it ran through.  Any Exception it
-    raises is listed in c.phase_errors as [name, type name, message]."""
-    try:
-        phase(c)
-    except Exception as exc:
-        c.phase_errors.append([name, type(exc).__name__, str(exc)])
-        return False
-    return True
-
-
-def _refuse(c: SimpleNamespace, command: str) -> None:
-    """Raise DefectError at the first nonempty failure list of c, naming
-    it, its count and its first entry as the text report would, on one line."""
-    for field, count_field, label, entry in _FAILURE_LISTS:
-        if listed := getattr(c, field):
-            count = len(listed) if count_field is None else getattr(c, count_field, len(listed))
-            raise DefectError(f"{command} found {label}: {count}; the first is {entry.format(*listed[0])}")
+def _run(c: SimpleNamespace, steps, command: str | None = None) -> dict[str, float]:
+    """Run steps (name, function of c, the names of the steps it needs)
+    in order over the state c; return each one's seconds, a skipped one's
+    too.  A step runs only when every step it needs ran through, and any
+    Exception it raises is listed in c.phase_errors as [name, type name,
+    message].  With a command, the first nonempty failure list after a
+    step raises DefectError in the text report's words, on one line."""
+    ran, seconds = set(), {}
+    mark = time.perf_counter()
+    for name, step, needs in steps:
+        if ran.issuperset(needs):
+            try:
+                step(c)
+            except Exception as exc:
+                c.phase_errors.append([name, type(exc).__name__, str(exc)])
+            else:
+                ran.add(name)
+        now = time.perf_counter()
+        seconds[name], mark = now - mark, now
+        if command:
+            for field, count_field, label, entry in _FAILURE_LISTS:
+                if listed := getattr(c, field):
+                    count = len(listed) if count_field is None else getattr(c, count_field, len(listed))
+                    first = entry.format(*listed[0])
+                    raise DefectError(f"{command} found {label}: {count}; the first is {first}")
+    return seconds
 
 
 def rank_sizes(h: HasseDiagram) -> list[int]:
@@ -308,9 +315,7 @@ def hasse_from_json(text: str) -> HasseDiagram:
     if not isinstance(raw_nodes, list) or not isinstance(raw_edges, list):
         raise ValueError("nodes and edges must be lists")
     c = _campaign(n)
-    name, phase, _ = _ENUMERATE
-    _guarded(c, name, phase)
-    _refuse(c, "reload")
+    _run(c, (_ENUMERATE,), "reload")
     walk = ((str(e), e) for e in c.elements)
     nodes = c.nodes = []
     for ident, node in enumerate(raw_nodes):
@@ -326,8 +331,7 @@ def hasse_from_json(text: str) -> HasseDiagram:
         if node != want or type(node["id"]) is not int or type(node["length"]) is not int:
             raise ValueError(f"node {ident} must be {json.dumps(want)}")
         nodes.append((ident, e, want["length"]))
-    _guarded(c, "containment", _node_covers)
-    _refuse(c, "reload")
+    _run(c, (("containment", _node_covers, ()),), "reload")
     edges = c.edges
     # Edge by edge, so that no second copy of the document's edges is held.
     for k, (edge, (lo, hi)) in enumerate(zip(raw_edges, edges)):
@@ -404,7 +408,7 @@ class VerificationReport(NamedTuple):
     included, is 0 unless the closure phase ran.
     phases splits elapsed into the seconds of each phase of _PHASES, in
     order (enumerate, walk, closure, containment, pairs, spot_checks,
-    oracle), a skipped one too; enumerate also holds the argument checks.
+    oracle), a skipped one too; the argument checks are not timed.
     """
 
     n: int
@@ -482,7 +486,6 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     1..SAMPLED_MAX_K, and seed an int; anything else, a bool included,
     raises ValueError before any element is enumerated, n's refusal first.
     """
-    start = mark = time.perf_counter()
     _check_size("verify", n, MAX_N)
     if sample_count is not None:
         _check_size("verify", sample_count, SAMPLED_MAX_K, "--sampled K")
@@ -490,12 +493,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
         raise ValueError("seed must be an integer")
 
     c = _campaign(n, sample_count=sample_count, seed=seed, mismatch_count=0, pairs_checked=0, relation_size=0)
-    ran, phases = set(), {}
-    for name, phase, needs in _PHASES:
-        if ran.issuperset(needs) and _guarded(c, name, phase):
-            ran.add(name)
-        now = time.perf_counter()
-        phases[name], mark = now - mark, now
+    phases = _run(c, _PHASES)
     lists = {}
     for field, count_field, *_ in _FAILURE_LISTS:
         listed = lists[field] = getattr(c, field)
@@ -504,7 +502,7 @@ def verify(n: int, sample_count: int | None = None, seed: int = 0) -> Verificati
     exhaustive = sample_count is None
     return VerificationReport(
         n, "exhaustive" if exhaustive else "sampled", None if exhaustive else seed, c.pairs_checked,
-        **lists, relation_size=c.relation_size, phases=phases, elapsed=mark - start)
+        **lists, relation_size=c.relation_size, phases=phases, elapsed=sum(phases.values()))
 
 
 def _enumerate(c: SimpleNamespace) -> None:

@@ -473,6 +473,8 @@ def test_verify_lists_a_defective_enumeration_or_walk(capsys, monkeypatch, defec
         report = json.loads(out)
         assert (code, err) == (2, "")
         assert [field for field in LISTS if report[field]] == lists
+        if defect == "dropped zero element":
+            assert report["enumeration_failures"] == [["element count", 33, 34]]
         code, out, err = run(capsys, "verify", "3", *campaign)
         assert (code, err) == (2, "")
         for field in LISTS:
@@ -565,6 +567,8 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
         assert report["oracle_mismatches"] == [["3,2,1", 9, 10]] * oracle_runs
         # The report says what it checked: no pair unless the pairs phase ran.
         assert report["pairs_checked"] == pairs * pairs_run
+        if phase == "containment":
+            assert report["relation_size"] == 441
         code, out, err = run(capsys, "verify", "3", *campaign)
         assert (code, err) == (2, "")
         lines = out.splitlines()

@@ -101,7 +101,7 @@ PHASE_MUTANTS = [
     ("poset", 'digits = b"0" * a + b"1" * (256 - a)', 'digits = b"0" * a + b"1" * (255 - a)',
      "containment", 0),
     ("poset", "closure = [0] * len(moves)", "closure = [0] * (len(moves) - 1)", "closure", 0),
-    ("elements", "values = range(n, -1, -1)", "values = range(n + 1, -1, -1)", "enumerate", 2),
+    ("elements", "yield _made(t)", "yield OneLine(t[:-1] + (n + 1,))", "enumerate", 2),
 ]
 
 

@@ -661,6 +661,18 @@ def test_the_containment_route_reaches_no_order_code(name):
     assert {where for where in _reached("poset", name) if where[0] == "order"} == set()
 
 
+def test_verify_build_hasse_and_the_reload_run_their_steps_through_one_guard():
+    # poset.py catches every Exception in one place, the step runner _run,
+    # and each whole-monoid operation reaches it.
+    tree = ast.parse((PACKAGE / "poset.py").read_text())
+    catch_all = [handler for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+                 and (handler.type is None or ast.unparse(handler.type) in ("Exception", "BaseException"))]
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    assert len(catch_all) == 1 and catch_all[0] in ast.walk(run)
+    for name in ("verify", "build_hasse", "hasse_from_json"):
+        assert ("poset", "_run") in _reached("poset", name), name
+
+
 @pytest.mark.parametrize("name", ["_walk", "_close_moves"])
 def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
     other_route = {
