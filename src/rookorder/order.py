@@ -282,16 +282,16 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     Three potentials, all read off the moves (see _moves), prune every
     node that cannot lie on a path from x to y.  Every move yields a
     lexicographically larger element and lowers no prefix sum and no
-    prefix square sum, so x > y lexicographically, or any prefix sum of
-    x above the same prefix sum of y, answers False before anything is
-    packed: these entry tests read the entry tuples.  Then x answers
-    False if any prefix square sum of x is above y's, and in the search
-    only nodes below y whose prefix sums and prefix square sums are all
-    at most y's are kept.  There these tests are one int operation on
-    keys: key order is lexicographic order, and with ceiling = key(y) |
-    guard, each field of ceiling - key(z) keeps its guard bit exactly
-    when the sum it holds for z is at most y's, and no field borrows
-    from the next.  Every node below y enters seen before its sums are
+    prefix square sum, so x > y lexicographically answers False before
+    anything is packed, the one test on the entry tuples.  Then x
+    answers False if any prefix sum or prefix square sum of x is above
+    y's, and in the search only nodes below y whose prefix sums and
+    prefix square sums are all at most y's are kept.  The sum tests are
+    one int operation on keys, and so is the order test in the search:
+    key order is lexicographic order, and with ceiling = key(y) | guard,
+    each field of ceiling - key(z) keeps its guard bit exactly when the
+    sum it holds for z is at most y's, and no field borrows from the
+    next.  Every node below y enters seen before its sums are
     tested, so each node is tested once, kept or refused.  No
     containment logic and no length is consulted.
     """
@@ -299,8 +299,6 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     _check_same_n(a, b)
     if a >= b:
         return a == b
-    if not all(map(le, accumulate(a), accumulate(b))):
-        return False
     n = len(a)
     source, target = _key(a), _key(b)
     guard = _layout(n)[2]

@@ -88,19 +88,20 @@ MAX_N = 6
 SAMPLED_MAX_K = 1_000_000
 _SPOT_CHECK_PAIRS = 200
 # Exhaustive R_6 can disagree on up to 177.6M pairs.  A failure list with a
-# count field in _FAILURE_LISTS (order, cover and oracle mismatches, move
-# and enumeration failures) lists its first this many; the count holds all.
+# count field in _FAILURE_LISTS (enumeration and move failures, cover,
+# order and oracle mismatches) lists its first this many; the count holds all.
 _MISMATCH_LIMIT = 1000
-# The failure lists of a VerificationReport, in order: field, count field
-# (None for a list never cut), text label and entry text, whose booleans
-# print as true and false.  A report passes when every list is empty.
+# The failure lists of a VerificationReport, in the order their phases
+# run, so a root cause comes first: field, count field (None for a list
+# never cut), text label and entry text, whose booleans print as true
+# and false.  A report passes when every list is empty.
 _FAILURE_LISTS = (
+    ("enumeration_failures", "enumeration_failure_count", "enumeration_failures", "{}: {}, expected {}"),
+    ("move_failures", "move_failure_count", "move_failures", "element {}: move key {} is no element"),
+    ("cover_mismatches", "cover_mismatch_count", "cover_mismatches", "element {}: predicate={} brute={}"),
     ("mismatches", "mismatch_count", "order_mismatches", "pair {} vs {}: containment={} moves={}"),
     ("search_mismatches", None, "search_mismatches", "pair {} vs {}: closure={} search={}"),
-    ("cover_mismatches", "cover_mismatch_count", "cover_mismatches", "element {}: predicate={} brute={}"),
     ("oracle_mismatches", "oracle_mismatch_count", "oracle_mismatches", "element {}: formula={} oracle={}"),
-    ("move_failures", "move_failure_count", "move_failures", "element {}: move key {} is no element"),
-    ("enumeration_failures", "enumeration_failure_count", "enumeration_failures", "{}: {}, expected {}"),
     ("phase_errors", None, "phase_errors", "{}: {}: {}"),
 )
 

@@ -315,15 +315,15 @@ DEFECTS = {
     "dropped zero element": ("enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
     "dropped identity": (
         "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
-        ["move_failures", "enumeration_failures"],
+        ["enumeration_failures", "move_failures"],
     ),
     "repeated element": (
         "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
-        ["mismatches", "enumeration_failures"],
+        ["enumeration_failures", "mismatches"],
     ),
     "two swapped elements": (
         "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
-        ["mismatches", "cover_mismatches", "enumeration_failures"],
+        ["enumeration_failures", "cover_mismatches", "mismatches"],
     ),
     "empty enumeration": (
         "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],

@@ -248,6 +248,10 @@ def test_hasse_json(capsys):
 
 
 def test_hasse_ranks(capsys):
+    for n, size, covers in (1, 2, 1), (2, 7, 9), (3, 34, 79), (4, 209, 746):
+        code, out, _ = run(capsys, "hasse", str(n), "--format", "ranks")
+        assert code == 0
+        assert out.splitlines()[0] == f"R_{n}: {size} elements, {covers} covering pairs"
     code, out, _ = run(capsys, "hasse", "2", "--format", "ranks")
     assert code == 0
     assert out == (
@@ -410,41 +414,41 @@ n: 3
 mode: exhaustive
 pairs_checked: 1156
 relation_size: 441
+enumeration_failures: 0
+move_failures: 0
+cover_mismatches: 1
+  element 0,0,0: predicate=[] brute=['0,0,1']
 order_mismatches: 1
   pair 0,0,0 vs 3,2,1: containment=false moves=true
 search_mismatches: 232
-cover_mismatches: 1
-  element 0,0,0: predicate=[] brute=['0,0,1']
 oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
-move_failures: 0
-enumeration_failures: 0
 phase_errors: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "acd64c430afdfd4e496d3414871d0da6dda512e5a241aeaa276a8788ec363fa1"),
+""", "f60b9a71f65c678d460c9b4050fcf3dd0899c2e1c37988afa758115086d88356"),
     ("--sampled", "5000"): ("""\
 n: 3
 mode: sampled
 seed: 0
 pairs_checked: 5000
 relation_size: 441
+enumeration_failures: 0
+move_failures: 0
+cover_mismatches: 1
+  element 0,0,0: predicate=[] brute=['0,0,1']
 order_mismatches: 4 (first 2 listed)
   pair 0,0,0 vs 3,2,1: containment=false moves=true
   pair 0,0,0 vs 3,2,1: containment=false moves=true
 search_mismatches: 232
-cover_mismatches: 1
-  element 0,0,0: predicate=[] brute=['0,0,1']
 oracle_mismatches: 1
   element 3,2,1: formula=9 oracle=10
-move_failures: 0
-enumeration_failures: 0
 phase_errors: 0
 phases_s: -
 elapsed_s: -
 result: FAIL
-""", "30def710024b60c40b5545b845f902d407dea4bc6848eedd03d6e3cf8fff6d65"),
+""", "2ea83bfcbecb9a5f8f3c35746fa48b926bd3afaee2cd8c7728d15418532da748"),
 }
 
 
@@ -479,6 +483,10 @@ def test_verify_lists_a_defective_enumeration_or_walk(capsys, monkeypatch, defec
         assert (code, err) == (2, "")
         for field in LISTS:
             assert (f"{labels[field]}: 0" in out.splitlines()) == (field not in lists), field
+        # The text lists in the order the phases run, so the root cause comes first.
+        heads = [line.partition(": ") for line in out.splitlines()]
+        first = next(label for label, _, count in heads if label in labels.values() and count != "0")
+        assert first == labels[lists[0]]
         assert out.splitlines()[-1] == "result: FAIL"
 
 

@@ -225,10 +225,17 @@ def test_enumeration_is_lazy():
 
 
 def test_module_doctests():
+    # The examples of the package and of every module in it.
     import doctest
+    import importlib
+    import pkgutil
 
-    import rookorder.elements
+    import rookorder
 
-    result = doctest.testmod(rookorder.elements)
-    assert result.failed == 0
-    assert result.attempted >= 5
+    names = [info.name for info in pkgutil.iter_modules(rookorder.__path__, "rookorder.")]
+    failed = attempted = 0
+    for module in [rookorder, *map(importlib.import_module, names)]:
+        result = doctest.testmod(module)
+        failed, attempted = failed + result.failed, attempted + result.attempted
+    assert failed == 0
+    assert attempted >= 5
