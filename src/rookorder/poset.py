@@ -45,8 +45,9 @@ The three also run with the cyclic garbage collector paused (_paused_gc):
 at R_6 they allocate hundreds of thousands of tuples, lists and records,
 none of them in a reference cycle, so every collection during them
 would scan the live data and free nothing.
-HasseDiagram and VerificationReport are NamedTuples: immutable, compared
-and copied (_replace) as tuples of their fields, in declared order.
+HasseDiagram and VerificationReport are named tuples: immutable, compared
+and copied (_replace) as tuples of their fields, in declared order.  The
+report's failure fields come from _FAILURE_LISTS, in phase order.
 """
 
 import gc
@@ -54,6 +55,7 @@ import json
 import random
 import time
 from bisect import bisect_left
+from collections import namedtuple
 from functools import wraps
 from math import comb, factorial
 from types import SimpleNamespace
@@ -376,13 +378,19 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
     return [(i, j) for i, above in enumerate(covers) for j in above]
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(namedtuple("VerificationReport", (
+    "n", "mode", "seed", "pairs_checked",
+    *(name for row in _FAILURE_LISTS for name in row[:2] if name),
+    "relation_size", "phases", "elapsed",
+))):
     """Outcome of one cross-checking campaign over R_n.
 
+    The fields are n, mode, seed, pairs_checked, then each row's list and
+    count field, if any, in the phase order of _FAILURE_LISTS, then
+    relation_size, phases and elapsed, so a new row gives both its fields.
     Every field is required, and every entry of a failure list is a
-    JSON-ready list, so to_dict is the fields as they are plus passed.
-    _FAILURE_LISTS is the one list of failure kinds: to_text renders the
-    same lists as to_dict, in its order, and passed reads it.
+    JSON-ready list, so to_dict is the fields as they are plus passed;
+    to_text renders the same lists in the table's order; passed reads it.
     mismatches holds [x, y, containment verdict, move-closure verdict]
     for the first 1 000 pairs where the containment rows, then the
     spot-checked per-pair containment tests deodhar_leq and
@@ -412,25 +420,7 @@ class VerificationReport(NamedTuple):
     oracle), a skipped one too; the argument checks are not timed.
     """
 
-    n: int
-    mode: str
-    seed: int | None
-    pairs_checked: int
-    mismatches: list[list]
-    mismatch_count: int
-    search_mismatches: list[list]
-    cover_mismatches: list[list]
-    cover_mismatch_count: int
-    oracle_mismatches: list[list]
-    oracle_mismatch_count: int
-    move_failures: list[list]
-    move_failure_count: int
-    enumeration_failures: list[list]
-    enumeration_failure_count: int
-    phase_errors: list[list]
-    relation_size: int
-    phases: dict[str, float]
-    elapsed: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -13,6 +13,11 @@ from math import comb, factorial
 from rookorder import HasseDiagram, OneLine, enumerate_elements, length
 from rookorder.elements import to_matrix
 from rookorder.order import _key, _moves
+from rookorder.poset import _FAILURE_LISTS
+
+# Every failure list of a verify report, in _FAILURE_LISTS order, so that
+# a fault is seen to fill no other.
+LISTS = [field for field, *_ in _FAILURE_LISTS]
 
 
 def closed_form_count(n: int) -> int:
@@ -307,7 +312,10 @@ def with_stray_move(real):
 # routes that agree on the rest, so only the count sees it; a dropped
 # identity is also a move of its lower covers, which the walk lists.  Each
 # copy of a repeated element has its own closure row, so only the
-# relations differ there: containment puts each copy below the other.  An
+# relations differ there: containment puts each copy below the other.
+# Element 5 given again in place of element 6, 0,1,3, keeps the count
+# right, so only the strict ascent check names the enumeration; the moves
+# onto 0,1,3 are strays, and every route that reaches past it is wrong.  An
 # empty enumeration fails its count, and the containment rows, which need
 # an element to read n from, raise: a phase error.
 DEFECTS = {
@@ -320,6 +328,10 @@ DEFECTS = {
     "repeated element": (
         "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
         ["enumeration_failures", "mismatches"],
+    ),
+    "element repeated in place of the next": (
+        "enumerate_elements", edited(lambda es: es[:6] + [es[5]] + es[7:]),
+        ["enumeration_failures", "move_failures", "cover_mismatches", "mismatches", "search_mismatches"],
     ),
     "two swapped elements": (
         "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),

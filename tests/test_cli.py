@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,11 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rookorder
 from rookorder import cli, parse_one_line, poset
 
-from helpers import DEFECTS, FAULTS
-
-LISTS = [field for field, *_ in poset._FAILURE_LISTS]
+from helpers import DEFECTS, FAULTS, LISTS
 
 
 def run(capsys, *argv):
@@ -224,6 +224,26 @@ def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
     added = proc.stdout.split()
     assert "rookorder.cli" in added
     assert not {"dataclasses", "inspect"} & set(added), added
+
+
+def test_the_top_level_is_the_five_modules_and_their_public_names():
+    # A fresh interpreter: in this one, importing rookorder.cli has bound
+    # cli on the package as well.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import rookorder; print(*(name for name in vars(rookorder) if not name.startswith('_')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    names = set(proc.stdout.split())
+    modules = ("elements", "length", "oracle", "order", "poset")
+    assert names == {*modules, *(name for module in modules
+                                 for name in importlib.import_module(f"rookorder.{module}").__all__)}
+    # The function, bound over the module of the same name.
+    assert rookorder.length is importlib.import_module("rookorder.length").length
+    # These two serve the tests and the benchmark's tracer only.
+    assert not {"to_matrix", "ppr_raises"} & names
 
 
 def test_enum_rejects_zero(capsys):
@@ -501,6 +521,8 @@ HASSE_REFUSALS = {
         "error: hasse found enumeration_failures: 1; the first is element count: 33, expected 34\n",
     "repeated element":
         "error: hasse found enumeration_failures: 2; the first is element count: 35, expected 34\n",
+    "element repeated in place of the next":
+        "error: hasse found enumeration_failures: 1; the first is element 6: 0,1,2, expected after 0,1,2\n",
     "two swapped elements":
         "error: hasse found enumeration_failures: 2; the first is element 6: 0,1,3, expected after 0,2,3\n",
     "empty enumeration":

@@ -38,10 +38,11 @@ from pathlib import Path
 import pytest
 
 import rookorder
-from rookorder.poset import _FAILURE_LISTS, build_hasse, export_json
+from rookorder.poset import build_hasse, export_json
+
+from helpers import LISTS
 
 PACKAGE = Path(rookorder.__file__).resolve().parent
-LISTS = [field for field, *_ in _FAILURE_LISTS]
 
 MUTANTS = [
     # _moves: every raise is a cover candidate, a zero never bars one, or

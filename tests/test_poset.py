@@ -30,6 +30,7 @@ from rookorder import (
 from helpers import (
     DEFECTS,
     FAULTS,
+    LISTS,
     ZERO3,
     brute_cover_sets,
     deodhar_matrix,
@@ -39,9 +40,6 @@ from helpers import (
     reference_interval,
     reflagged,
 )
-
-# Every failure list of a report, so that a fault is seen to fill no other.
-LISTS = [field for field, *_ in poset._FAILURE_LISTS]
 
 R2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
 
@@ -1227,13 +1225,14 @@ def test_verify_lists_a_memory_error_and_lets_an_interrupt_through(monkeypatch):
 
 
 def test_records_keep_their_field_order():
+    # The report's failure fields are those of _FAILURE_LISTS, in phase order.
     assert HasseDiagram._fields == ("n", "nodes", "edges")
     assert VerificationReport._fields == (
-        "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
-        "search_mismatches", "cover_mismatches", "cover_mismatch_count",
-        "oracle_mismatches", "oracle_mismatch_count", "move_failures",
-        "move_failure_count", "enumeration_failures",
-        "enumeration_failure_count", "phase_errors", "relation_size", "phases",
+        "n", "mode", "seed", "pairs_checked", "enumeration_failures",
+        "enumeration_failure_count", "move_failures", "move_failure_count",
+        "cover_mismatches", "cover_mismatch_count", "mismatches",
+        "mismatch_count", "search_mismatches", "oracle_mismatches",
+        "oracle_mismatch_count", "phase_errors", "relation_size", "phases",
         "elapsed",
     )
 
