@@ -38,7 +38,7 @@ MISMATCH_ERROR = 2
 # against 7,0,4,6,0,5,0, expands 8 147 nodes: 0.3 s and 24 MB.
 CMP_MAX_N = 7
 # covers of the zero element (n*n raises, each one key of about 1 KB):
-# 0.2 s and 82 MB at n = 200, half of it the key table (order._layout).
+# 0.2 s and 82 MB at n = 200, half of it the key table (moves._layout).
 COVERS_MAX_N = 200
 # len of the identity (n(n-1)/2 coinversion pairs): 0.6-0.7 s and 112 MB at n = 1000.
 LEN_MAX_N = 1000

@@ -180,3 +180,8 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
                 stack += [t + (v,) for v in values if not v or v not in t]
 
     return walk()
+
+
+def _check_same_n(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")

@@ -1,33 +1,17 @@
 """Hasse diagram, rank statistics, exports, and the verification campaign.
 
-One walk, _walk, reads the order module's move kernel over a whole
-monoid, once per element, and holds each element's moves and covers as
-ascending index lists: 4.9 MB for R_6's 192 861 moves and 87 415 covers.
-build_hasse takes the covers as the diagram edges, and _close_moves
-closes the moves and audits the covers from those lists alone.
-
-The other route is the threshold lemma, which reads no move code: x <= y
-exactly when, for every prefix length k and every threshold a, the first
-k entries of y hold at least as many values >= a as those of x do.  One
-generator evaluates it over whole lists: _containment_rows(lower, upper)
-counts those thresholds, bit-sliced, over upper once, and yields for
-each element of lower, in order, the bitset of the elements of upper at
-or above it.  It has two callers.  hasse_from_json reads each node's
-covers from it, one length level at a time (_containment_covers), and
-rejects edges that differ, so an edge error of the kernel that
-build_hasse wrote is caught on reload.
-
-verify compares two relations, one bitset row per element, and holds
-only the move closure, whose pass also audits the kernel's covers
-against brute-force covers on every element.  The other, the
-containment relation, is _containment_rows(elements, elements), full
-rows over all of R_n, each XORed with its closure row as it arrives.
-The differences are read on every ordered pair, or on sample_count
-seeded random pairs; about 200 spot pairs check the per-pair tests, and
-every element the length against the exact coordinate-subspace oracle.
-Both routes read one enumeration and one walk, so neither can see a
-fault of either: the enumeration is checked against a principle of its
-own, and a move key that is no element of R_n is set aside by the walk.
+The operations over a whole monoid, on the two routes of the order,
+containment and moves.  build_hasse takes its edges from the move walk,
+and hasse_from_json checks them against the containment covers, so an
+edge error of the kernel that build_hasse wrote is caught on reload.
+verify holds the move closure, one bitset row per element, and XORs each
+containment row with its closure row as it arrives.  The differences are
+read on every ordered pair, or on sample_count seeded random pairs;
+about 200 spot pairs check the per-pair tests, and every element the
+length against the exact coordinate-subspace oracle.  Both routes read
+one enumeration and one walk, so neither can see a fault of either: the
+enumeration is checked against a principle of its own, and a move key
+that is no element of R_n is set aside by the walk.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, run steps over one state through one runner, _run, which times
@@ -59,12 +43,13 @@ from collections import namedtuple
 from functools import wraps
 from math import comb, factorial
 from types import SimpleNamespace
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
+from .containment import _containment_covers, _containment_rows, deodhar_leq, deodhar_leq_gamma
 from .elements import OneLine, enumerate_elements
 from .length import length
+from .moves import _close_moves, _walk, ppr_leq
 from .oracle import oracle_length
-from .order import _key, _moves, deodhar_leq, deodhar_leq_gamma, ppr_leq
 
 __all__ = [
     "DefectError",
@@ -350,34 +335,6 @@ def _node_covers(c: SimpleNamespace) -> None:
     c.edges = _containment_covers(c.nodes)
 
 
-def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int, int]]:
-    """The covering pairs (i, j) between nodes (id, element, length),
-    sorted, from the containment order and the node lengths alone.
-
-    The length is the rank function of the order, so y covers x exactly
-    when x <= y and length(y) = length(x) + 1, in R_n and so between any
-    set of its elements.  The candidates above a node of length L are the
-    nodes of length L + 1, so each length level L with a level above it
-    is one call _containment_rows(level L, level L + 1), whose row for a
-    node has exactly its covers as bits.  Reads no move code."""
-    levels: dict[int, list[tuple[int, OneLine]]] = {}
-    for i, e, ln in nodes:
-        levels.setdefault(ln, []).append((i, e))
-    covers: list[list[int]] = [[] for _ in nodes]
-    for ln, lower in levels.items():
-        upper = levels.get(ln + 1)
-        if not upper:
-            continue
-        rows = _containment_rows([e for _, e in lower], [e for _, e in upper])
-        for (i, _), row in zip(lower, rows):
-            # upper is in id order, so its bits give ascending ids.
-            while row:
-                low = row & -row
-                covers[i].append(upper[low.bit_length() - 1][0])
-                row ^= low
-    return [(i, j) for i, above in enumerate(covers) for j in above]
-
-
 class VerificationReport(namedtuple("VerificationReport", (
     "n", "mode", "seed", "pairs_checked",
     *(name for row in _FAILURE_LISTS for name in row[:2] if name),
@@ -594,112 +551,3 @@ _PHASES = (
     ("oracle", _oracle, ("enumerate",)),
 )
 
-
-def _containment_rows(lower: list[OneLine], upper: list[OneLine]) -> Iterator[int]:
-    """Up-set bitsets of the containment order of lower over upper, both
-    of one size n and upper nonempty, yielded in the order of lower: bit
-    j of row i says lower[i] <= upper[j].  Reads no move code.
-
-    Threshold lemma (the principle of deodhar_leq_gamma): x <= y exactly
-    when, for every prefix length k and every nonzero entry a among the
-    first k entries of x, the first k entries of y hold at least as many
-    values >= a as those of x do.  Thresholds a > x_k may be skipped too:
-    there x's count equals its count over the first k - 1 entries, which
-    is checked already, and y's count cannot shrink as k grows.
-
-    The tables are built once, over upper, one position at a time by
-    bit-sliced counting: at_least[k][a][v] is the bitset of the j with
-    at least v values >= a among the first k + 1 entries of upper[j].
-    The elements whose entry at the position is >= a form one bitset,
-    read off the column of entries with a byte translation, and adding
-    it to the counts is one AND and one OR per v.  Each row is then the
-    AND of one table per (k, a) that the lemma needs, at most n(n + 1)/2
-    of them.
-    """
-    n = upper[0].n
-    everything = (1 << len(upper)) - 1
-    # Reversed, so that upper[j] lands on bit j of int(..., 2).
-    columns = [bytes(column[::-1]) for column in zip(*(e.entries for e in upper))]
-    at_least: list[list] = [[None] * (n + 1) for _ in range(n)]
-    for a in range(1, n + 1):
-        # Translates each entry byte to "1" when it is >= a, else to "0".
-        digits = b"0" * a + b"1" * (256 - a)
-        counts = [everything] + [0] * n
-        for k, column in enumerate(columns):
-            hits = int(column.translate(digits), 2)
-            for v in range(k + 1, 0, -1):
-                counts[v] |= counts[v - 1] & hits
-            at_least[k][a] = counts[:]
-    for x in lower:
-        row = everything
-        seen = []  # nonzero entries so far, ascending
-        for k, b in enumerate(x.entries):
-            if b:
-                q = bisect_left(seen, b)
-                seen.insert(q, b)
-                # Each a in seen[:q + 1] has v values >= it among the first
-                # k + 1 entries, v falling from len(seen) by one per a.
-                v = len(seen)
-                tables = at_least[k]
-                for a in seen[:q + 1]:
-                    row &= tables[a][v]
-                    v -= 1
-        yield row
-
-
-def _walk(elements: list[OneLine]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
-    """The one walk that reads the move kernel over all of R_n, one _key
-    per element: (moves, covers, strays), where moves[i] and covers[i]
-    are the ascending indices of element i's moves and covers.  Every
-    move climbs in lexicographic order, so its index is above i.  A key
-    that is no element's, which only a faulty kernel or enumeration
-    gives, is left out of both and set aside in strays as (i, key), in
-    that order: the walk never raises on it.  The key of an element
-    given twice indexes its last copy, and each copy is walked."""
-    keys = [_key(e.entries) for e in elements]
-    index = {k: i for i, k in enumerate(keys)}
-    at = index.get
-    moves, covers, strays = [], [], []
-    for i, (e, k) in enumerate(zip(elements, keys)):
-        up, above = _moves(e.entries, k)
-        found, cover = list(map(at, up)), list(map(at, above))
-        if None in found or None in cover:
-            strays += [(i, z) for z in sorted({*up, *above}) if z not in index]
-            found = [j for j in found if j is not None]
-            cover = [j for j in cover if j is not None]
-        moves.append(found)
-        covers.append(cover)
-    return moves, covers, strays
-
-
-def _close_moves(moves: list[list[int]], covers: list[list[int]]) -> tuple[
-    list[int], list[tuple[int, list[int], list[int]]],
-]:
-    """Move closure rows and cover audit failures of all of R_n from the
-    lists of _walk alone, with no kernel or element read.  A failure is
-    the index triple (i, kernel covers, brute-force covers), ascending.
-
-    Bit j of row i says element j is reachable from element i.  The rows
-    are closed in descending index order, so every move's row is ready.
-    A move already in reach adds nothing, since a row holds the row of
-    every element it holds, so only the other moves' rows are ORed and
-    the rows are exact in any move order.  Everything strictly above x
-    is at or above a move of x, and a move lies only above moves of lower
-    index, so when the moves ascend, as the kernel's keys give them, the
-    ORed moves are the brute-force covers of x, the moves in no strict
-    up-set of another: they read no kernel cover.  They are compared as
-    lists, so a kernel listing its moves out of order fails the audit."""
-    closure = [0] * len(moves)
-    failures = []
-    for i in range(len(moves) - 1, -1, -1):
-        reach = 0
-        brute = []
-        for s in moves[i]:
-            if not reach >> s & 1:
-                brute.append(s)
-                reach |= closure[s]
-        closure[i] = reach | 1 << i
-        if brute != covers[i]:
-            failures.append((i, covers[i], brute))
-    failures.reverse()
-    return closure, failures

@@ -10,9 +10,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
-from rookorder import HasseDiagram, OneLine, enumerate_elements, length
+from rookorder import HasseDiagram, OneLine, enumerate_elements, length, moves, poset
 from rookorder.elements import to_matrix
-from rookorder.order import _key, _moves
+from rookorder.moves import _key, _moves
 from rookorder.poset import _FAILURE_LISTS
 
 # Every failure list of a verify report, in _FAILURE_LISTS order, so that
@@ -270,21 +270,34 @@ def reflagged(real, flag):
     return moves
 
 
+def inject(monkeypatch, module, name, fault):
+    """Set module.name to fault(the real one) for one test.  A kernel
+    stand-in is a fault of the walk alone: the search gets a successor
+    cache of its own over the real kernel, so no stand-in's moves outlive
+    the test in the shared one."""
+    real = getattr(module, name)
+    if (module, name) == (moves, "_moves"):
+        monkeypatch.setattr(moves, "_successors", lru_cache(maxsize=None)(
+            lambda key, n: tuple(real(moves._entries(key, n), key)[0])))
+    monkeypatch.setattr(module, name, fault(real))
+
+
 ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
 # One injected fault per failure list of a verify report, by list, as the
-# poset name it replaces and a function of the real one to its stand-in.
+# module whose code reads the name it replaces, that name, and a function
+# of the real one to its stand-in (see inject).
 # Each is wrong in a way that no other check sees: one containment bit on
 # a non-cover pair whose upper end is the top, every per-pair search
 # verdict, the covers of one element, one oracle value.
 FAULTS = {
-    "mismatches": ("_containment_rows", lambda real: lambda lower, upper: [
+    "mismatches": (poset, "_containment_rows", lambda real: lambda lower, upper: [
         row & ~(1 << len(upper) - 1) if i == 0 else row for i, row in enumerate(real(lower, upper))
     ]),
-    "search_mismatches": ("ppr_leq", lambda real: lambda x, y: not real(x, y)),
-    "cover_mismatches": ("_moves", lambda real: reflagged(
+    "search_mismatches": (poset, "ppr_leq", lambda real: lambda x, y: not real(x, y)),
+    "cover_mismatches": (moves, "_moves", lambda real: reflagged(
         real, lambda a, y, cover: cover and a != ZERO3.entries
     )),
-    "oracle_mismatches": ("oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
+    "oracle_mismatches": (poset, "oracle_length", lambda real: lambda x: real(x) + (x == TOP3)),
 }
 
 
@@ -305,8 +318,8 @@ def with_stray_move(real):
 
 
 # Injected defects of the two things that both routes of verify read,
-# the enumeration and the walk of the move kernel, by name: the poset
-# name each replaces, a function of the real one to its stand-in, and the
+# the enumeration and the walk of the move kernel, by name: the (module,
+# name) each replaces, a function of the real one to its stand-in, and the
 # lists of the verify 3 report it fills, in report order.  Elements 5 and
 # 9 of R_3 are 0,1,2 and 0,2,3.  A dropped zero element leaves two
 # routes that agree on the rest, so only the count sees it; a dropped
@@ -319,26 +332,26 @@ def with_stray_move(real):
 # empty enumeration fails its count, and the containment rows, which need
 # an element to read n from, raise: a phase error.
 DEFECTS = {
-    "move key outside R_n": ("_moves", with_stray_move, ["move_failures"]),
-    "dropped zero element": ("enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
+    "move key outside R_n": (moves, "_moves", with_stray_move, ["move_failures"]),
+    "dropped zero element": (poset, "enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
     "dropped identity": (
-        "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
+        poset, "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
         ["enumeration_failures", "move_failures"],
     ),
     "repeated element": (
-        "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
+        poset, "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
         ["enumeration_failures", "mismatches"],
     ),
     "element repeated in place of the next": (
-        "enumerate_elements", edited(lambda es: es[:6] + [es[5]] + es[7:]),
+        poset, "enumerate_elements", edited(lambda es: es[:6] + [es[5]] + es[7:]),
         ["enumeration_failures", "move_failures", "cover_mismatches", "mismatches", "search_mismatches"],
     ),
     "two swapped elements": (
-        "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
+        poset, "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
         ["enumeration_failures", "cover_mismatches", "mismatches"],
     ),
     "empty enumeration": (
-        "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],
+        poset, "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],
     ),
 }
 

@@ -15,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rookorder
-from rookorder import cli, parse_one_line, poset
+from rookorder import cli, moves, parse_one_line, poset
 
-from helpers import DEFECTS, FAULTS, LISTS
+from helpers import DEFECTS, FAULTS, LISTS, inject
 
 
 def run(capsys, *argv):
@@ -226,7 +226,7 @@ def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & set(added), added
 
 
-def test_the_top_level_is_the_five_modules_and_their_public_names():
+def test_the_top_level_is_the_seven_modules_and_their_public_names():
     # A fresh interpreter: in this one, importing rookorder.cli has bound
     # cli on the package as well.
     src = Path(__file__).resolve().parent.parent / "src"
@@ -237,7 +237,7 @@ def test_the_top_level_is_the_five_modules_and_their_public_names():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     names = set(proc.stdout.split())
-    modules = ("elements", "length", "oracle", "order", "poset")
+    modules = ("elements", "length", "oracle", "containment", "moves", "order", "poset")
     assert names == {*modules, *(name for module in modules
                                  for name in importlib.import_module(f"rookorder.{module}").__all__)}
     # The function, bound over the module of the same name.
@@ -407,9 +407,8 @@ def test_verify_reports_every_cover_and_oracle_mismatch_and_lists_the_first(
 ):
     # A kernel that lists no cover fails every element of R_3 but the top, which has
     # no moves, and a wrong oracle fails all 34 elements.
-    real = poset._moves
     monkeypatch.setattr(poset, "_MISMATCH_LIMIT", limit)
-    monkeypatch.setattr(poset, "_moves", lambda a, key: (real(a, key)[0], []))
+    inject(monkeypatch, moves, "_moves", lambda real: lambda a, key: (real(a, key)[0], []))
     monkeypatch.setattr(poset, "oracle_length", lambda x: -1)
     code, out, _ = run(capsys, "verify", "3")
     lines = out.splitlines()
@@ -475,8 +474,8 @@ result: FAIL
 @pytest.mark.parametrize("campaign", FOUR_FAULTS_TEXT, ids=["exhaustive", "sampled"])
 def test_the_text_report_of_every_fault_at_once(capsys, monkeypatch, campaign):
     monkeypatch.setattr(poset, "_MISMATCH_LIMIT", 2)
-    for name, fault in FAULTS.values():
-        monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    for fault in FAULTS.values():
+        inject(monkeypatch, *fault)
     code, out, err = run(capsys, "verify", "3", *campaign)
     out = re.sub(r"(?m)^(phases_s|elapsed_s): .*$", r"\1: -", out)
     text, digest = FOUR_FAULTS_TEXT[campaign]
@@ -489,8 +488,8 @@ def test_the_text_report_of_every_fault_at_once(capsys, monkeypatch, campaign):
 def test_verify_lists_a_defective_enumeration_or_walk(capsys, monkeypatch, defect):
     # Both routes read one enumeration and one walk; a fault there is
     # listed, in both campaigns, and never raises.
-    name, fault, lists = DEFECTS[defect]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    *fault, lists = DEFECTS[defect]
+    inject(monkeypatch, *fault)
     labels = {field: label for field, _, label, _ in poset._FAILURE_LISTS}
     for campaign in ([], ["--sampled", "5000"]):
         code, out, err = run(capsys, "verify", "3", "--json", *campaign)
@@ -534,8 +533,7 @@ HASSE_REFUSALS = {
 def test_hasse_refuses_a_defective_enumeration_or_walk_in_one_line(capsys, monkeypatch, defect):
     # The refusal is no ValueError, which would read as a usage error and exit 1.
     assert not issubclass(poset.DefectError, ValueError)
-    name, fault, _ = DEFECTS[defect]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    inject(monkeypatch, *DEFECTS[defect][:3])
     for fmt in ("dot", "json", "ranks"):
         assert run(capsys, "hasse", "3", "--format", fmt) == (2, "", HASSE_REFUSALS[defect])
 
@@ -568,8 +566,7 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
     name, skipped = PHASE_RAISERS[phase]
     # A wrong oracle value, listed whenever the oracle phase runs.
     for fault in ["oracle_mismatches"] + (["mismatches"] if phase == "pairs" else []):
-        real_name, stand_in = FAULTS[fault]
-        monkeypatch.setattr(poset, real_name, stand_in(getattr(poset, real_name)))
+        inject(monkeypatch, *FAULTS[fault])
     monkeypatch.setattr(poset.random if phase == "pairs" else poset, name.split(".")[-1], _raise)
     ran = []
 

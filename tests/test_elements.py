@@ -69,7 +69,7 @@ def test_one_line_validation():
 
 @pytest.mark.parametrize("entries, message", [
     ((True, 0), "entry True is not an int"),  # would equal OneLine((1, 0)) and print True,0
-    ((0, 1.0), "entry 1.0 is not an int"),  # would end in a TypeError of order._key
+    ((0, 1.0), "entry 1.0 is not an int"),  # would end in a TypeError of moves._key
     ((0, "1"), "entry '1' is not an int"),
     ((3, 0), "entry 3 outside 0..2"),
     ([1, 0], "entries must be a tuple of ints, not list"),  # would hash not at all

@@ -48,28 +48,28 @@ MUTANTS = [
     # _moves: every raise is a cover candidate, a zero never bars one, or
     # the first zero right of i is taken one place too far right.  Never
     # updating zero is the second of these again, so it is not listed.
-    ("order", "first = low == n", "first = True", "cover_mismatches"),
-    ("order", "low = n if u else zero", "low = n", "cover_mismatches"),
-    ("order", "zero = i", "zero = i + 1", "cover_mismatches"),
+    ("moves", "first = low == n", "first = True", "cover_mismatches"),
+    ("moves", "low = n if u else zero", "low = n", "cover_mismatches"),
+    ("moves", "zero = i", "zero = i + 1", "cover_mismatches"),
     # deodhar_leq: equal sorted entries refuse the pair.
-    ("order", "if not all(map(le, xs, ys)):", "if not all(map(int.__lt__, xs, ys)):", "mismatches"),
+    ("containment", "if not all(map(le, xs, ys)):", "if not all(map(int.__lt__, xs, ys)):", "mismatches"),
     # deodhar_leq_gamma: each entry v of y counts as v - 1.
-    ("order", "cy += inc[v]", "cy += inc[v - 1] if v else 0", "mismatches"),
+    ("containment", "cy += inc[v]", "cy += inc[v - 1] if v else 0", "mismatches"),
     # ppr_leq: the search keeps at most one node besides x.
-    ("order", "if z not in seen:", "if z not in seen and len(seen) < 2:", "search_mismatches"),
+    ("moves", "if z not in seen:", "if z not in seen and len(seen) < 2:", "search_mismatches"),
     # _layout: the square-sum fields lose a bit, so a large prefix square
     # sum fills its field's guard bit.  The keys stay one per element and
     # the walk keeps every move, but ppr_leq's guard test refuses nodes.
-    ("order", "q = (n * (n + 1) * (2 * n + 1) // 6).bit_length() + 1",
+    ("moves", "q = (n * (n + 1) * (2 * n + 1) // 6).bit_length() + 1",
      "q = (n * (n + 1) * (2 * n + 1) // 6).bit_length()", "search_mismatches"),
     # _containment_rows: every threshold reads the same count, or the
     # count of a full prefix is never made.
-    ("poset", "v -= 1", "pass", "mismatches"),
-    ("poset", "for v in range(k + 1, 0, -1):", "for v in range(k, 0, -1):", "mismatches"),
+    ("containment", "v -= 1", "pass", "mismatches"),
+    ("containment", "for v in range(k + 1, 0, -1):", "for v in range(k, 0, -1):", "mismatches"),
     # _close_moves: the brute side stays empty, or every move's row is
     # ORed and every move counted a brute cover.  The rows stay exact.
-    ("poset", "brute.append(s)", "pass", "cover_mismatches"),
-    ("poset", "if not reach >> s & 1:", "if True:", "cover_mismatches"),
+    ("moves", "brute.append(s)", "pass", "cover_mismatches"),
+    ("moves", "if not reach >> s & 1:", "if True:", "cover_mismatches"),
     # length: value a is kept one bit too high in the mask, so a later
     # a_i - 1 counts as a coinversion of a_i.
     ("length", "later |= 1 << ai", "later |= 1 << ai + 1", "oracle_mismatches"),
@@ -82,7 +82,7 @@ MUTANTS = [
 RELATION_MUTANTS = [
     # _moves: a swap keeps both copies of its value, so no swap is a key of
     # R_4; the raises still are.
-    ("order", "z = base + here[v] - there[v] + there[u]", "z = base + here[v]",
+    ("moves", "z = base + here[v] - there[v] + there[u]", "z = base + here[v]",
      ["move_failures", "cover_mismatches", "mismatches"], 4413),
     # enumerate_elements: the first element, the zero element, is dropped.
     # Both routes agree on the rest, so only the enumeration check sees it.
@@ -99,9 +99,9 @@ RELATION_MUTANTS = [
 
 
 PHASE_MUTANTS = [
-    ("poset", 'digits = b"0" * a + b"1" * (256 - a)', 'digits = b"0" * a + b"1" * (255 - a)',
+    ("containment", 'digits = b"0" * a + b"1" * (256 - a)', 'digits = b"0" * a + b"1" * (255 - a)',
      "containment", 0),
-    ("poset", "closure = [0] * len(moves)", "closure = [0] * (len(moves) - 1)", "closure", 0),
+    ("moves", "closure = [0] * len(moves)", "closure = [0] * (len(moves) - 1)", "closure", 0),
     ("elements", "yield _made(t)", "yield OneLine(t[:-1] + (n + 1,))", "enumerate", 2),
 ]
 

@@ -13,8 +13,8 @@ from rookorder import (
     length,
     ppr_leq,
 )
-from rookorder import order
-from rookorder.order import _entries, _key, _layout, _moves, ppr_raises
+from rookorder import moves
+from rookorder.moves import _entries, _key, _layout, _moves, ppr_raises
 
 from helpers import (
     brute_cover_sets,
@@ -214,9 +214,9 @@ def test_keys_of_different_sizes_collide_and_the_caches_tell_them_apart():
     # over R_1..R_3 in one process must still answer for the size they are
     # asked about
     assert _key((0,)) == _key((0, 0)) == 0
-    order._successors.cache_clear()
-    order._layout.cache_clear()
-    assert order._successors(0, 1) != order._successors(0, 2)
+    moves._successors.cache_clear()
+    moves._layout.cache_clear()
+    assert moves._successors(0, 1) != moves._successors(0, 2)
     sizes = [(elements_of(n), deodhar_matrix(n), brute_cover_sets(n)) for n in (1, 2, 3)]
     for t in range(len(elements_of(3))):
         for els, rows, covers in sizes:
@@ -278,7 +278,7 @@ def test_prefix_square_sums_refuse_a_pair_before_the_search(monkeypatch):
     x, y = (0, 0, 3), (0, 1, 2)
     assert all(map(le, accumulate(x), accumulate(y)))
     assert list(_square_sums(x))[-1] == 9 and list(_square_sums(y))[-1] == 5
-    monkeypatch.setattr(order, "_successors", expand)
+    monkeypatch.setattr(moves, "_successors", expand)
     assert not ppr_leq(OneLine(x), OneLine(y))
 
 
@@ -288,7 +288,7 @@ def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
     def expand(key, n):
         raise AssertionError("the search expanded a node")
 
-    monkeypatch.setattr(order, "_successors", expand)
+    monkeypatch.setattr(moves, "_successors", expand)
     assert not ppr_leq(OneLine((0, 3, 0)), OneLine((1, 0, 3)))
 
 
@@ -305,14 +305,14 @@ def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
     # x passes every test on its own sums, so the search expands it; every
     # node the entry sum alone would keep is refused by a prefix sum, so
     # the search ends after expanding x and nothing else
-    successors = order._successors
+    successors = moves._successors
     expanded = []
 
     def expand(key, n):
         expanded.append(key_entries(key, n))
         return successors(key, n)
 
-    monkeypatch.setattr(order, "_successors", expand)
+    monkeypatch.setattr(moves, "_successors", expand)
     assert not ppr_leq(OneLine(x), OneLine(y))
     assert expanded == [x]
 
@@ -320,14 +320,14 @@ def test_prefix_sums_prune_the_nodes_of_the_search(monkeypatch, x, y):
 @pytest.fixture
 def expanded(monkeypatch):
     """The keys the search expands, appended as it expands them."""
-    successors = order._successors
+    successors = moves._successors
     keys = []
 
     def expand(key, n):
         keys.append(key)
         return successors(key, n)
 
-    monkeypatch.setattr(order, "_successors", expand)
+    monkeypatch.setattr(moves, "_successors", expand)
     return keys
 
 
@@ -367,9 +367,9 @@ def test_successors_are_the_kernel_moves_ascending(n):
     # below y's, which skips nothing only if every later key is larger
     for x in elements_of(n):
         key = _key(x.entries)
-        moves = _moves(x.entries, key)[0]
-        assert all(a < b for a, b in zip(moves, moves[1:])), x
-        assert order._successors(key, n) == tuple(moves), x
+        keys = _moves(x.entries, key)[0]
+        assert all(a < b for a, b in zip(keys, keys[1:])), x
+        assert moves._successors(key, n) == tuple(keys), x
 
 
 def test_search_tests_each_node_once(monkeypatch):
@@ -386,9 +386,9 @@ def test_search_tests_each_node_once(monkeypatch):
             tested[int(self)] += 1
             return other - int(self)
 
-    successors = order._successors
+    successors = moves._successors
     monkeypatch.setattr(
-        order, "_successors", lambda key, n: tuple(map(Node, successors(int(key), n)))
+        moves, "_successors", lambda key, n: tuple(map(Node, successors(int(key), n)))
     )
     assert not ppr_leq(OneLine((0, 0, 0, 0, 6, 0)), OneLine((5, 4, 3, 2, 1, 6)))
     assert len(tested) > 1000

@@ -2,6 +2,7 @@ import ast
 import gc
 import json
 import random
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from rookorder import (
     HasseDiagram,
     OneLine,
     VerificationReport,
-    order,
+    containment,
+    moves,
     poset,
     build_hasse,
     covers_of,
@@ -35,6 +37,7 @@ from helpers import (
     brute_cover_sets,
     deodhar_matrix,
     elements_of,
+    inject,
     kernel_moves,
     reference_export_json,
     reference_interval,
@@ -341,7 +344,7 @@ def test_hasse_from_json_raises_only_value_error(text):
 def _loaded_covers(nodes):
     """The covers the reload checks edges against: containment rows cut
     at the next length."""
-    return poset._containment_covers(list(nodes))
+    return containment._containment_covers(list(nodes))
 
 
 @lru_cache(maxsize=None)
@@ -417,10 +420,8 @@ COVER_FLAG_FAULTS = {
 
 @pytest.mark.parametrize("fault", COVER_FLAG_FAULTS)
 def test_reload_catches_a_kernel_cover_error_that_is_consistent_with_itself(monkeypatch, fault):
-    flag = COVER_FLAG_FAULTS[fault]
-    real = poset._moves
     good = build_hasse(4)
-    monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
+    inject(monkeypatch, moves, "_moves", lambda real: reflagged(real, COVER_FLAG_FAULTS[fault]))
     h = build_hasse(4)
     assert len(set(h.edges) ^ set(good.edges)) == 1
     with pytest.raises(ValueError, match="covering pairs"):
@@ -438,27 +439,39 @@ def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
     # The kernel's and the brute covers are compared as index lists and listed
     # only for an element that fails: here one, with both sides in element
     # order, as the kernel's ascending keys give them.
-    flag = COVER_FLAG_FAULTS[fault]
-    real = poset._moves
-    monkeypatch.setattr(poset, "_moves", reflagged(real, flag))
+    inject(monkeypatch, moves, "_moves", lambda real: reflagged(real, COVER_FLAG_FAULTS[fault]))
     report = verify(4)
     assert report.cover_mismatch_count == 1
     assert report.cover_mismatches == [COVER_FLAG_ENTRIES[fault]]
     assert [key for key in LISTS if getattr(report, key)] == ["cover_mismatches"]
 
 
-def test_reload_reads_no_move_code(monkeypatch):
-    h = build_hasse(5)
-    text = export_json(h)
+def _refused(monkeypatch, module) -> list:
+    """Replace every function defined in module, and poset's binding of
+    each, by one that fails; return its calls, as _run lists a raise."""
     calls = []
 
     def refuse(*args):
         calls.append(args)
-        raise AssertionError("the reload may read no move code")
+        raise AssertionError(f"{module.__name__} may not be read here")
 
-    for name in ("_key", "_moves", "_walk", "_close_moves", "ppr_leq"):
-        monkeypatch.setattr(poset, name, refuse)
-    monkeypatch.setattr(order, "_moves", refuse)
+    for name, value in list(vars(module).items()):
+        if callable(value) and getattr(value, "__module__", None) == module.__name__:
+            monkeypatch.setattr(module, name, refuse)
+            if getattr(poset, name, None) is value:
+                monkeypatch.setattr(poset, name, refuse)
+    return calls
+
+
+def test_reload_reads_no_move_code(monkeypatch):
+    # Statically, so that no warm cache hides a read, then at run time,
+    # with every function of the move route refused.
+    assert {where[0] for where in _reached("poset", "hasse_from_json")} & {"moves", "order"} == set()
+    h = build_hasse(5)
+    text = export_json(h)
+    calls = _refused(monkeypatch, moves)
+    assert not [name for name, value in vars(poset).items()
+                if getattr(value, "__module__", None) == moves.__name__]
     assert hasse_from_json(text) == h
     assert calls == []
 
@@ -472,7 +485,7 @@ def test_the_reload_refuses_a_containment_route_that_raises_as_a_defect(monkeypa
     def raising(lower, upper):
         raise ValueError("translation table must be 256 characters long")
 
-    monkeypatch.setattr(poset, "_containment_rows", raising)
+    monkeypatch.setattr(containment, "_containment_rows", raising)
     with pytest.raises(poset.DefectError) as caught:
         hasse_from_json(text)
     assert str(caught.value) == (
@@ -489,8 +502,7 @@ def test_the_reload_refuses_a_defective_enumeration_as_a_defect(monkeypatch):
     # check, so a correct diagram of R_3 without the identity 1,2,3 in the
     # enumeration is a defect, in build_hasse's words, not a bad node 17.
     text = export_json(build_hasse(3))
-    name, fault, _ = DEFECTS["dropped identity"]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    inject(monkeypatch, *DEFECTS["dropped identity"][:3])
     with pytest.raises(poset.DefectError) as caught:
         hasse_from_json(text)
     assert str(caught.value) == (
@@ -514,8 +526,8 @@ def test_the_reload_refuses_an_enumeration_defect_as_build_hasse_does(monkeypatc
     # the reload runs no walk, so a kernel defect leaves it a correct diagram.
     h = build_hasse(3)
     text = export_json(h)
-    name, fault, _ = DEFECTS[defect]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    module, name, fault, _ = DEFECTS[defect]
+    inject(monkeypatch, module, name, fault)
     with pytest.raises(poset.DefectError) as built:
         build_hasse(3)
     if name == "enumerate_elements":
@@ -564,8 +576,7 @@ def _verify_raising(monkeypatch, n):
 
 
 def _defective_hasse(monkeypatch):
-    name, fault, _ = DEFECTS["dropped zero element"]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    inject(monkeypatch, *DEFECTS["dropped zero element"][:3])
     build_hasse(3)
 
 
@@ -610,7 +621,7 @@ def _bindings(module: str) -> dict:
     assignment maps to its node, a name imported from a package module to
     (that module, the name), or to (that module, None) for the module
     itself, and a name imported from elsewhere to None.  The package
-    imports itself only relatively (a CI step refuses any other import)."""
+    imports itself only relatively (IMPORTS refuses any other import)."""
     bindings = {}
     for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -652,13 +663,6 @@ def _reached(module: str, name: str) -> set:
     return seen
 
 
-@pytest.mark.parametrize("name", ["hasse_from_json", "_containment_covers", "_containment_rows"])
-def test_the_containment_route_reaches_no_order_code(name):
-    # Statically, so that no warm cache of the order module hides a read;
-    # test_reload_reads_no_move_code refuses the move names at run time.
-    assert {where for where in _reached("poset", name) if where[0] == "order"} == set()
-
-
 def test_verify_build_hasse_and_the_reload_run_their_steps_through_one_guard():
     # poset.py catches every Exception in one place, the step runner _run,
     # and each whole-monoid operation reaches it.
@@ -671,44 +675,64 @@ def test_verify_build_hasse_and_the_reload_run_their_steps_through_one_guard():
         assert ("poset", "_run") in _reached("poset", name), name
 
 
-@pytest.mark.parametrize("name", ["_walk", "_close_moves"])
-def test_the_move_route_reaches_no_containment_length_or_oracle_code(name):
-    other_route = {
-        ("poset", "_containment_rows"), ("poset", "_containment_covers"),
-        ("order", "deodhar_leq"), ("order", "deodhar_leq_gamma"), ("order", "_count_table"),
-        ("length", "length"), ("oracle", "oracle_length"), ("length", None), ("oracle", None),
-    }
-    assert _reached("poset", name) & other_route == set()
-
-
 def test_the_route_phases_of_verify_reach_no_code_of_the_other_route():
     # Every phase reads the one state of the campaign; the containment
     # phase reads the closure rows there as data, never the code behind them.
-    phases = ("_walked", "_closure", "_containment")
-    reached = {name: {where[1] for where in _reached("poset", name)} for name in phases}
-    assert "_walk" in reached["_walked"] and "_close_moves" in reached["_closure"]
-    assert "_containment_rows" in reached["_containment"]
+    reached = {name: {module for module, _ in _reached("poset", name)}
+               for name in ("_walked", "_closure", "_containment")}
+    assert "moves" in reached["_walked"] & reached["_closure"] and "containment" in reached["_containment"]
     for name in ("_walked", "_closure"):
-        assert reached[name] & {"_containment_rows", "deodhar_leq", "deodhar_leq_gamma", "length"} == set(), name
-    assert reached["_containment"] & {"_key", "_moves", "_walk", "_close_moves", "ppr_leq"} == set()
-    assert {where for where in _reached("poset", "_containment") if where[0] == "order"} == set()
+        assert reached[name] & {"containment", "length", "oracle", "order"} == set(), name
+    assert reached["_containment"] & {"moves", "order"} == set()
 
 
-@pytest.mark.parametrize("name", ["deodhar_leq", "deodhar_leq_gamma"])
-def test_the_containment_tests_reach_no_move_code(name):
-    # gamma packs its own counts (_count_table), never the move route's keys.
-    move_route = {("order", helper) for helper in
-                  ("_layout", "_key", "_entries", "_moves", "_successors", "ppr_leq")}
-    assert _reached("order", name) & move_route == set()
+# The package modules that each module of the package may import: every
+# route imports only elements, so no route reads another's code.
+IMPORTS = {
+    "elements": set(),
+    "length": {"elements"},
+    "oracle": {"elements"},
+    "containment": {"elements"},
+    "moves": {"elements"},
+    "order": {"containment", "moves"},
+    "poset": {"elements", "length", "oracle", "containment", "moves"},
+    "cli": {"elements", "length", "oracle", "order", "poset"},
+    "__init__": {"elements", "length", "oracle", "order", "poset"},
+    "__main__": {"cli"},
+}
 
 
-def test_the_oracle_imports_only_from_elements():
-    tree = ast.parse((PACKAGE / "oracle.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert imports and all(
-        isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "elements")
-        for node in imports
-    )
+def _import_faults(module: str, source: str) -> list[str]:
+    """What the import rule refuses in the source of a package module: a
+    module with no row in IMPORTS, a relative import of a package module
+    outside its row, or an absolute import of anything but a top module of
+    the standard library (the package itself included)."""
+    if module not in IMPORTS:
+        return [f"{module} has no row"]
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if getattr(node, "module", None) else [alias.name for alias in node.names]
+            allowed = IMPORTS[module] if getattr(node, "level", 0) else sys.stdlib_module_names
+            faults += [f"{module} imports {name}" for name in names if name.split(".")[0] not in allowed]
+    return faults
+
+
+def test_every_module_imports_only_what_its_row_allows():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sources.keys() == IMPORTS.keys()
+    assert [fault for module, source in sources.items() for fault in _import_faults(module, source)] == []
+    # The facade defines nothing: every name of it is a route's.
+    assert not [node for node in ast.walk(ast.parse(sources["order"]))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))]
+
+
+def test_the_import_rule_refuses_a_crossing_import_and_a_module_without_a_row():
+    source = (PACKAGE / "containment.py").read_text()
+    assert _import_faults("containment", source) == []
+    assert _import_faults("containment", source + "from .moves import _key\n") == ["containment imports moves"]
+    assert _import_faults("moves", "import numpy\n") == ["moves imports numpy"]
+    assert _import_faults("completion", "from .elements import OneLine\n") == ["completion has no row"]
 
 
 def test_json_round_trip_of_an_r4_interval():
@@ -806,10 +830,7 @@ def test_verify_sampled_audits_the_oracle_on_every_element(monkeypatch):
 
 def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
     calls = []
-    real = poset._moves
-    monkeypatch.setattr(
-        poset, "_moves", lambda a, key: calls.append(a) or (real(a, key)[0], [])
-    )
+    inject(monkeypatch, moves, "_moves", lambda real: lambda a, key: calls.append(a) or (real(a, key)[0], []))
     report = verify(6, sample_count=1)
     assert len(calls) == len(set(calls)) == 13327
     # every element but the top has a cover that the stub leaves out;
@@ -822,8 +843,7 @@ def test_verify_sampled_audits_covers_on_every_element_of_r6(monkeypatch):
 @pytest.mark.parametrize("run", [build_hasse, verify])
 def test_each_whole_monoid_pass_reads_the_kernel_once_per_element(monkeypatch, run):
     calls = []
-    real = poset._moves
-    monkeypatch.setattr(poset, "_moves", lambda a, key: calls.append(a) or real(a, key))
+    inject(monkeypatch, moves, "_moves", lambda real: lambda a, key: calls.append(a) or real(a, key))
     run(5)
     assert len(calls) == len(set(calls)) == 1546
     assert set(calls) == {e.entries for e in elements_of(5)}
@@ -858,8 +878,7 @@ FIRST_ENTRY = {
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
 @pytest.mark.parametrize("target", MISMATCH_LISTS)
 def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, target):
-    name, fault = FAULTS[target]
-    monkeypatch.setattr(poset, name, fault(getattr(poset, name)))
+    inject(monkeypatch, *FAULTS[target])
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in LISTS if report[key]] == [target]
     assert report["passed"] is False
@@ -873,11 +892,11 @@ def test_verify_routes_each_fault_to_its_own_list(monkeypatch, sample_count, tar
 def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_count):
     # The containment fault as a one-shot generator: verify may read each
     # row once, in order, and must report exactly what the list gives.
-    name, fault = FAULTS["mismatches"]
-    listed = fault(getattr(poset, name))
-    monkeypatch.setattr(poset, name, listed)
+    module, name, fault = FAULTS["mismatches"]
+    listed = fault(getattr(module, name))
+    monkeypatch.setattr(module, name, listed)
     expected = verify(3, sample_count, seed=0).to_dict()
-    monkeypatch.setattr(poset, name, lambda lower, upper: (row for row in listed(lower, upper)))
+    monkeypatch.setattr(module, name, lambda lower, upper: (row for row in listed(lower, upper)))
     report = verify(3, sample_count, seed=0).to_dict()
     assert [key for key in LISTS if report[key]] == ["mismatches"]
     assert report["mismatches"][0] == expected["mismatches"][0] == FIRST_ENTRY["mismatches"]
@@ -997,7 +1016,7 @@ def test_verify_and_build_hasse_run_the_one_walk_phase_once_each(monkeypatch):
 def test_verify_build_hasse_and_the_reload_run_the_one_enumerate_phase_once_each(monkeypatch):
     # _ENUMERATE is the first entry of _PHASES, and the only code of poset
     # that calls enumerate_elements; the reload names it alone (see
-    # test_the_containment_route_reaches_no_order_code).
+    # test_reload_reads_no_move_code).
     assert poset._PHASES[0] is poset._ENUMERATE
     assert poset._ENUMERATE[:2] == ("enumerate", poset._enumerate)
     text = export_json(build_hasse(3))
@@ -1046,13 +1065,9 @@ def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("the containment rows may read no move code")
-
-    for name in ("_key", "_moves", "_close_moves", "ppr_leq"):
-        monkeypatch.setattr(poset, name, refuse)
+    _refused(monkeypatch, moves)
     els = list(elements_of(n))
-    assert list(poset._containment_rows(els, els)) == list(deodhar_matrix(n))
+    assert list(containment._containment_rows(els, els)) == list(deodhar_matrix(n))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -1060,11 +1075,7 @@ def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(monke
     # Rows follow lower and bit b follows upper[b]: seeded sublists in
     # random order and of different lengths, lower and upper swapped, a
     # one-element upper, and an empty lower.
-    def refuse(*args):
-        raise AssertionError("the containment rows may read no move code")
-
-    for name in ("_key", "_moves", "_close_moves", "ppr_leq"):
-        monkeypatch.setattr(poset, name, refuse)
+    _refused(monkeypatch, moves)
     els, truth = elements_of(n), deodhar_matrix(n)
     rng = random.Random(n)
     picks = [rng.sample(range(len(els)), size) for size in (40, 90)]
@@ -1076,7 +1087,7 @@ def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(monke
     ]
     for lower, upper in cases:
         expected = [sum((truth[i] >> j & 1) << b for b, j in enumerate(upper)) for i in lower]
-        rows = poset._containment_rows([els[i] for i in lower], [els[j] for j in upper])
+        rows = containment._containment_rows([els[i] for i in lower], [els[j] for j in upper])
         assert list(rows) == expected
     # The one-element upper in the middle splits R_n, so its bit 0 is
     # set on some rows and clear on others.
@@ -1095,7 +1106,7 @@ def test_containment_rows_of_r7_sublists_hold_deodhar_leq():
 
     lower = [draw(0.4) for _ in range(80)]
     upper = [draw(0.7) for _ in range(120)]
-    rows = list(poset._containment_rows(lower, upper))
+    rows = list(containment._containment_rows(lower, upper))
     expected = [sum(deodhar_leq(x, y) << j for j, y in enumerate(upper)) for x in lower]
     assert rows == expected
     assert 0 < sum(row.bit_count() for row in rows) < len(lower) * len(upper)
@@ -1103,12 +1114,8 @@ def test_containment_rows_of_r7_sublists_hold_deodhar_leq():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closure_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("the closure rows may read no containment code")
-
-    for name in ("_containment_rows", "deodhar_leq", "ppr_leq"):
-        monkeypatch.setattr(poset, name, refuse)
-    assert poset._close_moves(*poset._walk(list(elements_of(n)))[:2])[0] == list(deodhar_matrix(n))
+    _refused(monkeypatch, containment)
+    assert moves._close_moves(*moves._walk(list(elements_of(n)))[:2])[0] == list(deodhar_matrix(n))
 
 
 def test_each_copy_of_a_repeated_element_gets_its_own_closure_row():
@@ -1116,7 +1123,7 @@ def test_each_copy_of_a_repeated_element_gets_its_own_closure_row():
     # second copy, and each copy's row is the 23 elements above it, moved
     # up one index past the copy, and its own bit.
     els = list(elements_of(3))
-    rows = poset._close_moves(*poset._walk(els[:6] + els[5:])[:2])[0]
+    rows = moves._close_moves(*moves._walk(els[:6] + els[5:])[:2])[0]
     above = deodhar_matrix(3)[5] >> 6 << 7
     assert above.bit_count() == 23
     assert (rows[5], rows[6]) == (above | 1 << 5, above | 1 << 6)
@@ -1126,8 +1133,7 @@ def test_each_copy_of_a_repeated_element_gets_its_own_closure_row():
 def test_brute_covers_read_no_cover_flag(monkeypatch, n):
     # Every move listed as a cover: each element with a non-cover move fails,
     # and its brute side is still the transitive reduction of the order.
-    real = poset._moves
-    monkeypatch.setattr(poset, "_moves", lambda a, key: (real(a, key)[0],) * 2)
+    inject(monkeypatch, moves, "_moves", lambda real: lambda a, key: (real(a, key)[0],) * 2)
     report = verify(n)
     els = elements_of(n)
     covers = brute_cover_sets(n)
@@ -1145,27 +1151,27 @@ def test_rows_hold_in_any_move_order_and_the_audit_checks_it(monkeypatch, n, siz
     # so every row is ORed and the relation keeps its size, but the brute
     # side is then every move, descending, which no ascending cover list
     # matches once an element has two moves.
-    real = poset._moves
+    def reversed_moves(real):
+        def kernel(a, key):
+            found, covers = real(a, key)
+            return found[::-1], covers
+        return kernel
 
-    def reversed_moves(a, key):
-        moves, covers = real(a, key)
-        return moves[::-1], covers
-
-    monkeypatch.setattr(poset, "_moves", reversed_moves)
+    inject(monkeypatch, moves, "_moves", reversed_moves)
     report = verify(n)
     assert report.relation_size == size
     assert [key for key in LISTS if getattr(report, key)] == ["cover_mismatches"]
-    moves = {str(e): kernel_moves(e.entries) for e in elements_of(n)}
-    with_two_moves = [x for x, above in moves.items() if len(above) >= 2]
+    kernel = {str(e): kernel_moves(e.entries) for e in elements_of(n)}
+    with_two_moves = [x for x, above in kernel.items() if len(above) >= 2]
     assert report.cover_mismatch_count == len(with_two_moves) == failing
     assert [x for x, _, _ in report.cover_mismatches] == with_two_moves[:1000]
     for x, _, brute in report.cover_mismatches:
-        assert brute == [str(OneLine(y)) for y, _ in reversed(moves[x])]
+        assert brute == [str(OneLine(y)) for y, _ in reversed(kernel[x])]
 
 
 def test_containment_rows_of_r5_hold_the_relation():
     els = list(elements_of(5))
-    rows = poset._containment_rows(els, els)
+    rows = containment._containment_rows(els, els)
     assert sum(row.bit_count() for row in rows) == 509662
 
 
@@ -1248,15 +1254,6 @@ def test_report_shape():
     assert d["n"] == 2
     assert d["passed"] is True
     assert set(d) >= {"n", "mode", "pairs_checked", "mismatches", "elapsed", "passed"}
-    # Every field reaches --json, next to passed.
-    assert set(d) == {
-        "n", "mode", "seed", "pairs_checked", "mismatches", "mismatch_count",
-        "search_mismatches", "cover_mismatches", "cover_mismatch_count",
-        "oracle_mismatches", "oracle_mismatch_count", "move_failures",
-        "move_failure_count", "enumeration_failures",
-        "enumeration_failure_count", "phase_errors", "relation_size", "phases",
-        "elapsed", "passed",
-    }
     failing = r._replace(mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
     assert failing.to_dict()["passed"] is False
