@@ -446,30 +446,24 @@ def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
     assert [key for key in LISTS if getattr(report, key)] == ["cover_mismatches"]
 
 
-def _refused(monkeypatch, module) -> list:
-    """Replace every function defined in module, and poset's binding of
-    each, by one that fails; return its calls, as _run lists a raise."""
+def test_reload_reads_no_move_code(monkeypatch):
+    # Statically, so that no warm cache hides a read, then at run time,
+    # with every function defined in moves, and poset's binding of each,
+    # refused.
+    assert {where[0] for where in _reached("poset", "hasse_from_json")} & {"moves", "order"} == set()
+    h = build_hasse(5)
+    text = export_json(h)
     calls = []
 
     def refuse(*args):
         calls.append(args)
-        raise AssertionError(f"{module.__name__} may not be read here")
+        raise AssertionError("the reload may read no move code")
 
-    for name, value in list(vars(module).items()):
-        if callable(value) and getattr(value, "__module__", None) == module.__name__:
-            monkeypatch.setattr(module, name, refuse)
+    for name, value in list(vars(moves).items()):
+        if callable(value) and getattr(value, "__module__", None) == moves.__name__:
+            monkeypatch.setattr(moves, name, refuse)
             if getattr(poset, name, None) is value:
                 monkeypatch.setattr(poset, name, refuse)
-    return calls
-
-
-def test_reload_reads_no_move_code(monkeypatch):
-    # Statically, so that no warm cache hides a read, then at run time,
-    # with every function of the move route refused.
-    assert {where[0] for where in _reached("poset", "hasse_from_json")} & {"moves", "order"} == set()
-    h = build_hasse(5)
-    text = export_json(h)
-    calls = _refused(monkeypatch, moves)
     assert not [name for name, value in vars(poset).items()
                 if getattr(value, "__module__", None) == moves.__name__]
     assert hasse_from_json(text) == h
@@ -1064,18 +1058,16 @@ def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_containment_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
-    _refused(monkeypatch, moves)
+def test_containment_rows_are_the_all_pairs_containment_matrix(n):
     els = list(elements_of(n))
     assert list(containment._containment_rows(els, els)) == list(deodhar_matrix(n))
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(monkeypatch, n):
+def test_containment_rows_of_two_lists_are_the_matrix_cut_to_their_indices(n):
     # Rows follow lower and bit b follows upper[b]: seeded sublists in
     # random order and of different lengths, lower and upper swapped, a
     # one-element upper, and an empty lower.
-    _refused(monkeypatch, moves)
     els, truth = elements_of(n), deodhar_matrix(n)
     rng = random.Random(n)
     picks = [rng.sample(range(len(els)), size) for size in (40, 90)]
@@ -1114,7 +1106,13 @@ def test_containment_rows_of_r7_sublists_hold_deodhar_leq():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closure_rows_are_the_all_pairs_containment_matrix(monkeypatch, n):
-    _refused(monkeypatch, containment)
+    # verify scores ppr_leq against these rows, so they may not come from
+    # the per-pair search.
+    def refuse(*args):
+        raise AssertionError("the closure rows may read no per-pair search")
+
+    for name in ("ppr_leq", "_successors"):
+        monkeypatch.setattr(moves, name, refuse)
     assert moves._close_moves(*moves._walk(list(elements_of(n)))[:2])[0] == list(deodhar_matrix(n))
 
 
