@@ -45,7 +45,7 @@ LEN_MAX_N = 1000
 # oracle of the identity, each span built twice (rank lines, oracle_length):
 # 0.04-0.06 s and 16 MB at n = 700, 0.14-0.17 s and 16 MB at n = 1000.
 ORACLE_MAX_N = 700
-# enum 8 writes 1 441 729 lines into a file in 3.9-5.7 s and 15 MB; R_9 has 17 572 114.
+# enum 8 writes 1 441 729 lines into a file in 5.6-6.4 s and 15 MB; R_9 has 17 572 114.
 ENUM_MAX_N = 8
 
 

@@ -9,11 +9,10 @@ it as a slotted record: one field, entries, the tuple itself, and no
 per-element __dict__, so an enumerated monoid costs the tuples and one
 small object each.
 
-OneLine(entries) checks its rules on every call.  enumerate_elements
-keeps them by construction instead: it draws the values n down to 0 and
-appends a nonzero one only to a prefix that lacks it, so it stores each
-tuple it builds without checking it again.  An element's text fills a
-"%d,...,%d" template cached per size.
+OneLine(entries) checks its rules on every call, and it is the only way
+an element is made: enumerate_elements, parse_one_line, covers_of,
+ppr_raises, copies and pickles all go through it.  An element's text
+fills a "%d,...,%d" template cached per size.
 
 >>> x = parse_one_line("3,0,4,0")
 >>> x.entries
@@ -107,15 +106,6 @@ def _template(n: int) -> str:
     return ",".join(["%d"] * n)
 
 
-def _made(entries: tuple[int, ...]) -> OneLine:
-    """A OneLine of entries that already keep its rules, stored as
-    OneLine.__init__ stores them but without checking them again.  Only
-    enumerate_elements calls it."""
-    x = object.__new__(OneLine)
-    object.__setattr__(x, "entries", entries)
-    return x
-
-
 def parse_one_line(text: str) -> OneLine:
     """Parse element text.
 
@@ -161,11 +151,9 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
     when asked for.  A stack holds prefixes: a popped prefix is yielded
     when full, else replaced by its extensions by 0 and by each value it
     lacks, pushed largest first.  The smallest pops first, and all under
-    it pop before its next sibling: the order is lexicographic.
-
-    OneLine's rules hold by construction, so no element is checked: every
-    prefix is a tuple of ints drawn from range(n, -1, -1), which is 0..n,
-    and a nonzero value is appended only where the prefix lacks it."""
+    it pop before its next sibling: the order is lexicographic.  Each
+    element is made by OneLine, which checks it, so a tuple outside R_n
+    raises ValueError when it is reached."""
     if type(n) is not int or n < 1:
         raise ValueError("n must be at least 1, and an int")
 
@@ -175,7 +163,7 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
         while stack:
             t = stack.pop()
             if len(t) == n:
-                yield _made(t)
+                yield OneLine(t)
             else:
                 stack += [t + (v,) for v in values if not v or v not in t]
 

@@ -457,7 +457,9 @@ def _enumerate(c: SimpleNamespace) -> None:
     """The elements of R_n, checked against a principle of their own:
     there must be sum_k C(n, k)^2 k! of them (k occupied rows and columns
     and a bijection between them), strictly ascending in lexicographic
-    order, so none repeats.  Failures are [what, found, expected]."""
+    order, so none repeats.  Failures are [what, found, expected].  That
+    each is an element of R_n is OneLine's to check: a tuple outside R_n
+    raises while the list is made, and _run lists it in phase_errors."""
     n = c.n
     c.elements = elements = list(enumerate_elements(n))
     due = sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))

@@ -117,19 +117,6 @@ def test_one_line_round_trips_through_pickle_and_copy():
         pickle.loads(pickle.dumps(forged))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_an_enumerated_element_is_what_the_constructor_makes(n):
-    # enumerate_elements stores its tuples without OneLine's checks.
-    for x in enumerate_elements(n):
-        checked = OneLine(x.entries)
-        assert type(x) is OneLine and x == checked and hash(x) == hash(checked)
-        assert str(x) == ",".join(map(str, x.entries))
-        with pytest.raises(AttributeError, match="cannot assign to field 'entries'"):
-            x.entries = checked.entries
-        with pytest.raises(AttributeError, match="cannot delete field 'entries'"):
-            del x.entries
-
-
 def test_element_text_at_sizes_the_template_cache_evicted():
     # The text templates are cached for 8 sizes, so n = 1, 9 and 10 are
     # made again after sizes 1..12; n = 1000 has multi-digit entries.

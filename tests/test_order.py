@@ -71,14 +71,22 @@ def test_gamma_counts_fill_their_fields_at_every_width(n):
     # A count reaches n in the reversal and in the identity, compared with
     # each other, with themselves and with the zero element.  A seeded
     # chain of covers from the zero element gives true pairs, all the way
-    # to the reversal up to n = 16; reversed, they are false pairs.
+    # to the reversal up to n = 16; reversed, they are false pairs.  Past
+    # 16 the chain takes 16 raises of an entry to a larger free value,
+    # each a generator move, so its pairs are true pairs too.
     zero, ident, top = zero_el(n), identity_el(n), reversal_el(n)
     ends = (zero, ident, top)
     cases = [(x, y, x == zero or y == top or x == y) for x in ends for y in ends]
     rng = random.Random(n)
     chain = [zero]
     for _ in range(n * n if n <= 16 else 16):
-        chain.append(rng.choice(covers_of(chain[-1])))
+        if n <= 16:
+            chain.append(rng.choice(covers_of(chain[-1])))
+        else:
+            entries = list(chain[-1].entries)
+            v = rng.choice(sorted(set(range(1, n + 1)) - set(entries)))
+            entries[rng.choice([j for j, a in enumerate(entries) if a < v])] = v
+            chain.append(OneLine(tuple(entries)))
     assert n > 16 or chain[-1] == top
     picked = chain[:: max(1, len(chain) // 20)]
     for i, x in enumerate(picked):

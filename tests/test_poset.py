@@ -855,13 +855,7 @@ def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
 MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
 # Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
 CAMPAIGNS = [pytest.param(None, id="exhaustive"), pytest.param(5000, id="sampled")]
-COUNTS = {
-    "mismatches": "mismatch_count",
-    "cover_mismatches": "cover_mismatch_count",
-    "oracle_mismatches": "oracle_mismatch_count",
-    "move_failures": "move_failure_count",
-    "enumeration_failures": "enumeration_failure_count",
-}
+COUNTS = {field: count for field, count, *_ in poset._FAILURE_LISTS if count}
 FIRST_ENTRY = {
     "mismatches": ["0,0,0", "3,2,1", False, True],
     "cover_mismatches": ["0,0,0", [], ["0,0,1"]],
@@ -1251,7 +1245,6 @@ def test_report_shape():
     d = r.to_dict()
     assert d["n"] == 2
     assert d["passed"] is True
-    assert set(d) >= {"n", "mode", "pairs_checked", "mismatches", "elapsed", "passed"}
     failing = r._replace(mismatches=[["0,0", "1,0", True, False]], mismatch_count=1)
     assert not failing.passed
     assert failing.to_dict()["passed"] is False
