@@ -11,9 +11,10 @@ R_4's 12 301 pairs.  Equivalent mutants, which change no verdict, are
 left out.
 
 The mutants of RELATION_MUTANTS change the relation: a move kernel that
-gives keys of no element, and an enumeration that drops an element.
-Each must fill exactly its lists and leave its relation size, and
-`hasse 4` on the copy must refuse it with exit 2 and one line of stderr.
+gives keys of no element, an enumeration that drops an element, and one
+that drops every element with two empty columns.  Each must fill
+exactly its lists and leave its relation size, and `hasse 4` on the
+copy must refuse it with exit 2 and one line of stderr.
 
 The mutants of PHASE_MUTANTS make one phase of verify raise: the
 containment route's translation table a byte short, a closure one row
@@ -25,7 +26,7 @@ exit 2 and nothing on stderr, never a traceback or a usage error.
 the stderr line listed and exits 2, or succeeds when the line is empty.
 The reload of a correct diagram reads the enumeration and the
 containment route, so it refuses every mutant of PHASE_MUTANTS but the
-closure's, and the enumeration mutant of RELATION_MUTANTS, with
+closure's, and the first enumeration mutant of RELATION_MUTANTS, with
 DefectError, never the ValueError of a bad document.
 """
 
@@ -88,6 +89,11 @@ RELATION_MUTANTS = [
     # enumerate_elements: the first element, the zero element, is dropped.
     # Both routes agree on the rest, so only the enumeration check sees it.
     ("elements", "yield OneLine(t)", "if any(t): yield OneLine(t)", ["enumeration_failures"], 12092),
+    # enumerate_elements: the filter bars a second 0 as it bars a second
+    # nonzero value, so the 89 elements with two or more empty columns are
+    # dropped.  The routes agree on the 120 left, and the count names it.
+    ("elements", "stack += [t + (v,) for v in values if not v or v not in t]",
+     "stack += [t + (v,) for v in values if v not in t]", ["enumeration_failures"], 3781),
 ]
 
 
@@ -222,3 +228,12 @@ def test_the_reload_refuses_an_enumeration_mutant_as_a_defect(tmp_path, mutant, 
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"DefectError: reload found {refusal}\n"
 
+
+def test_hasse_refuses_an_enumeration_that_repeats_a_value_by_its_count(tmp_path):
+    # enumerate_elements yields each element twice.  Every value is a valid
+    # element, so OneLine passes them all, and the count is the first of the
+    # 210 enumeration failures: the count and each repeat out of order.
+    copy_package(tmp_path, ("elements", "yield OneLine(t)", "yield from (OneLine(t), OneLine(t))"))
+    proc = run_copy(tmp_path, "hasse", "4")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: hasse found enumeration_failures: 210; the first is element count: 418, expected 209\n"
