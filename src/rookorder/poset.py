@@ -4,14 +4,14 @@ The operations over a whole monoid, on the two routes of the order,
 containment and moves.  build_hasse takes its edges from the move walk,
 and hasse_from_json checks them against the containment covers, so an
 edge error of the kernel that build_hasse wrote is caught on reload.
-verify holds the move closure, one bitset row per element, and XORs each
-containment row with its closure row as it arrives.  The differences are
-read on every ordered pair, or on sample_count seeded random pairs;
-about 200 spot pairs check the per-pair tests, and every element the
-length against the exact coordinate-subspace oracle.  Both routes read
-one enumeration and one walk, so neither can see a fault of either: the
-enumeration is checked against a principle of its own, and a move key
-that is no element of R_n is set aside by the walk.
+verify holds the move closure, one bitset row per element, XORs each
+containment row with its closure row as it arrives, and reads the
+difference on every ordered pair, or keeps it if nonzero for sample_count
+seeded random pairs; about 200 spot pairs check the per-pair tests, and
+every element the length against the exact coordinate-subspace oracle.
+Both routes read one enumeration and one walk, so neither can see a
+fault of either: the enumeration is checked against a principle of its
+own, and a move key that is no element of R_n is set aside by the walk.
 
 build_hasse, hasse_from_json and verify, the operations over a whole
 monoid, run steps over one state through one runner, _run, which times
@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 # The largest R_n that build_hasse, hasse_from_json and verify accept.
-# R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign
-# checks 177.6M ordered pairs and holds one 24 MB relation, 45 MB peak.
+# R_6 has 13 327 elements and 87 415 covers; its exhaustive campaign checks
+# 177.6M ordered pairs and holds one 24 MB relation, 45 MB peak even if all differ.
 MAX_N = 6
 # verify 6 --sampled K at the cap, in process: 0.4-0.65 s and 45 MB when
 # the relations agree, since nothing is drawn; the cap bounds a run where
@@ -369,12 +369,12 @@ class VerificationReport(namedtuple("VerificationReport", (
     [phase, exception type, message] for each phase that raised; the
     phases that need its output were skipped.
     All elements are reported in canonical text form.  seed is None for
-    an exhaustive campaign.  pairs_checked is 0 unless the pairs phase
-    ran; relation_size, the pairs of the move closure, reflexive ones
-    included, is 0 unless the closure phase ran.
-    phases splits elapsed into the seconds of each phase of _PHASES, in
-    order (enumerate, walk, closure, containment, pairs, spot_checks,
-    oracle), a skipped one too; the argument checks are not timed.
+    an exhaustive campaign.  pairs_checked is 0 unless the containment
+    phase ran through, which lists nothing otherwise; relation_size, the
+    pairs of the move closure, reflexive ones included, is 0 unless the
+    closure phase ran.  phases splits elapsed into the seconds of each
+    phase of _PHASES, in order (enumerate, walk, closure, containment,
+    spot_checks, oracle), a skipped one too; the argument checks are not timed.
     """
 
     __slots__ = ()
@@ -408,27 +408,26 @@ class VerificationReport(namedtuple("VerificationReport", (
 def verify(n: int, sample_count: int | None = None, seed: int = 0) -> VerificationReport:
     """Run the cross-checking campaign over R_n, for n in 1..MAX_N.
 
-    The move closure is built whole, one bitset row per element, and
-    each containment row of the threshold lemma (x <= y exactly when
-    every prefix threshold count #{i <= k : x_i >= a} of x is at most
-    that of y) is XORed with its closure row as it is built; only the
-    differences are kept.  With sample_count None the campaign walks
-    every bit of every nonzero difference, so it checks every ordered
-    pair.  Otherwise it reads the differences on the first sample_count
-    draws of a generator seeded with seed, each draw one index t into
-    the count * count ordered pairs read as (i, j) = divmod(t, count).
-    Draws are with replacement, so a pair drawn twice is checked, and a
-    mismatch on it counted and listed, twice.  The pairs are drawn, and
-    read in stream order, only when some difference is nonzero, since a
-    zero difference holds no mismatch.  In both campaigns the three
-    per-pair tests that rookorder cmp prints, deodhar_leq,
-    deodhar_leq_gamma and the move search ppr_leq, are spot-checked
-    against the closure on every stride-th ordered pair, stride =
-    max(1, count * count // 200): about 200 pairs, or all of fewer than
-    400.  Both the covers (in the pass that builds the closure) and the
-    oracle are audited on every element.  The enumeration is checked
-    before any of it, and a move key that is no element is listed; the
-    campaign runs on in both cases, and past a phase that raises (_PHASES).
+    The move closure is built whole, one bitset row per element, and each
+    containment row of the threshold lemma (x <= y exactly when every
+    prefix threshold count #{i <= k : x_i >= a} of x is at most that of y)
+    is XORed with its closure row as it is built.  With sample_count None
+    the campaign counts and walks the bits of each difference and drops it,
+    so it checks every ordered pair and holds no difference.  Otherwise it
+    keeps the nonzero differences and reads them on the first sample_count
+    draws of a generator seeded with seed, each one index t into the
+    count * count ordered pairs read as (i, j) = divmod(t, count), with
+    replacement: a pair drawn twice is checked, and a mismatch on it
+    counted and listed, twice.  It draws, in stream order, only when some
+    difference is nonzero.  In both campaigns the three per-pair tests that
+    rookorder cmp prints, deodhar_leq, deodhar_leq_gamma and the move
+    search ppr_leq, are spot-checked against the closure on every stride-th
+    ordered pair, stride = max(1, count * count // 200): about 200 pairs,
+    or all of fewer than 400.  Both the covers (in the pass that builds the
+    closure) and the oracle are audited on every element.  The enumeration
+    is checked before any of it, and a move key that is no element is
+    listed; the campaign runs on in both cases, and past a phase that
+    raises (_PHASES).
 
     n must be an int in 1..MAX_N, sample_count None or an int in
     1..SAMPLED_MAX_K, and seed an int; anything else, a bool included,
@@ -488,27 +487,28 @@ def _closure(c: SimpleNamespace) -> None:
 
 
 def _containment(c: SimpleNamespace) -> None:
-    # Bit j of diff[i] says the two relations disagree on the pair (i, j).
-    c.diff = [row ^ reach for row, reach in zip(_containment_rows(c.elements, c.elements), c.closure)]
-
-
-def _pairs(c: SimpleNamespace) -> None:
-    diff, count = c.diff, len(c.elements)
-    if c.sample_count is None:
-        for i, bits in enumerate(diff):
-            c.mismatch_count += bits.bit_count()
-            while bits and len(c.mismatches) < _MISMATCH_LIMIT:
-                j = (bits & -bits).bit_length() - 1
-                _note(c, i, j)
+    # Bit j of row i's difference: the relations disagree on (i, j).  A sampled
+    # campaign keeps the nonzero ones for its draws; the phase commits at its end.
+    count, sampled = len(c.elements), c.sample_count is not None
+    found, total, diff = [], 0, {}
+    for i, (row, reach) in enumerate(zip(_containment_rows(c.elements, c.elements), c.closure)):
+        if (bits := row ^ reach) and sampled:
+            diff[i] = bits
+        elif bits:
+            total += bits.bit_count()
+            while bits and len(found) < _MISMATCH_LIMIT:
+                _note(c, found, i, (bits & -bits).bit_length() - 1)
                 bits &= bits - 1
-    elif any(diff):
+    if diff:
         draw = random.Random(c.seed).randrange
         for _ in range(c.sample_count):
             i, j = divmod(draw(count * count), count)
-            if diff[i] >> j & 1:
-                c.mismatch_count += 1
-                _note(c, i, j)
-    c.pairs_checked = count * count if c.sample_count is None else c.sample_count
+            if diff.get(i, 0) >> j & 1:
+                total += 1
+                _note(c, found, i, j)
+    c.mismatches += found
+    c.mismatch_count += total
+    c.pairs_checked = c.sample_count if sampled else count * count
 
 
 def _spot_checks(c: SimpleNamespace) -> None:
@@ -520,7 +520,7 @@ def _spot_checks(c: SimpleNamespace) -> None:
         for test in (deodhar_leq, deodhar_leq_gamma):
             if test(x, y) != p:
                 c.mismatch_count += 1
-                _note(c, i, j)
+                _note(c, c.mismatches, i, j)
         s = ppr_leq(x, y)
         if s != p:
             c.search_mismatches.append([str(x), str(y), p, s])
@@ -531,24 +531,23 @@ def _oracle(c: SimpleNamespace) -> None:
                            if (ln := length(x)) != (computed := oracle_length(x))]
 
 
-def _note(c: SimpleNamespace, i: int, j: int) -> None:
-    if len(c.mismatches) < _MISMATCH_LIMIT:
+def _note(c: SimpleNamespace, mismatches: list, i: int, j: int) -> None:
+    if len(mismatches) < _MISMATCH_LIMIT:
         p = bool(c.closure[i] >> j & 1)
-        c.mismatches.append([str(c.elements[i]), str(c.elements[j]), not p, p])
+        mismatches.append([str(c.elements[i]), str(c.elements[j]), not p, p])
 
 
 # The first phase of verify, and the first step of build_hasse and of
 # hasse_from_json too.  The reload names this entry alone, not _PHASES,
 # so its code reaches no phase of the move route.
 _ENUMERATE = ("enumerate", _enumerate, ())
-# The phases of verify, in the order they run and are timed: name, function
-# of the campaign's state, and the phases that must have run without raising.
+# The phases of verify, in the order they run and are timed: name, function of
+# the campaign's state (containment reads the pairs too), and the phases it needs.
 _PHASES = (
     _ENUMERATE,
     ("walk", _walked, ("enumerate",)),
     ("closure", _closure, ("walk",)),
     ("containment", _containment, ("closure",)),
-    ("pairs", _pairs, ("containment",)),
     ("spot_checks", _spot_checks, ("closure",)),
     ("oracle", _oracle, ("enumerate",)),
 )

@@ -546,28 +546,30 @@ def _raise(*args):
     raise PhaseRaised("stand-in raised")
 
 
-# One stand-in that raises inside each phase of verify, by phase: the poset
-# name it replaces and the phases that need that phase and so are skipped.
-# random.Random is drawn from only in a sampled campaign whose relations
-# differ somewhere, so that case also carries the containment fault.
+# One stand-in that raises inside each phase of verify, by case: the phase,
+# the poset name the stand-in replaces and the phases that need that phase
+# and so are skipped.  random.Random is drawn from, inside containment, only
+# in a sampled campaign whose relations differ somewhere, so that case also
+# carries the containment fault, and no mismatch may be listed from it.
 PHASE_RAISERS = {
-    "enumerate": ("enumerate_elements", ["walk", "closure", "containment", "pairs", "spot_checks", "oracle"]),
-    "walk": ("_walk", ["closure", "containment", "pairs", "spot_checks"]),
-    "closure": ("_close_moves", ["containment", "pairs", "spot_checks"]),
-    "containment": ("_containment_rows", ["pairs"]),
-    "pairs": ("random.Random", []),
-    "spot_checks": ("ppr_leq", []),
-    "oracle": ("oracle_length", []),
+    "enumerate": ("enumerate", "enumerate_elements", ["walk", "closure", "containment", "spot_checks", "oracle"]),
+    "walk": ("walk", "_walk", ["closure", "containment", "spot_checks"]),
+    "closure": ("closure", "_close_moves", ["containment", "spot_checks"]),
+    "containment": ("containment", "_containment_rows", []),
+    "containment draws": ("containment", "random.Random", []),
+    "spot_checks": ("spot_checks", "ppr_leq", []),
+    "oracle": ("oracle", "oracle_length", []),
 }
 
 
-@pytest.mark.parametrize("phase", PHASE_RAISERS)
-def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys, monkeypatch, phase):
-    name, skipped = PHASE_RAISERS[phase]
+@pytest.mark.parametrize("case", PHASE_RAISERS)
+def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys, monkeypatch, case):
+    phase, name, skipped = PHASE_RAISERS[case]
+    draws = name == "random.Random"
     # A wrong oracle value, listed whenever the oracle phase runs.
-    for fault in ["oracle_mismatches"] + (["mismatches"] if phase == "pairs" else []):
+    for fault in ["oracle_mismatches"] + ["mismatches"] * draws:
         inject(monkeypatch, *FAULTS[fault])
-    monkeypatch.setattr(poset.random if phase == "pairs" else poset, name.split(".")[-1], _raise)
+    monkeypatch.setattr(poset.random if draws else poset, name.split(".")[-1], _raise)
     ran = []
 
     def recording(name, function):
@@ -578,9 +580,9 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
     ))
     every = [name for name, _, _ in poset._PHASES]
     oracle_runs = phase != "oracle" and "oracle" not in skipped
-    pairs_run = phase != "pairs" and "pairs" not in skipped
+    pairs_run = phase != "containment" and "containment" not in skipped
     for campaign, pairs in ([], 1156), (["--sampled", "5000"], 5000):
-        if phase == "pairs" and not campaign:
+        if draws and not campaign:
             continue
         ran.clear()
         code, out, err = run(capsys, "verify", "3", "--json", *campaign)
@@ -592,7 +594,7 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
         assert ran == [name for name in every if name not in skipped]
         assert [field for field in LISTS if report[field]] == ["oracle_mismatches"] * oracle_runs + ["phase_errors"]
         assert report["oracle_mismatches"] == [["3,2,1", 9, 10]] * oracle_runs
-        # The report says what it checked: no pair unless the pairs phase ran.
+        # The report says what it checked: no pair unless containment ran through.
         assert report["pairs_checked"] == pairs * pairs_run
         if phase == "containment":
             assert report["relation_size"] == 441

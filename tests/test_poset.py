@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -892,6 +893,51 @@ def test_verify_compares_each_containment_row_as_it_arrives(monkeypatch, sample_
         assert report[count] == expected[count]
 
 
+def complemented(real):
+    """A containment fault on every pair: real's rows with every bit flipped."""
+    return lambda lower, upper: (row ^ (1 << len(upper)) - 1 for row in real(lower, upper))
+
+
+@pytest.mark.parametrize("sample_count", CAMPAIGNS)
+def test_a_containment_phase_that_raises_part_way_lists_nothing_it_read(monkeypatch, sample_count):
+    # Three rows that differ from the closure on every pair, then a raise:
+    # the phase adds to the report all it found or, as here, nothing.
+    def rows(real):
+        def partial(lower, upper):
+            yield from list(complemented(real)(lower, upper))[:3]
+            raise RuntimeError("containment stand-in")
+        return partial
+
+    inject(monkeypatch, poset, "_containment_rows", rows)
+    report = verify(3, sample_count).to_dict()
+    assert [key for key in LISTS if report[key]] == ["phase_errors"]
+    assert report["phase_errors"] == [["containment", "RuntimeError", "containment stand-in"]]
+    assert report["mismatch_count"] == report["pairs_checked"] == 0
+    assert report["relation_size"] == 441
+
+
+def test_an_exhaustive_campaign_holds_no_difference_row_when_every_pair_differs(monkeypatch):
+    # A campaign that held every difference row until it had read them all
+    # peaked 115 KB above a healthy one at R_5 (1 546 rows of 1 546 bits),
+    # so a 32 KB margin, far above the healthy peak's spread of under 1 KB,
+    # tells the two apart.  The first 1 000 mismatches are listed either way.
+    def peak():
+        tracemalloc.start()
+        try:
+            return verify(5), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verify(5)  # fills the caches that the first campaign over R_5 leaves behind
+    healthy, healthy_peak = peak()
+    inject(monkeypatch, poset, "_containment_rows", complemented)
+    report, differing_peak = peak()
+    assert healthy.passed
+    assert report.mismatch_count == report.pairs_checked == 2390116
+    assert len(report.mismatches) == 1000
+    assert differing_peak <= healthy_peak + 32 * 1024
+
+
 @pytest.mark.parametrize("sample_count", CAMPAIGNS)
 @pytest.mark.parametrize("name", ["deodhar_leq", "deodhar_leq_gamma"])
 def test_a_deodhar_fault_on_spot_checked_pairs_lands_only_in_mismatches(monkeypatch, name, sample_count):
@@ -975,7 +1021,7 @@ def test_verify_reports_relation_size_and_phases():
     assert (r4.relation_size, r5.relation_size) == (12301, 509662)
     for report in (r4, r5):
         assert list(report.phases) == [
-            "enumerate", "walk", "closure", "containment", "pairs", "spot_checks", "oracle",
+            "enumerate", "walk", "closure", "containment", "spot_checks", "oracle",
         ]
         assert all(s >= 0 for s in report.phases.values())
         assert sum(report.phases.values()) == pytest.approx(report.elapsed)
