@@ -13,6 +13,8 @@ The top level re-exports each module's __all__, so every public name is
 declared once, beside its definition; rookorder.length is the function.
 """
 
+from .campaign import *
+from .diagram import *
 from .elements import *
 from .length import *
 from .oracle import *

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 on usage or parse errors only, and 2 on a
 disagreement between the independent implementations or any other
 defect: a verify phase that raises is a row of its report, and hasse
-refuses a defect found after its size check with poset.DefectError, not
+refuses a defect found after its size check with campaign.DefectError, not
 a ValueError, in one line that names a phase that raised.  Output cut
 short by a closed pipe, as by `| head`, exits 1 without a traceback.
 
@@ -21,11 +21,13 @@ import os
 import sys
 from functools import cache
 
+from .campaign import DefectError, _check_size
+from .diagram import export_dot, export_json, rank_sizes
 from .elements import enumerate_elements, parse_one_line, rank
 from .length import coinversions, length, length_breakdown
 from .oracle import left_span, oracle_length, right_span
 from .order import covers_of, deodhar_leq, deodhar_leq_gamma, ppr_leq
-from .poset import DefectError, _check_size, build_hasse, export_dot, export_json, rank_sizes, verify
+from .poset import build_hasse, verify
 
 USAGE_ERROR = 1
 MISMATCH_ERROR = 2

@@ -3,7 +3,7 @@
 Threshold lemma: x <= y exactly when, for every prefix length k and every
 threshold a, the first k entries of y hold at least as many values >= a
 as those of x do.  Like the move route, this module imports only
-elements, so neither route reads the other's code.
+elements and campaign, so neither route reads the other's code.
 
 deodhar_leq compares sorted truncations of the one-line vectors, each
 pair of them componentwise in C.  deodhar_leq_gamma restates the same
@@ -13,17 +13,20 @@ comparison through threshold counts, with no sorting: each side packs
 O(n) int operations in all.  The two tests share no comparison logic,
 and gamma's count fields are not the move route's keys.
 
-_containment_rows evaluates the lemma over whole lists, for verify over
-all of R_n and for the diagram reload one length level at a time
-(_containment_covers).
+_containment_rows evaluates the lemma over whole lists, for verify's
+containment phase (_containment) over all of R_n and for the diagram
+reload one length level at a time (_containment_covers).
 """
 
+import random
 from bisect import bisect_left, insort
 from functools import lru_cache
 from itertools import accumulate
 from operator import le
+from types import SimpleNamespace
 from typing import Iterator
 
+from .campaign import _MISMATCH_LIMIT, _note
 from .elements import OneLine, _check_same_n
 
 __all__ = ["deodhar_leq", "deodhar_leq_gamma"]
@@ -174,3 +177,28 @@ def _containment_covers(nodes: list[tuple[int, OneLine, int]]) -> list[tuple[int
                 covers[i].append(upper[low.bit_length() - 1][0])
                 row ^= low
     return [(i, j) for i, above in enumerate(covers) for j in above]
+
+
+def _containment(c: SimpleNamespace) -> None:
+    # Bit j of row i's difference: the relations disagree on (i, j).  A sampled
+    # campaign keeps the nonzero ones for its draws; the phase commits at its end.
+    count, sampled = len(c.elements), c.sample_count is not None
+    found, total, diff = [], 0, {}
+    for i, (row, reach) in enumerate(zip(_containment_rows(c.elements, c.elements), c.closure)):
+        if (bits := row ^ reach) and sampled:
+            diff[i] = bits
+        elif bits:
+            total += bits.bit_count()
+            while bits and len(found) < _MISMATCH_LIMIT:
+                _note(c, found, i, (bits & -bits).bit_length() - 1)
+                bits &= bits - 1
+    if diff:
+        draw = random.Random(c.seed).randrange
+        for _ in range(c.sample_count):
+            i, j = divmod(draw(count * count), count)
+            if diff.get(i, 0) >> j & 1:
+                total += 1
+                _note(c, found, i, j)
+    c.mismatches += found
+    c.mismatch_count += total
+    c.pairs_checked = c.sample_count if sampled else count * count

@@ -2,8 +2,8 @@
 
 ppr_leq takes the reflexive-transitive closure of two generator moves:
 raising one entry to a larger unused value, and exchanging a smaller
-entry with a larger one to its right.  Like the containment route, this
-module imports only elements, so neither route reads the other's code.
+entry with a larger one to its right.  Like the containment route, it
+imports only elements and campaign, so neither reads the other's code.
 
 One private kernel, _moves, generates the keys of every single move of
 x and, among them, the keys of its covers (the edges of the Hasse
@@ -29,12 +29,15 @@ length.
 
 One walk, _walk, reads the kernel over a whole monoid, once per
 element, for build_hasse and verify; _close_moves closes its moves and
-audits its covers from the walk's index lists alone.
+audits its covers from the walk's index lists alone.  They run as the
+walk and closure phases of the campaign, _walked and _closure.
 """
 
 from functools import lru_cache
 from operator import getitem, sub
+from types import SimpleNamespace
 
+from .campaign import _MISMATCH_LIMIT
 from .elements import OneLine, _check_same_n
 
 __all__ = ["ppr_leq", "covers_of"]
@@ -303,3 +306,20 @@ def _close_moves(moves: list[list[int]], covers: list[list[int]]) -> tuple[
             failures.append((i, covers[i], brute))
     failures.reverse()
     return closure, failures
+
+
+def _walked(c: SimpleNamespace) -> None:
+    c.moves, c.covers, strays = _walk(c.elements)
+    # Only the listed entries become text: R_6 has 13 326 when no cover is right.
+    c.move_failure_count = len(strays)
+    c.move_failures = [[str(c.elements[i]), z] for i, z in strays[:_MISMATCH_LIMIT]]
+
+
+def _closure(c: SimpleNamespace) -> None:
+    elements = c.elements
+    c.closure, failures = _close_moves(c.moves, c.covers)
+    del c.moves, c.covers
+    c.cover_mismatch_count = len(failures)
+    c.cover_mismatches = [[str(elements[i]), [str(elements[s]) for s in claimed],
+                           [str(elements[s]) for s in brute]] for i, claimed, brute in failures[:_MISMATCH_LIMIT]]
+    c.relation_size = sum(row.bit_count() for row in c.closure)

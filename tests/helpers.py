@@ -10,10 +10,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
-from rookorder import HasseDiagram, OneLine, enumerate_elements, length, moves, poset
+from rookorder import HasseDiagram, OneLine, campaign, containment, enumerate_elements, length, moves, poset
 from rookorder.elements import to_matrix
 from rookorder.moves import _key, _moves
-from rookorder.poset import _FAILURE_LISTS
+from rookorder.campaign import _FAILURE_LISTS
 
 # Every failure list of a verify report, in _FAILURE_LISTS order, so that
 # a fault is seen to fill no other.
@@ -290,7 +290,7 @@ ZERO3, TOP3 = OneLine((0, 0, 0)), OneLine((3, 2, 1))
 # a non-cover pair whose upper end is the top, every per-pair search
 # verdict, the covers of one element, one oracle value.
 FAULTS = {
-    "mismatches": (poset, "_containment_rows", lambda real: lambda lower, upper: [
+    "mismatches": (containment, "_containment_rows", lambda real: lambda lower, upper: [
         row & ~(1 << len(upper) - 1) if i == 0 else row for i, row in enumerate(real(lower, upper))
     ]),
     "search_mismatches": (poset, "ppr_leq", lambda real: lambda x, y: not real(x, y)),
@@ -333,25 +333,25 @@ def with_stray_move(real):
 # an element to read n from, raise: a phase error.
 DEFECTS = {
     "move key outside R_n": (moves, "_moves", with_stray_move, ["move_failures"]),
-    "dropped zero element": (poset, "enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
+    "dropped zero element": (campaign, "enumerate_elements", edited(lambda es: es[1:]), ["enumeration_failures"]),
     "dropped identity": (
-        poset, "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
+        campaign, "enumerate_elements", edited(lambda es: [e for e in es if e.entries != (1, 2, 3)]),
         ["enumeration_failures", "move_failures"],
     ),
     "repeated element": (
-        poset, "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
+        campaign, "enumerate_elements", edited(lambda es: es[:6] + es[5:]),
         ["enumeration_failures", "mismatches"],
     ),
     "element repeated in place of the next": (
-        poset, "enumerate_elements", edited(lambda es: es[:6] + [es[5]] + es[7:]),
+        campaign, "enumerate_elements", edited(lambda es: es[:6] + [es[5]] + es[7:]),
         ["enumeration_failures", "move_failures", "cover_mismatches", "mismatches", "search_mismatches"],
     ),
     "two swapped elements": (
-        poset, "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
+        campaign, "enumerate_elements", edited(lambda es: es[:5] + [es[9]] + es[6:9] + [es[5]] + es[10:]),
         ["enumeration_failures", "cover_mismatches", "mismatches"],
     ),
     "empty enumeration": (
-        poset, "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],
+        campaign, "enumerate_elements", edited(lambda es: []), ["enumeration_failures", "phase_errors"],
     ),
 }
 

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rookorder
-from rookorder import cli, moves, parse_one_line, poset
+from rookorder import campaign, cli, containment, moves, parse_one_line, poset
 
 from helpers import DEFECTS, FAULTS, LISTS, inject
 
@@ -226,7 +226,7 @@ def test_importing_the_cli_pulls_in_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & set(added), added
 
 
-def test_the_top_level_is_the_seven_modules_and_their_public_names():
+def test_the_top_level_is_the_nine_modules_and_their_public_names():
     # A fresh interpreter: in this one, importing rookorder.cli has bound
     # cli on the package as well.
     src = Path(__file__).resolve().parent.parent / "src"
@@ -237,7 +237,7 @@ def test_the_top_level_is_the_seven_modules_and_their_public_names():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     names = set(proc.stdout.split())
-    modules = ("elements", "length", "oracle", "containment", "moves", "order", "poset")
+    modules = ("elements", "length", "oracle", "containment", "moves", "order", "campaign", "diagram", "poset")
     assert names == {*modules, *(name for module in modules
                                  for name in importlib.import_module(f"rookorder.{module}").__all__)}
     # The function, bound over the module of the same name.
@@ -348,7 +348,7 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
     calls = []
     real = cli.verify
     monkeypatch.setattr(cli, "verify", lambda *a, **k: calls.append(a) or real(*a, **k))
-    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    monkeypatch.setattr(campaign, "enumerate_elements", _work)
     if mode == "refused":
         expected = (1, "", "error: verify supports n in 1..6\n")
         assert run(capsys, "verify", str(n)) == expected
@@ -361,7 +361,7 @@ def test_verify_is_exhaustive_up_to_the_exhaustive_bound(capsys, monkeypatch, n,
 
 
 def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
-    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    monkeypatch.setattr(campaign, "enumerate_elements", _work)
     cap = poset.SAMPLED_MAX_K
     expected = (1, "", f"error: verify supports --sampled K in 1..{cap}\n")
     for k in (0, cap + 1):
@@ -373,7 +373,7 @@ def test_sampled_pair_count_cap_refuses_before_any_work(capsys, monkeypatch):
 
 
 def test_verify_refuses_n_before_the_pair_count(capsys, monkeypatch):
-    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    monkeypatch.setattr(campaign, "enumerate_elements", _work)
     expected = (1, "", "error: verify supports n in 1..6\n")
     assert run(capsys, "verify", "7", "--sampled", "0") == expected
 
@@ -381,7 +381,7 @@ def test_verify_refuses_n_before_the_pair_count(capsys, monkeypatch):
 def test_verify_reports_every_order_mismatch_and_lists_the_first(capsys, monkeypatch):
     # Rows holding only their own bit disagree on every strict pair of R_4.
     monkeypatch.setattr(
-        poset, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
+        containment, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
     )
     code, out, _ = run(capsys, "verify", "4")
     assert code == 2
@@ -490,15 +490,15 @@ def test_verify_lists_a_defective_enumeration_or_walk(capsys, monkeypatch, defec
     # listed, in both campaigns, and never raises.
     *fault, lists = DEFECTS[defect]
     inject(monkeypatch, *fault)
-    labels = {field: label for field, _, label, _ in poset._FAILURE_LISTS}
-    for campaign in ([], ["--sampled", "5000"]):
-        code, out, err = run(capsys, "verify", "3", "--json", *campaign)
+    labels = {field: label for field, _, label, _ in campaign._FAILURE_LISTS}
+    for sampled in ([], ["--sampled", "5000"]):
+        code, out, err = run(capsys, "verify", "3", "--json", *sampled)
         report = json.loads(out)
         assert (code, err) == (2, "")
         assert [field for field in LISTS if report[field]] == lists
         if defect == "dropped zero element":
             assert report["enumeration_failures"] == [["element count", 33, 34]]
-        code, out, err = run(capsys, "verify", "3", *campaign)
+        code, out, err = run(capsys, "verify", "3", *sampled)
         assert (code, err) == (2, "")
         for field in LISTS:
             assert (f"{labels[field]}: 0" in out.splitlines()) == (field not in lists), field
@@ -532,7 +532,7 @@ HASSE_REFUSALS = {
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_hasse_refuses_a_defective_enumeration_or_walk_in_one_line(capsys, monkeypatch, defect):
     # The refusal is no ValueError, which would read as a usage error and exit 1.
-    assert not issubclass(poset.DefectError, ValueError)
+    assert not issubclass(campaign.DefectError, ValueError)
     inject(monkeypatch, *DEFECTS[defect][:3])
     for fmt in ("dot", "json", "ranks"):
         assert run(capsys, "hasse", "3", "--format", fmt) == (2, "", HASSE_REFUSALS[defect])
@@ -547,29 +547,30 @@ def _raise(*args):
 
 
 # One stand-in that raises inside each phase of verify, by case: the phase,
-# the poset name the stand-in replaces and the phases that need that phase
-# and so are skipped.  random.Random is drawn from, inside containment, only
-# in a sampled campaign whose relations differ somewhere, so that case also
-# carries the containment fault, and no mismatch may be listed from it.
+# the module and name the stand-in replaces, and the phases that need that
+# phase and so are skipped.  random.Random is drawn from, inside containment,
+# only in a sampled campaign whose relations differ somewhere, so that case
+# also carries the containment fault, and no mismatch may be listed from it.
 PHASE_RAISERS = {
-    "enumerate": ("enumerate", "enumerate_elements", ["walk", "closure", "containment", "spot_checks", "oracle"]),
-    "walk": ("walk", "_walk", ["closure", "containment", "spot_checks"]),
-    "closure": ("closure", "_close_moves", ["containment", "spot_checks"]),
-    "containment": ("containment", "_containment_rows", []),
-    "containment draws": ("containment", "random.Random", []),
-    "spot_checks": ("spot_checks", "ppr_leq", []),
-    "oracle": ("oracle", "oracle_length", []),
+    "enumerate": ("enumerate", campaign, "enumerate_elements",
+                  ["walk", "closure", "containment", "spot_checks", "oracle"]),
+    "walk": ("walk", moves, "_walk", ["closure", "containment", "spot_checks"]),
+    "closure": ("closure", moves, "_close_moves", ["containment", "spot_checks"]),
+    "containment": ("containment", containment, "_containment_rows", []),
+    "containment draws": ("containment", containment.random, "Random", []),
+    "spot_checks": ("spot_checks", poset, "ppr_leq", []),
+    "oracle": ("oracle", poset, "oracle_length", []),
 }
 
 
 @pytest.mark.parametrize("case", PHASE_RAISERS)
 def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys, monkeypatch, case):
-    phase, name, skipped = PHASE_RAISERS[case]
-    draws = name == "random.Random"
+    phase, module, name, skipped = PHASE_RAISERS[case]
+    draws = case == "containment draws"
     # A wrong oracle value, listed whenever the oracle phase runs.
     for fault in ["oracle_mismatches"] + ["mismatches"] * draws:
         inject(monkeypatch, *FAULTS[fault])
-    monkeypatch.setattr(poset.random if draws else poset, name.split(".")[-1], _raise)
+    monkeypatch.setattr(module, name, _raise)
     ran = []
 
     def recording(name, function):
@@ -608,14 +609,15 @@ def test_verify_reports_a_phase_that_raises_and_skips_only_what_needs_it(capsys,
         assert lines[-1] == "result: FAIL"
 
 
-# The step of hasse that each poset name raises in: verify's phase, or the diagram.
-HASSE_STEPS = {"enumerate_elements": "enumerate", "length": "diagram", "_walk": "walk"}
+# The module of each name and the step of hasse it raises in: verify's phase, or the diagram.
+HASSE_STEPS = {"enumerate_elements": (campaign, "enumerate"), "length": (poset, "diagram"), "_walk": (moves, "walk")}
 
 
 @pytest.mark.parametrize("name", HASSE_STEPS)
 def test_hasse_refuses_anything_raised_after_its_size_check_in_one_line(capsys, monkeypatch, name):
-    monkeypatch.setattr(poset, name, _raise)
-    expected = f"error: hasse found phase_errors: 1; the first is {HASSE_STEPS[name]}: PhaseRaised: stand-in raised\n"
+    module, step = HASSE_STEPS[name]
+    monkeypatch.setattr(module, name, _raise)
+    expected = f"error: hasse found phase_errors: 1; the first is {step}: PhaseRaised: stand-in raised\n"
     assert run(capsys, "hasse", "3") == (2, "", expected)
     assert run(capsys, "hasse", "7") == (1, "", "error: hasse supports n in 1..6\n")
 

@@ -40,7 +40,7 @@ from pathlib import Path
 import pytest
 
 import rookorder
-from rookorder.poset import build_hasse, export_json
+from rookorder import build_hasse, export_json
 
 from helpers import LISTS
 
@@ -189,7 +189,7 @@ def test_verify_lists_a_phase_that_raises_and_hasse_reads_only_the_enumeration(t
 
 RELOAD = """
 import sys
-from rookorder.poset import DefectError, hasse_from_json
+from rookorder import DefectError, hasse_from_json
 try:
     hasse_from_json(sys.stdin.read())
 except DefectError as exc:

@@ -15,7 +15,9 @@ from rookorder import (
     HasseDiagram,
     OneLine,
     VerificationReport,
+    campaign,
     containment,
+    diagram,
     moves,
     poset,
     build_hasse,
@@ -448,10 +450,7 @@ def test_verify_lists_a_kernel_cover_error_with_both_sides(monkeypatch, fault):
 
 
 def test_reload_reads_no_move_code(monkeypatch):
-    # Statically, so that no warm cache hides a read, then at run time,
-    # with every function defined in moves, and poset's binding of each,
-    # refused.
-    assert {where[0] for where in _reached("poset", "hasse_from_json")} & {"moves", "order"} == set()
+    # At run time, with every function defined in moves refused.
     h = build_hasse(5)
     text = export_json(h)
     calls = []
@@ -463,10 +462,6 @@ def test_reload_reads_no_move_code(monkeypatch):
     for name, value in list(vars(moves).items()):
         if callable(value) and getattr(value, "__module__", None) == moves.__name__:
             monkeypatch.setattr(moves, name, refuse)
-            if getattr(poset, name, None) is value:
-                monkeypatch.setattr(poset, name, refuse)
-    assert not [name for name, value in vars(poset).items()
-                if getattr(value, "__module__", None) == moves.__name__]
     assert hasse_from_json(text) == h
     assert calls == []
 
@@ -481,7 +476,7 @@ def test_the_reload_refuses_a_containment_route_that_raises_as_a_defect(monkeypa
         raise ValueError("translation table must be 256 characters long")
 
     monkeypatch.setattr(containment, "_containment_rows", raising)
-    with pytest.raises(poset.DefectError) as caught:
+    with pytest.raises(campaign.DefectError) as caught:
         hasse_from_json(text)
     assert str(caught.value) == (
         "reload found phase_errors: 1; the first is containment: "
@@ -498,7 +493,7 @@ def test_the_reload_refuses_a_defective_enumeration_as_a_defect(monkeypatch):
     # enumeration is a defect, in build_hasse's words, not a bad node 17.
     text = export_json(build_hasse(3))
     inject(monkeypatch, *DEFECTS["dropped identity"][:3])
-    with pytest.raises(poset.DefectError) as caught:
+    with pytest.raises(campaign.DefectError) as caught:
         hasse_from_json(text)
     assert str(caught.value) == (
         "reload found enumeration_failures: 1; the first is element count: 33, expected 34"
@@ -507,8 +502,8 @@ def test_the_reload_refuses_a_defective_enumeration_as_a_defect(monkeypatch):
     def raising(n):
         raise RuntimeError("enumeration stand-in")
 
-    monkeypatch.setattr(poset, "enumerate_elements", raising)
-    with pytest.raises(poset.DefectError) as caught:
+    monkeypatch.setattr(campaign, "enumerate_elements", raising)
+    with pytest.raises(campaign.DefectError) as caught:
         hasse_from_json(text)
     assert str(caught.value) == (
         "reload found phase_errors: 1; the first is enumerate: RuntimeError: enumeration stand-in"
@@ -523,10 +518,10 @@ def test_the_reload_refuses_an_enumeration_defect_as_build_hasse_does(monkeypatc
     text = export_json(h)
     module, name, fault, _ = DEFECTS[defect]
     inject(monkeypatch, module, name, fault)
-    with pytest.raises(poset.DefectError) as built:
+    with pytest.raises(campaign.DefectError) as built:
         build_hasse(3)
     if name == "enumerate_elements":
-        with pytest.raises(poset.DefectError) as reloaded:
+        with pytest.raises(campaign.DefectError) as reloaded:
             hasse_from_json(text)
         assert str(reloaded.value) == str(built.value).replace("hasse found", "reload found", 1)
     else:
@@ -535,7 +530,7 @@ def test_the_reload_refuses_an_enumeration_defect_as_build_hasse_does(monkeypatc
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_whole_monoid_operations_leave_no_cyclic_garbage(monkeypatch, n):
-    # They run with the collector paused (poset._paused_gc), which loses
+    # They run with the collector paused (campaign._paused_gc), which loses
     # nothing only while what they allocate holds no reference cycle.  The
     # young collection that each runs on its way out would free any cycle
     # made during the call, so what every collection frees is counted,
@@ -565,7 +560,7 @@ def _verify_raising(monkeypatch, n):
     def refuse(lower, upper):
         raise ValueError("containment refused")
 
-    monkeypatch.setattr(poset, "_containment_rows", refuse)
+    monkeypatch.setattr(containment, "_containment_rows", refuse)
     report = verify(n)
     assert report.phase_errors == [["containment", "ValueError", "containment refused"]]
 
@@ -580,7 +575,7 @@ OUTCOMES = {
     # collection left pending at the return would show in the count.
     "healthy": (lambda monkeypatch: build_hasse(4), None),
     "refusal": (lambda monkeypatch: verify(7), ValueError),
-    "defect": (_defective_hasse, poset.DefectError),
+    "defect": (_defective_hasse, campaign.DefectError),
     "raising phase": (lambda monkeypatch: _verify_raising(monkeypatch, 4), None),
 }
 
@@ -594,7 +589,7 @@ def test_the_collector_is_handed_back_as_it_was_on_every_exit(monkeypatch, outco
         try:
             operation(monkeypatch)
             raised = None
-        except (ValueError, poset.DefectError) as exc:
+        except (ValueError, campaign.DefectError) as exc:
             raised = type(exc)
         young = gc.get_count()[0]
         assert raised is error
@@ -610,91 +605,35 @@ def test_the_collector_is_handed_back_as_it_was_on_every_exit(monkeypatch, outco
 PACKAGE = Path(poset.__file__).parent
 
 
-@lru_cache(maxsize=None)
-def _bindings(module: str) -> dict:
-    """The module-level names of the package module: a def, class or
-    assignment maps to its node, a name imported from a package module to
-    (that module, the name), or to (that module, None) for the module
-    itself, and a name imported from elsewhere to None.  The package
-    imports itself only relatively (IMPORTS refuses any other import)."""
-    bindings = {}
-    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bindings.update((alias.asname or alias.name, _imported(node, alias)) for alias in node.names)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bindings[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bindings.update((t.id, node) for target in targets for t in ast.walk(target)
-                            if isinstance(t, ast.Name))
-    return bindings
-
-
-def _imported(node, alias):
-    if not isinstance(node, ast.ImportFrom) or node.level == 0:
-        return None
-    return (node.module, alias.name) if node.module else (alias.name, None)
-
-
-def _reached(module: str, name: str) -> set:
-    """Every (module, name) of the package that module.name refers to, by
-    name or by an import in its body, through any chain of module-level
-    names, itself included; (module, None) is a module object."""
-    seen, todo = set(), [(module, name)]
-    while todo:
-        where = todo.pop()
-        if where in seen:
-            continue
-        seen.add(where)
-        binding = _bindings(where[0]).get(where[1]) if where[1] else None
-        if isinstance(binding, tuple):
-            todo.append(binding)
-        elif binding is not None:
-            for node in ast.walk(binding):
-                if isinstance(node, ast.Name) and node.id in _bindings(where[0]):
-                    todo.append((where[0], node.id))
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    todo += [i for alias in node.names if (i := _imported(node, alias))]
-    return seen
-
-
 def test_verify_build_hasse_and_the_reload_run_their_steps_through_one_guard():
-    # poset.py catches every Exception in one place, the step runner _run,
-    # and each whole-monoid operation reaches it.
-    tree = ast.parse((PACKAGE / "poset.py").read_text())
-    catch_all = [handler for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+    # The package catches every Exception in one place, the step runner
+    # campaign._run.
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    catch_all = [handler for tree in trees.values() for handler in ast.walk(tree)
+                 if isinstance(handler, ast.ExceptHandler)
                  and (handler.type is None or ast.unparse(handler.type) in ("Exception", "BaseException"))]
-    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    run = next(node for node in trees["campaign"].body if isinstance(node, ast.FunctionDef) and node.name == "_run")
     assert len(catch_all) == 1 and catch_all[0] in ast.walk(run)
-    for name in ("verify", "build_hasse", "hasse_from_json"):
-        assert ("poset", "_run") in _reached("poset", name), name
-
-
-def test_the_route_phases_of_verify_reach_no_code_of_the_other_route():
-    # Every phase reads the one state of the campaign; the containment
-    # phase reads the closure rows there as data, never the code behind them.
-    reached = {name: {module for module, _ in _reached("poset", name)}
-               for name in ("_walked", "_closure", "_containment")}
-    assert "moves" in reached["_walked"] & reached["_closure"] and "containment" in reached["_containment"]
-    for name in ("_walked", "_closure"):
-        assert reached[name] & {"containment", "length", "oracle", "order"} == set(), name
-    assert reached["_containment"] & {"moves", "order"} == set()
 
 
 # The package modules that each module of the package may import: every
-# route imports only elements, so no route reads another's code.
+# route imports only elements and campaign, the state its phase fills.
 IMPORTS = {
     "elements": set(),
     "length": {"elements"},
     "oracle": {"elements"},
-    "containment": {"elements"},
-    "moves": {"elements"},
+    "campaign": {"elements"},
+    "containment": {"elements", "campaign"},
+    "moves": {"elements", "campaign"},
     "order": {"containment", "moves"},
-    "poset": {"elements", "length", "oracle", "containment", "moves"},
-    "cli": {"elements", "length", "oracle", "order", "poset"},
-    "__init__": {"elements", "length", "oracle", "order", "poset"},
+    "diagram": {"elements", "length", "containment", "campaign"},
+    "poset": {"length", "oracle", "containment", "moves", "campaign", "diagram"},
+    "cli": {"elements", "length", "oracle", "order", "campaign", "diagram", "poset"},
+    "__init__": {"elements", "length", "oracle", "order", "campaign", "diagram", "poset"},
     "__main__": {"cli"},
 }
+# What each route's imports, read through every row they reach, must not reach.
+APART = {"moves": "containment", "containment": "moves", "diagram": "moves"}
 
 
 def _import_faults(module: str, source: str) -> list[str]:
@@ -713,10 +652,24 @@ def _import_faults(module: str, source: str) -> list[str]:
     return faults
 
 
+def _crossings(table: dict) -> list[str]:
+    """Each module of APART whose row's closure in table reaches the route it must not."""
+    faults = []
+    for module, other in APART.items():
+        reach, todo = set(), [module]
+        while todo:
+            new = table[todo.pop()] - reach
+            reach |= new
+            todo += new
+        faults += [f"{module} reaches {other}"] * (other in reach)
+    return faults
+
+
 def test_every_module_imports_only_what_its_row_allows():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert sources.keys() == IMPORTS.keys()
     assert [fault for module, source in sources.items() for fault in _import_faults(module, source)] == []
+    assert _crossings(IMPORTS) == []
     # The facade defines nothing: every name of it is a route's.
     assert not [node for node in ast.walk(ast.parse(sources["order"]))
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))]
@@ -728,6 +681,8 @@ def test_the_import_rule_refuses_a_crossing_import_and_a_module_without_a_row():
     assert _import_faults("containment", source + "from .moves import _key\n") == ["containment imports moves"]
     assert _import_faults("moves", "import numpy\n") == ["moves imports numpy"]
     assert _import_faults("completion", "from .elements import OneLine\n") == ["completion has no row"]
+    # A row read directly holds no route, but through campaign moves would reach containment.
+    assert _crossings({**IMPORTS, "campaign": {"elements", "containment"}}) == ["moves reaches containment"]
 
 
 def test_json_round_trip_of_an_r4_interval():
@@ -856,7 +811,7 @@ def test_verify_exhaustive_spot_checks_the_search_on_spread_pairs(monkeypatch):
 MISMATCH_LISTS = ("mismatches", "search_mismatches", "cover_mismatches", "oracle_mismatches")
 # Every ordered pair, or 5 000 seeded random pairs of R_3's 1 156.
 CAMPAIGNS = [pytest.param(None, id="exhaustive"), pytest.param(5000, id="sampled")]
-COUNTS = {field: count for field, count, *_ in poset._FAILURE_LISTS if count}
+COUNTS = {field: count for field, count, *_ in campaign._FAILURE_LISTS if count}
 FIRST_ENTRY = {
     "mismatches": ["0,0,0", "3,2,1", False, True],
     "cover_mismatches": ["0,0,0", [], ["0,0,1"]],
@@ -908,12 +863,29 @@ def test_a_containment_phase_that_raises_part_way_lists_nothing_it_read(monkeypa
             raise RuntimeError("containment stand-in")
         return partial
 
-    inject(monkeypatch, poset, "_containment_rows", rows)
-    report = verify(3, sample_count).to_dict()
+    with monkeypatch.context() as patch:
+        inject(patch, containment, "_containment_rows", rows)
+        report = verify(3, sample_count).to_dict()
     assert [key for key in LISTS if report[key]] == ["phase_errors"]
     assert report["phase_errors"] == [["containment", "RuntimeError", "containment stand-in"]]
     assert report["mismatch_count"] == report["pairs_checked"] == 0
     assert report["relation_size"] == 441
+    # So does the spot-check phase: deodhar_leq calls every pair comparable,
+    # wrongly on some of the first 49 spot pairs, and the search raises on the 50th.
+    real, searched = poset.ppr_leq, []
+
+    def search(x, y):
+        searched.append((x, y))
+        if len(searched) == 50:
+            raise RuntimeError("search stand-in")
+        return real(x, y)
+
+    monkeypatch.setattr(poset, "deodhar_leq", lambda x, y: True)
+    monkeypatch.setattr(poset, "ppr_leq", search)
+    report = verify(3, sample_count).to_dict()
+    assert [key for key in LISTS if report[key]] == ["phase_errors"]
+    assert report["phase_errors"] == [["spot_checks", "RuntimeError", "search stand-in"]]
+    assert report["mismatch_count"] == 0
 
 
 def test_an_exhaustive_campaign_holds_no_difference_row_when_every_pair_differs(monkeypatch):
@@ -930,7 +902,7 @@ def test_an_exhaustive_campaign_holds_no_difference_row_when_every_pair_differs(
 
     verify(5)  # fills the caches that the first campaign over R_5 leaves behind
     healthy, healthy_peak = peak()
-    inject(monkeypatch, poset, "_containment_rows", complemented)
+    inject(monkeypatch, containment, "_containment_rows", complemented)
     report, differing_peak = peak()
     assert healthy.passed
     assert report.mismatch_count == report.pairs_checked == 2390116
@@ -979,7 +951,7 @@ def test_sampled_mismatches_are_those_of_the_first_draws_of_the_seed(
     for _ in range(flips):
         i, j = rng.randrange(count), rng.randrange(count)
         rows[i] ^= 1 << j
-    monkeypatch.setattr(poset, "_containment_rows", lambda lower, upper: iter(rows))
+    monkeypatch.setattr(containment, "_containment_rows", lambda lower, upper: iter(rows))
     draw = random.Random(3).randrange
     expected = []
     for _ in range(sample_count):
@@ -1005,7 +977,7 @@ def test_a_healthy_sampled_campaign_draws_only_its_spot_pairs(monkeypatch, sampl
             return super().randrange(*args)
 
     real = poset.ppr_leq
-    monkeypatch.setattr(poset.random, "Random", Spy)
+    monkeypatch.setattr(containment.random, "Random", Spy)
     monkeypatch.setattr(poset, "ppr_leq", lambda x, y: searched.append((x, y)) or real(x, y))
     assert verify(4).passed
     exhaustive = searched[:]
@@ -1031,7 +1003,7 @@ def test_verify_reports_relation_size_and_phases():
 
 def test_verify_and_build_hasse_run_the_one_walk_phase_once_each(monkeypatch):
     walks = []
-    walk = poset._walked
+    walk = moves._walked
     assert poset._PHASES[1][:2] == ("walk", walk)
 
     def recorder(c):
@@ -1048,14 +1020,13 @@ def test_verify_and_build_hasse_run_the_one_walk_phase_once_each(monkeypatch):
 
 
 def test_verify_build_hasse_and_the_reload_run_the_one_enumerate_phase_once_each(monkeypatch):
-    # _ENUMERATE is the first entry of _PHASES, and the only code of poset
-    # that calls enumerate_elements; the reload names it alone (see
-    # test_reload_reads_no_move_code).
-    assert poset._PHASES[0] is poset._ENUMERATE
-    assert poset._ENUMERATE[:2] == ("enumerate", poset._enumerate)
+    # _ENUMERATE is the first entry of _PHASES, the first step of the
+    # reload, and the only code of the three that calls enumerate_elements.
+    assert poset._PHASES[0] is diagram._ENUMERATE is campaign._ENUMERATE
+    assert campaign._ENUMERATE[:2] == ("enumerate", campaign._enumerate)
     text = export_json(build_hasse(3))
     events = []
-    phase, elements = poset._enumerate, poset.enumerate_elements
+    phase, elements = campaign._enumerate, campaign.enumerate_elements
 
     def recorder(c):
         events.append("phase")
@@ -1066,9 +1037,9 @@ def test_verify_build_hasse_and_the_reload_run_the_one_enumerate_phase_once_each
         return elements(n)
 
     entry = ("enumerate", recorder, ())
-    monkeypatch.setattr(poset, "_ENUMERATE", entry)
+    monkeypatch.setattr(diagram, "_ENUMERATE", entry)
     monkeypatch.setattr(poset, "_PHASES", (entry, *poset._PHASES[1:]))
-    monkeypatch.setattr(poset, "enumerate_elements", enumeration)
+    monkeypatch.setattr(campaign, "enumerate_elements", enumeration)
     for run, arg in ((verify, 3), (build_hasse, 3), (hasse_from_json, text)):
         events.clear()
         run(arg)
@@ -1086,7 +1057,7 @@ def test_verify_r5_is_exhaustive():
 def test_verify_lists_the_first_order_mismatches_and_counts_them_all(monkeypatch):
     # Rows holding only their own bit disagree on every strict pair of R_4.
     monkeypatch.setattr(
-        poset, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
+        containment, "_containment_rows", lambda lower, upper: [1 << i for i in range(len(lower))],
     )
     report = verify(4)
     assert not report.passed
@@ -1238,7 +1209,7 @@ def _work(n):
 
 def test_verify_refuses_a_pair_count_outside_the_cap_before_any_work(monkeypatch):
     # The library holds the bound that rookorder verify --sampled prints.
-    monkeypatch.setattr(poset, "enumerate_elements", _work)
+    monkeypatch.setattr(campaign, "enumerate_elements", _work)
     cap = poset.SAMPLED_MAX_K
     for sample_count in (0, cap + 1):
         with pytest.raises(ValueError) as caught:
@@ -1259,7 +1230,7 @@ def test_verify_lists_a_memory_error_and_lets_an_interrupt_through(monkeypatch):
         def raising(elements):
             raise error("walk stand-in")
 
-        monkeypatch.setattr(poset, "_walk", raising)
+        monkeypatch.setattr(moves, "_walk", raising)
         if error is MemoryError:
             assert verify(3).phase_errors == [["walk", "MemoryError", "walk stand-in"]]
         else:
