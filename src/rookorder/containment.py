@@ -36,19 +36,23 @@ def deodhar_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by containment of every pair of same-length sorted
     truncations.
 
-    The sorted prefixes grow by insertion, and each pair of them is
-    compared componentwise by one all(map(le, ...)), so the comparisons
-    run in C: O(n^2) in all, and the first failing truncation exits
-    early.  Comparing the ascending prefixes componentwise is the same as
-    comparing the non-increasing ones.
+    The sorted prefixes grow by insertion, and a pair of them is compared
+    componentwise by one all(map(le, ...)), in C: O(n^2) in all, and the
+    first failing truncation exits early.  Only a step adding u to x and
+    v < u to y is compared, since adding u <= v to prefixes in containment
+    keeps every #{entries >= t} of x at most y's.  Comparing the ascending
+    prefixes componentwise is the same as comparing the non-increasing ones.
     """
     a, b = x.entries, y.entries
-    _check_same_n(a, b)
+    if len(a) != len(b):
+        _check_same_n(a, b)
     xs: list[int] = []
     ys: list[int] = []
     for u, v in zip(a, b):
         insort(xs, u)
         insort(ys, v)
+        if u <= v:
+            continue
         if not all(map(le, xs, ys)):
             return False
     return True
@@ -69,18 +73,20 @@ def deodhar_leq_gamma(x: OneLine, y: OneLine) -> bool:
     every field of y has its guard set and x's count, at most n, sits
     below it, so no field borrows from the next, and a field keeps its
     guard bit exactly when y's count is at least x's: one test checks
-    every threshold of the prefix.  The whole test is O(n) int operations
-    on ints of n * (n.bit_length() + 1) bits.
+    every threshold of the prefix, and only after a step with u above v,
+    as in deodhar_leq.  The whole test is O(n) int operations on ints of
+    n * (n.bit_length() + 1) bits.
     """
     a, b = x.entries, y.entries
-    _check_same_n(a, b)
+    if len(a) != len(b):
+        _check_same_n(a, b)
     inc, guard, every = _count_table(len(a))
     cx = cy = held = 0
     for u, v in zip(a, b):
         cx += inc[u]
         cy += inc[v]
         held |= guard[u]
-        if (cy | every) - cx & held != held:
+        if u > v and (cy | every) - cx & held != held:
             return False
     return True
 

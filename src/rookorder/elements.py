@@ -171,5 +171,6 @@ def enumerate_elements(n: int) -> Iterator[OneLine]:
 
 
 def _check_same_n(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """The one size refusal, reached only when the lengths differ."""
     if len(a) != len(b):
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")

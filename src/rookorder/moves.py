@@ -78,7 +78,7 @@ def _layout(n: int) -> tuple[int, int, int, tuple[tuple[int, ...], ...]]:
 def _key(a: tuple[int, ...]) -> int:
     """The prefix sums S_1..S_n and prefix square sums Q_1..Q_n of the
     entries a packed into one int (see _layout): the sum of the lifts of
-    its entries.
+    its entries, which ppr_leq packs in place.
 
     Every field fits below its guard bit, so no field carries into the
     next.  The sums alone determine the entries, so the key is a
@@ -193,14 +193,14 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     """Order test by reachability of y from x under generator moves.
 
     Depth-first search from x by the moves (_successors), on keys: ints
-    that pack the prefix sums and prefix square sums (see _key).  A node's successors come in
-    ascending key order and are pushed in that order, so the
-    lexicographically largest, the nearest to y in that order, is
-    expanded first.  The order only ranks nodes and refuses none: every
-    verdict is the same in any order.  The scan of a node's successors
-    stops at the first key not below y's, since every later key is
-    larger.  The answer is True as soon as the search generates y, and
-    False once no node is left.
+    that pack the prefix sums and prefix square sums, _key's sum of lifts
+    over one _layout read.  A node's successors come in ascending key
+    order and are pushed in that order, so the lexicographically largest,
+    the nearest to y in that order, is expanded first.  The order only
+    ranks nodes and refuses none: every verdict is the same in any order.
+    The scan of a node's successors stops at the first key not below y's,
+    since every later key is larger.  The answer is True as soon as the
+    search generates y, and False once no node is left.
 
     Three potentials, all read off the moves (see _moves), prune every
     node that cannot lie on a path from x to y.  Every move yields a
@@ -219,12 +219,13 @@ def ppr_leq(x: OneLine, y: OneLine) -> bool:
     containment logic and no length is consulted.
     """
     a, b = x.entries, y.entries
-    _check_same_n(a, b)
+    n = len(a)
+    if n != len(b):
+        _check_same_n(a, b)
     if a >= b:
         return a == b
-    n = len(a)
-    source, target = _key(a), _key(b)
-    guard = _layout(n)[2]
+    _, _, guard, lift = _layout(n)
+    source, target = sum(map(getitem, lift, a)), sum(map(getitem, lift, b))
     ceiling = target | guard
     if (ceiling - source) & guard != guard:
         return False

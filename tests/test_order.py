@@ -129,6 +129,23 @@ def test_ppr_examples():
         ppr_leq(OneLine((1, 0)), OneLine((1, 0, 0)))
 
 
+@pytest.mark.parametrize("leq", [deodhar_leq, deodhar_leq_gamma, ppr_leq])
+@pytest.mark.parametrize("x, y", [
+    # packed ahead of the sizes, (1, 0) and (1, 0, 0) would give equal
+    # keys, since map stops at the shorter side
+    ((1, 0), (1, 0, 0)),
+    ((1, 0, 0), (1, 0)),
+    # compared as tuples ahead of the sizes, (2, 1) after (0, 0, 0) would
+    # answer False
+    ((2, 1), (0, 0, 0)),
+    ((0, 0, 0), (2, 1)),
+])
+def test_every_per_pair_test_refuses_a_size_mismatch_with_one_message(leq, x, y):
+    with pytest.raises(ValueError) as refused:
+        leq(OneLine(x), OneLine(y))
+    assert str(refused.value) == f"size mismatch: {len(x)} vs {len(y)}"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ppr_agrees_with_deodhar_exhaustively(n):
     els = elements_of(n)
@@ -298,6 +315,18 @@ def test_prefix_sums_refuse_a_pair_before_the_search(monkeypatch):
 
     monkeypatch.setattr(moves, "_successors", expand)
     assert not ppr_leq(OneLine((0, 3, 0)), OneLine((1, 0, 3)))
+
+    # a pair the lexicographic test refuses is never packed
+    def pack(n):
+        raise AssertionError("a lexicographically refused pair was packed")
+
+    monkeypatch.setattr(moves, "_layout", pack)
+    els = elements_of(3)
+    for x in els:
+        assert ppr_leq(x, x)
+        for y in els:
+            if x.entries > y.entries:
+                assert not ppr_leq(x, y)
 
 
 @pytest.mark.parametrize("x, y", [
